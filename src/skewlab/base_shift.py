@@ -6,7 +6,7 @@ O(1) amortized time.  The metric is d(x, y) = metric_base**n with n the
 two-sided agreement radius.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

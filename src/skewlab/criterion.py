@@ -8,7 +8,7 @@ the pair at the return point, on a definite fraction of sampled points.
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .lyapunov import (
     return_map_exponent_grid,
 )
 from .rng import derive_seed
+from .skew import orbit_maps
 
 
 @dataclass
@@ -115,11 +116,12 @@ def build_holonomy_loop(sys, p, z, i, tol=1e-9, n_max=256):
     zi = z.shift(i)
     q_u = HolonomyQuery("unstable", p_seq, z, tol, n_max)
     q_s = HolonomyQuery("stable", zi, p_seq, tol, n_max)
+    excursion = [f for f, _ in orbit_maps(sys, z, n=i)]
 
     def h(t):
         t_z, _ = stable_holonomy_point(sys, q_u, t)
-        for k in range(i):
-            t_z = sys.fiber_map_at(z.shift(k)).apply(t_z)[0]
+        for f in excursion:
+            t_z = f.apply(t_z)[0]
         out, _ = stable_holonomy_point(sys, q_s, t_z)
         return out
 
@@ -127,8 +129,8 @@ def build_holonomy_loop(sys, p, z, i, tol=1e-9, n_max=256):
         hu, _ = linear_stable_holonomy(sys, q_u, t)
         t_z, _ = stable_holonomy_point(sys, q_u, t)
         m = hu
-        for k in range(i):
-            t_z, d = sys.fiber_map_at(z.shift(k)).apply(t_z)
+        for f in excursion:
+            t_z, d = f.apply(t_z)
             m = fm.mat_mul(d, m)
         hs, _ = linear_stable_holonomy(sys, q_s, t_z)
         return fm.mat_mul(hs, m)
@@ -253,8 +255,8 @@ def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
         x = sample_sequence(sys.space, sys.measure, derive_seed(seed, 31), w)
         v = (0.6471298642911707, 0.7623855618404413)
         cur = t
-        for k in range(n_iter):
-            cur, d = sys.fiber_map_at(x.shift(k)).apply(cur)
+        for k, (f, _) in enumerate(orbit_maps(sys, x, n=n_iter)):
+            cur, d = f.apply(cur)
             v = fm.mat_vec(d, v)
             n = math.hypot(*v)
             v = (v[0] / n, v[1] / n)

@@ -247,18 +247,6 @@ def compose(*factors):
     return Composite(factors)
 
 
-def apply(f, t):
-    return f.apply(t)
-
-
-def invert(f):
-    return f.inverse()
-
-
-def localized_twist_apply(center, radius, angle, t, profile=BumpProfile()):
-    return LocalizedTwist(center, radius, angle, profile).apply(t)
-
-
 def random_point(seed, stream_id, index):
     """Deterministic Lebesgue sample on the torus."""
     return (

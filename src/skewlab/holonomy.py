@@ -3,14 +3,18 @@
 Non-linear holonomies are limits of (f^n_y)^{-1} o f^n_x along stable
 pairs; linear holonomies are the analogous limits for the derivative
 cocycle.  Unstable holonomies reuse the same code path on the inverted
-dynamics.  Truncation stops once successive increments fall below the
-query tolerance (two in a row for smooth families, where a single
-increment can vanish by accident; one suffices for locally constant
-families, which stabilize exactly).
+dynamics: both walk the orbits of x and y with ``skew.orbit_maps``.
+Truncation stops once successive increments fall below the query
+tolerance: two in a row for smooth families, where a single increment can
+vanish by accident; for a locally constant family of depth D, the first
+one from the (D - 1)-th increment on, since the truncations are exactly
+stationary from there (earlier increments can vanish while x and y still
+read different words).
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from . import fiber_maps as fm
 from .base_shift import distance, sample_sequence
 from .errors import ConfigurationError, NonConvergenceError
 from .rng import derive_seed
-from .skew import random_fiber_point
+from .skew import orbit_maps, random_fiber_point
 
 _OVERFLOW_GUARD = 1e120
 
@@ -58,6 +62,10 @@ class HolonomyQuery:
                     "query pair is not on the same local %s set (index %d)"
                     % (self.direction, j)
                 )
+
+    @cached_property
+    def pair_distance(self):
+        return distance(self.x, self.y)
 
 
 def _fit_theta(increments):
@@ -99,7 +107,7 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     pts.extend(random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
     worst = 0.0
     for x in base_points:
-        for f in (sys.fiber_map_at(x), sys.inverse_fiber_map_at(x)):
+        for f in next(orbit_maps(sys, x, n=1)):
             sup_norm = 0.0
             sup_conorm = 0.0
             for t in pts:
@@ -120,27 +128,13 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     )
 
 
-def _truncation_point(sys, x, y, t, n, backward):
-    """h^n(t) = (f^n_y)^{-1}(f^n_x(t)), or the mirrored backward version."""
-    s = t
-    if backward:
-        for k in range(n):
-            s = sys.inverse_fiber_map_at(x.shift(-k - 1)).apply(s)[0]
-        for k in range(n - 1, -1, -1):
-            s = sys.fiber_map_at(y.shift(-k - 1)).apply(s)[0]
-    else:
-        for k in range(n):
-            s = sys.fiber_map_at(x.shift(k)).apply(s)[0]
-        for k in range(n - 1, -1, -1):
-            s = sys.inverse_fiber_map_at(y.shift(k)).apply(s)[0]
-    return s
-
-
 def _stop_ok(sys, increments, tol):
     """Whether the truncation may stop at the latest increment.
 
-    Locally constant truncations stabilize exactly, so the first sub-tol
-    increment is final.  Smooth families can produce a spuriously tiny
+    A locally constant family of depth D reads the word at [0, D), so past
+    the first D - 2 steps the maps along x and y agree and the truncations
+    are stationary: a sub-tol increment is final once there are at least
+    max(1, D - 1) of them.  Smooth families can produce a spuriously tiny
     first increment (e.g. when a symmetry of the fiber point annihilates
     the leading parameter difference), so two consecutive sub-tol
     increments are required before trusting the limit.
@@ -148,23 +142,36 @@ def _stop_ok(sys, increments, tol):
     if increments[-1] >= tol:
         return False
     if sys.is_locally_constant:
-        return True
+        return len(increments) >= max(1, sys.family.depth - 1)
     return len(increments) >= 2 and increments[-2] < tol
 
 
 def stable_holonomy_point(sys, q, t):
-    """Holonomy image of a fiber point, with convergence diagnostics."""
+    """Holonomy image of a fiber point, with convergence diagnostics.
+
+    The n-th truncation is h^n(t) = (f^n_y)^{-1}(f^n_x(t)), or its mirror
+    along the backward orbits for unstable queries; f^n_x(t) and the list
+    of inverses along y grow by one step per n.
+    """
     backward = q.direction == "unstable"
+    walk_x = orbit_maps(sys, q.x, backward)
+    walk_y = orbit_maps(sys, q.y, backward)
+    y_inverses = []
+    s = t
     increments = []
     prev = t
-    for n in range(1, q.n_max + 1):
-        cur = _truncation_point(sys, q.x, q.y, t, n, backward)
+    for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
+        s = f_x.apply(s)[0]
+        y_inverses.append(g_y)
+        cur = s
+        for g in reversed(y_inverses):
+            cur = g.apply(cur)[0]
         inc = fm.torus_distance(cur, prev)
         increments.append(inc)
         prev = cur
         if _stop_ok(sys, increments, q.tol):
             diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
-            d = distance(q.x, q.y)
+            d = q.pair_distance
             if d > 0.0:
                 diag.holder_ratio = fm.torus_distance(cur, t) / d ** sys.holder_alpha
             return cur, diag
@@ -178,19 +185,14 @@ def linear_stable_holonomy(sys, q, t):
     """Linear holonomy at (x, t), paired with (y, h^s(t)) on the strong set."""
     t_y, _ = stable_holonomy_point(sys, q, t)
     backward = q.direction == "unstable"
+    walk_x = orbit_maps(sys, q.x, backward)
+    walk_y = orbit_maps(sys, q.y, backward)
     px = fm.IDENTITY
     py = fm.IDENTITY
     tx, ty = t, t_y
     prev = fm.IDENTITY
     increments = []
-    best = None
-    for n in range(1, q.n_max + 1):
-        if backward:
-            fx = sys.inverse_fiber_map_at(q.x.shift(-n))
-            fy = sys.inverse_fiber_map_at(q.y.shift(-n))
-        else:
-            fx = sys.fiber_map_at(q.x.shift(n - 1))
-            fy = sys.fiber_map_at(q.y.shift(n - 1))
+    for n, (fx, _), (fy, _) in zip(range(1, q.n_max + 1), walk_x, walk_y):
         tx, dx = fx.apply(tx)
         ty, dy = fy.apply(ty)
         px = fm.mat_mul(dx, px)
@@ -201,10 +203,9 @@ def linear_stable_holonomy(sys, q, t):
         inc = fm.mat_sub_norm(cur, prev)
         increments.append(inc)
         prev = cur
-        best = cur
         if _stop_ok(sys, increments, q.tol):
             diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
-            d = distance(q.x, q.y)
+            d = q.pair_distance
             if d > 0.0:
                 diag.holder_ratio = (
                     fm.mat_sub_norm(cur, fm.IDENTITY) / d ** sys.holder_alpha
@@ -235,17 +236,15 @@ def holonomy_cocycle_check(sys, q, t, envelope_constant=None):
     defect = 0.0
     point = t
     image = h_t
-    for j in range(1, 4):
-        if sign > 0:
-            point = sys.fiber_map_at(q.x.shift(j - 1)).apply(point)[0]
-            image = sys.fiber_map_at(q.y.shift(j - 1)).apply(image)[0]
-        else:
-            point = sys.inverse_fiber_map_at(q.x.shift(-j)).apply(point)[0]
-            image = sys.inverse_fiber_map_at(q.y.shift(-j)).apply(image)[0]
+    walk_x = orbit_maps(sys, q.x, backward=sign < 0, n=3)
+    walk_y = orbit_maps(sys, q.y, backward=sign < 0, n=3)
+    for j, ((f_x, _), (f_y, _)) in enumerate(zip(walk_x, walk_y), 1):
+        point = f_x.apply(point)[0]
+        image = f_y.apply(image)[0]
         qj = HolonomyQuery(q.direction, q.x.shift(sign * j), q.y.shift(sign * j), q.tol, q.n_max)
         direct, _ = stable_holonomy_point(sys, qj, point)
         defect = max(defect, fm.torus_distance(direct, image))
-    d = distance(q.x, q.y)
+    d = q.pair_distance
     if envelope_constant is None:
         head = [v for v in diag.increments[:3] if v > 0.0]
         theta = diag.fitted_theta
@@ -267,20 +266,18 @@ def strong_stable_contraction_rate(sys, q, t, n=20):
     expansion amplifies the truncation error and the tail grows again.
     """
     t_y, _ = stable_holonomy_point(sys, q, t)
-    sign = -1 if q.direction == "unstable" else 1
+    backward = q.direction == "unstable"
+    walk_x = orbit_maps(sys, q.x, backward)
+    walk_y = orbit_maps(sys, q.y, backward)
     dists = []
     a, b = t, t_y
-    for k in range(n + 1):
+    for _ in range(n + 1):
         d = fm.torus_distance(a, b)
         if dists and (d >= dists[-1] or d < 100.0 * q.tol):
             break
         dists.append(d)
-        if sign > 0:
-            a = sys.fiber_map_at(q.x.shift(k)).apply(a)[0]
-            b = sys.fiber_map_at(q.y.shift(k)).apply(b)[0]
-        else:
-            a = sys.inverse_fiber_map_at(q.x.shift(-k - 1)).apply(a)[0]
-            b = sys.inverse_fiber_map_at(q.y.shift(-k - 1)).apply(b)[0]
+        a = next(walk_x)[0].apply(a)[0]
+        b = next(walk_y)[0].apply(b)[0]
     if len(dists) >= 4:
         dists = dists[1:]  # drop the transient step; fit the asymptotic rate
     pts = [(k, math.log(v)) for k, v in enumerate(dists) if v > 1e-14]

@@ -1,14 +1,13 @@
 """Lyapunov exponent estimation along the fiber direction.
 
 Monte Carlo orbits are addressed by counter-based streams derived from
-(seed, orbit_index), so estimates are bit-identical for any worker count.
-An independent projective transfer-operator discretization provides the
+(seed, orbit_index), so estimates are a pure function of the seed.  An
+independent projective transfer-operator discretization provides the
 cross-check oracle for random matrix products.
 """
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import fiber_maps as fm
 from .base_shift import sample_sequence
 from .errors import ConfigurationError
 from .rng import derive_seed
-from .skew import iterate_cocycle, random_fiber_point
+from .skew import accumulate_cocycle, iterate_cocycle, orbit_maps, random_fiber_point
 
 DELTA_PINCH = 0.05
 
@@ -60,13 +59,6 @@ def pointwise_exponent(sys, x, t, n, renorm_every=16):
     return -res.log_norm / abs(n)
 
 
-def _worker_count():
-    env = os.environ.get("WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def integrated_exponent(sys, n_orbits, n_steps, seed, renorm_every=16):
     """Monte Carlo mean of the pointwise exponent over the product measure."""
     if n_orbits < 1 or n_steps < 1:
@@ -75,21 +67,12 @@ def integrated_exponent(sys, n_orbits, n_steps, seed, renorm_every=16):
     fiber_seed = derive_seed(seed, 2)
     values = np.empty(n_orbits)
     defects = np.empty(n_orbits)
-
-    def run(i):
+    for i in range(n_orbits):
         x = sample_sequence(sys.space, sys.measure, base_seed, i)
         t = random_fiber_point(fiber_seed, i)
         res = iterate_cocycle(sys, x, t, n_steps, renorm_every)
         values[i] = res.log_norm / n_steps
         defects[i] = res.det_defect
-
-    workers = _worker_count()
-    if workers == 1:
-        for i in range(n_orbits):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_orbits)))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
     return ExponentEstimate(
@@ -104,28 +87,10 @@ def integrated_exponent(sys, n_orbits, n_steps, seed, renorm_every=16):
 
 def return_map(sys, p):
     """g = f^kappa along the periodic fiber, as a single fiber map."""
-    x = p.point(sys.space)
-    factors = [sys.fiber_map_at(x.shift(k)) for k in range(p.period - 1, -1, -1)]
+    factors = [f for f, _ in orbit_maps(sys, p.point(sys.space), n=p.period)][::-1]
     if len(factors) == 1:
         return factors[0]
     return fm.Composite(factors)
-
-
-def _map_exponent(g, t, n_steps, renorm_every=16):
-    """(1/n) log ||Dg^n(t)|| for a single fiber map."""
-    B = fm.IDENTITY
-    log_acc = 0.0
-    since = 0
-    for _ in range(n_steps):
-        t, d = g.apply(t)
-        B = fm.mat_mul(d, B)
-        since += 1
-        if since == renorm_every:
-            nb = fm.mat_norm(B)
-            log_acc += math.log(nb)
-            B = (B[0] / nb, B[1] / nb, B[2] / nb, B[3] / nb)
-            since = 0
-    return (log_acc + math.log(fm.mat_norm(B))) / n_steps
 
 
 def return_map_exponent_grid(sys, p, grid=64, n_steps=1000, renorm_every=16):
@@ -135,25 +100,14 @@ def return_map_exponent_grid(sys, p, grid=64, n_steps=1000, renorm_every=16):
     for i in range(grid):
         for j in range(grid):
             t = ((i + 0.5) / grid, (j + 0.5) / grid)
-            out[i, j] = _map_exponent(g, t, n_steps, renorm_every)
+            maps = itertools.repeat(g, n_steps)
+            out[i, j] = accumulate_cocycle(maps, t, renorm_every)[1] / n_steps
     return out
 
 
 def pinching_integral(sys, p, grid=64, n_steps=1000, renorm_every=16):
     """Grid average of the return-map exponent over the periodic fiber."""
     return float(return_map_exponent_grid(sys, p, grid, n_steps, renorm_every).mean())
-
-
-def _pushed_direction(maps_and_points, v):
-    """Normalize-and-push a direction through a list of (map, point) steps."""
-    for g, t in maps_and_points:
-        _, d = g.apply(t)
-        v = fm.mat_vec(d, v)
-        n = math.hypot(*v)
-        if n == 0.0:
-            raise ConfigurationError("direction collapsed to zero")
-        v = (v[0] / n, v[1] / n)
-    return v
 
 
 def _direction_angle(v):
@@ -184,7 +138,7 @@ def _limit_direction(g, t, depth):
 def oseledets_frame(sys, p, t, depth=200, delta_pinch=DELTA_PINCH, gap_steps=400):
     """Estimated Oseledets directions of the return cocycle at a fiber point."""
     g = return_map(sys, p)
-    gap = _map_exponent(g, t, gap_steps)
+    gap = accumulate_cocycle(itertools.repeat(g, gap_steps), t)[1] / gap_steps
     if gap < delta_pinch:
         return OseledetsFrame(0.0, 0.0, gap, False, depth)
     g_inv = g.inverse()

@@ -4,17 +4,21 @@ Two family types are supported.  Locally constant families look the
 generator up from the word at indices [0, depth); with depth 1 this is the
 classical random product.  The Holder family modulates a standard-map
 parameter by a geometrically weighted symbol sum, giving a genuinely
-base-dependent family with an explicit Holder certificate.
+base-dependent family with an explicit Holder certificate.  Every walk
+along a base orbit goes through ``orbit_maps``, which reads the symbols
+once per window and asks the family for all the window's maps at once.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fiber_maps as fm
 from .base_shift import sample_sequence
 from .errors import CertificateViolationError, ConfigurationError
-from .rng import counter_uniform, derive_seed
+from .rng import derive_seed
 
 
 def admissible_words(space, length):
@@ -41,12 +45,22 @@ class LocallyConstantFamily:
             if len(word) != self.depth:
                 raise ConfigurationError("table word %r has wrong length" % (word,))
             self.table[word] = f
+        self._pairs = {word: (f, f.inverse()) for word, f in self.table.items()}
+        self.reach = (0, self.depth - 1)
 
     def map_for_word(self, word):
         try:
             return self.table[word]
         except KeyError:
             raise ConfigurationError("no generator for word %r" % (word,))
+
+    def window_maps(self, syms, n):
+        """(map, inverse) at the n positions whose words start at syms[0], ..."""
+        d, pairs = self.depth, self._pairs
+        try:
+            return [pairs[tuple(syms[i:i + d])] for i in range(n)]
+        except KeyError as exc:
+            raise ConfigurationError("no generator for word %r" % (exc.args[0],))
 
 
 class HolderFamily:
@@ -66,16 +80,30 @@ class HolderFamily:
             coeffs = tuple(2.0 * i / (d - 1) - 1.0 for i in range(d))
         self.coeffs = tuple(float(c) for c in coeffs)
         self.gamma = space.metric_base ** self.alpha
+        self.reach = (-self.window, self.window)
+
+    def _parameters(self, syms, n):
+        """K at the n positions centred at syms[window], syms[window + 1], ...
+
+        Sums over j in the same order as the scalar formula, so each value
+        is bit-identical to it.
+        """
+        c = np.array(self.coeffs)[np.asarray(syms)]
+        W = self.window
+        s = c[W:W + n].copy()
+        w = 1.0
+        for j in range(1, W + 1):
+            w *= self.gamma
+            s += w * (c[W + j:W + j + n] + c[W - j:W - j + n])
+        return (self.K0 + self.eps * s).tolist()
 
     def parameter(self, x):
-        c = self.coeffs
-        s = c[x.symbol(0)]
-        g = self.gamma
-        w = 1.0
-        for j in range(1, self.window + 1):
-            w *= g
-            s += w * (c[x.symbol(j)] + c[x.symbol(-j)])
-        return self.K0 + self.eps * s
+        W = self.window
+        return self._parameters([x.symbol(j) for j in range(-W, W + 1)], 1)[0]
+
+    def window_maps(self, syms, n):
+        """(map, inverse) at the n positions centred at syms[window], ..."""
+        return [(f, f.inverse()) for f in map(fm.StandardMap, self._parameters(syms, n))]
 
     def holder_constant(self):
         """Certified bound on d_C1(f_x, f_y) / d(x, y)^alpha."""
@@ -102,7 +130,6 @@ class SkewSystem:
         self.space = space
         self.measure = measure
         self.family = family
-        self._inverse_cache = {}
 
     @property
     def is_locally_constant(self):
@@ -113,18 +140,10 @@ class SkewSystem:
         return self.family.alpha if not self.is_locally_constant else 1.0
 
     def fiber_map_at(self, x):
-        if self.is_locally_constant:
-            return self.family.map_for_word(x.word(0, self.family.depth))
-        return fm.StandardMap(self.family.parameter(x))
+        return next(orbit_maps(self, x, n=1))[0]
 
     def inverse_fiber_map_at(self, x):
-        f = self.fiber_map_at(x)
-        # key by id but pin f in the entry: ids of dead objects get recycled
-        entry = self._inverse_cache.get(id(f))
-        if entry is None or entry[0] is not f:
-            entry = (f, f.inverse())
-            self._inverse_cache[id(f)] = entry
-        return entry[1]
+        return next(orbit_maps(self, x, n=1))[1]
 
     def admissible_words(self, length):
         return admissible_words(self.space, length)
@@ -144,41 +163,76 @@ class SkewSystem:
         )
 
 
+_MAX_CHUNK = 4096
+
+
+def orbit_maps(sys, x, backward=False, n=None):
+    """The fiber maps met along the base orbit of x, as (map, inverse) pairs.
+
+    Forward, step k = 0, 1, 2, ... yields (f_{s^k x}, f_{s^k x}^{-1}), so
+    the first m maps compose to f^m_x.  Backward, step k yields
+    (f_{s^{-k-1} x}^{-1}, f_{s^{-k-1} x}), so the first m maps compose to
+    f^{-m}_x; s is the shift.  The walk stops after n steps; with n None
+    it runs on, reading symbols in windows that double (up to a cap) with
+    the steps consumed.  Either way a walk of m steps reads O(m) symbols
+    and holds O(min(m, cap)) maps.
+    """
+    window_maps = sys.family.window_maps
+    lo, hi = sys.family.reach
+    symbol = x.symbol
+    k, size = 0, 1
+    while n is None or k < n:
+        if n is not None:
+            size = min(n - k, _MAX_CHUNK)
+        first = -k - size if backward else k  # lowest base position of the chunk
+        pairs = window_maps(list(map(symbol, range(first + lo, first + size + hi))), size)
+        if backward:
+            for f, f_inv in reversed(pairs):
+                yield f_inv, f
+        else:
+            yield from pairs
+        k += size
+        size = min(2 * size, _MAX_CHUNK)
+
+
+def accumulate_cocycle(maps, t, renorm_every=16):
+    """Endpoint, log norm, normalized tail and det defect of a map sequence.
+
+    The running derivative product is renormalized by its norm every
+    ``renorm_every`` steps; the factored-out norms go into a log
+    accumulator, so the result is exact up to round-off for up to 1e7 steps.
+    """
+    p, q, r, s = fm.IDENTITY  # running product, row-major
+    log_acc = 0.0
+    det_defect = 0.0
+    since = 0
+    for f in maps:
+        t, (a, b, c, d) = f.apply(t)
+        defect = abs(a * d - b * c - 1.0)
+        if defect > det_defect:
+            det_defect = defect
+        p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        since += 1
+        if since == renorm_every:
+            nb = fm.mat_norm((p, q, r, s))
+            log_acc += math.log(nb)
+            p, q, r, s = p / nb, q / nb, r / nb, s / nb
+            since = 0
+    tail_norm = fm.mat_norm((p, q, r, s))
+    log_norm = log_acc + math.log(tail_norm)
+    tail = (p / tail_norm, q / tail_norm, r / tail_norm, s / tail_norm)
+    return t, log_norm, tail, det_defect
+
+
 def iterate_cocycle(sys, x, t, n, renorm_every=16):
     """Orbit endpoint and log operator norm of the derivative product.
 
-    The running matrix is renormalized by its norm every ``renorm_every``
-    steps; the factored-out norms go into a log accumulator, so the result
-    is exact up to round-off for |n| up to 1e7.  Negative n follows the
-    backward orbit with inverted generators.
+    Negative n follows the backward orbit with inverted generators.
     """
     if renorm_every <= 0:
         raise ConfigurationError("renorm_every must be positive")
-    B = fm.IDENTITY
-    log_acc = 0.0
-    det_defect = 0.0
-    steps = abs(int(n))
-    forward = n >= 0
-    since = 0
-    for k in range(steps):
-        if forward:
-            f = sys.fiber_map_at(x if k == 0 else x.shift(k))
-        else:
-            f = sys.inverse_fiber_map_at(x.shift(-k - 1))
-        t, d = f.apply(t)
-        defect = abs(fm.mat_det(d) - 1.0)
-        if defect > det_defect:
-            det_defect = defect
-        B = fm.mat_mul(d, B)
-        since += 1
-        if since == renorm_every:
-            nb = fm.mat_norm(B)
-            log_acc += math.log(nb)
-            B = (B[0] / nb, B[1] / nb, B[2] / nb, B[3] / nb)
-            since = 0
-    tail_norm = fm.mat_norm(B)
-    log_norm = log_acc + math.log(tail_norm)
-    tail = (B[0] / tail_norm, B[1] / tail_norm, B[2] / tail_norm, B[3] / tail_norm)
+    maps = (f for f, _ in orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
+    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t, renorm_every)
     return CocycleResult(t, log_norm, tail, int(n), det_defect)
 
 
@@ -285,7 +339,4 @@ def holder_estimate(sys, n_pairs=100, seed=0, grid=16, n_random=100):
 
 def random_fiber_point(seed, index, stream=0):
     """Lebesgue sample on the fiber, counter-addressed for determinism."""
-    return (
-        counter_uniform(seed, 1000 + stream, 2 * index),
-        counter_uniform(seed, 1000 + stream, 2 * index + 1),
-    )
+    return fm.random_point(seed, 1000 + stream, index)

@@ -10,6 +10,7 @@ from skewlab.errors import ConfigurationError
 from skewlab.holonomy import strong_stable_contraction_rate
 
 from _common import (
+    bernoulli2,
     cat_system,
     holder_system,
     rotation_system,
@@ -136,3 +137,39 @@ def test_contraction_rate_holder_family():
     rates.sort()
     median = rates[len(rates) // 2]
     assert median <= 1.0 / 16.0 + 0.05
+
+
+def _disjoint_twist_depth4_system():
+    """Depth-4 family whose generators read only word positions 0 and 3."""
+    ident = fm.ToralAutomorphism((1, 0, 0, 1))
+    ta = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
+    tb = fm.LocalizedTwist((0.75, 0.75), 0.2, 1.0)
+    space = sl.ShiftSpace(2)
+    table = {
+        w: fm.Composite([ta if w[0] else ident, tb if w[3] else ident])
+        for w in sl.admissible_words(space, 4)
+    }
+    return sl.SkewSystem(space, bernoulli2(), sl.LocallyConstantFamily(4, table))
+
+
+def test_locally_constant_depth4_unstable_holonomy_is_exact():
+    # y differs from x = 0^inf at j = 1 only.  Backward step k reads the word
+    # at [-k-1, 3-k), so steps k >= 2 agree and the holonomy is the finite
+    # composition F_y,0 o F_y,1 o F_x,1^-1 o F_x,0^-1.  The first increment
+    # is exactly 0 (step 0 applies the identity along both orbits), which
+    # must not stop the truncation.
+    system = _disjoint_twist_depth4_system()
+    table = system.family.table
+    x = sl.periodic_point(system.space, (0,))
+    y = sl.BaseSequence(system.space, lambda j: int(j == 1))
+    t = (0.7, 0.7)
+    exact = t
+    for k in range(3):
+        exact = table[x.word(-k - 1, 3 - k)].inverse()(exact)
+    for k in range(2, -1, -1):
+        exact = table[y.word(-k - 1, 3 - k)](exact)
+    assert fm.torus_distance(exact, t) > 0.05
+    img, diag = sl.unstable_holonomy_point(system, sl.HolonomyQuery("unstable", x, y), t)
+    assert diag.increments[0] == 0.0
+    assert diag.stopped_at == 3
+    assert fm.torus_distance(img, exact) < 1e-12

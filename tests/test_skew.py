@@ -1,16 +1,20 @@
 """Skew products: families, cocycle iteration, C1 distance, Holder data."""
 
+import gc
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
-from skewlab.skew import fiber_c1_distance
+from skewlab.skew import fiber_c1_distance, orbit_maps
 
 from _common import (
     LOG_CAT,
+    SHEAR_LO,
     SHEAR_UP,
     bernoulli2,
     cat_map,
@@ -168,3 +172,81 @@ def test_holder_estimate_certificate_holds():
     h_hat, alpha = sl.holder_estimate(system, n_pairs=60)
     assert alpha == 1.0
     assert 0.0 < h_hat <= system.family.holder_constant()
+
+
+def _scalar_parameter(family, x):
+    """The Holder parameter summed one symbol lookup at a time."""
+    c = family.coeffs
+    s = c[x.symbol(0)]
+    w = 1.0
+    for j in range(1, family.window + 1):
+        w *= family.gamma
+        s += w * (c[x.symbol(j)] + c[x.symbol(-j)])
+    return family.K0 + family.eps * s
+
+
+def test_orbit_maps_holder_parameters_match_scalar_sum():
+    system = holder_system(metric_base=0.5, eps=0.3)
+    family = system.family
+    x = sl.sample_sequence(system.space, system.measure, 17, 0)
+    n = 2100
+    for k, (f, f_inv) in enumerate(itertools.islice(orbit_maps(system, x), n)):
+        K = _scalar_parameter(family, x.shift(k))
+        assert f.kind == "stdmap" and f_inv.kind == "stdmap_inv"
+        assert f.K == K and f_inv.K == K
+    backward = orbit_maps(system, x, backward=True)
+    for k, (g, g_inv) in enumerate(itertools.islice(backward, n)):
+        K = _scalar_parameter(family, x.shift(-k - 1))
+        assert g.kind == "stdmap_inv" and g_inv.kind == "stdmap"
+        assert g.K == K and g_inv.K == K
+    assert family.parameter(x) == _scalar_parameter(family, x)
+
+
+def _golden_mean_depth2_system():
+    space = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+    measure = sl.BaseMeasure("markov", P=((0.5, 0.5), (1.0, 0.0)))
+    twist = fm.LocalizedTwist((0.3, 0.6), 0.2, 0.7)
+    maps = [
+        cat_map(),
+        fm.ToralAutomorphism(SHEAR_UP),
+        fm.Composite([fm.ToralAutomorphism(SHEAR_LO), twist]),
+    ]
+    table = dict(zip(sl.admissible_words(space, 2), maps))
+    return sl.SkewSystem(space, measure, sl.LocallyConstantFamily(2, table))
+
+
+def test_orbit_maps_locally_constant_are_table_entries():
+    system = _golden_mean_depth2_system()
+    table = system.family.table
+    x = sl.sample_sequence(system.space, system.measure, 19, 0)
+    n = 300
+    for k, (f, f_inv) in enumerate(itertools.islice(orbit_maps(system, x), n)):
+        xk = x.shift(k)
+        assert f is table[x.word(k, k + 2)]
+        assert f is system.fiber_map_at(xk)
+        assert f_inv is system.inverse_fiber_map_at(xk)
+    backward = orbit_maps(system, x, backward=True)
+    for k, (g, g_inv) in enumerate(itertools.islice(backward, n)):
+        xk = x.shift(-k - 1)
+        assert g_inv is table[x.word(-k - 1, 1 - k)]
+        assert g_inv is system.fiber_map_at(xk)
+        assert g is system.inverse_fiber_map_at(xk)
+
+
+def test_backward_holder_orbits_retain_no_memory():
+    system = holder_system()
+    sl.iterate_cocycle(system, sl.sample_sequence(system.space, system.measure, 3, 99),
+                       (0.3, 0.7), -50)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(10):
+            x = sl.sample_sequence(system.space, system.measure, 3, k)
+            sl.iterate_cocycle(system, x, (0.3, 0.7), -2000)
+        del x
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5 * 2 ** 20
