@@ -2,7 +2,8 @@
 
 ``skewlab <cmd> --config <path> [--out <dir>]`` with commands exponent,
 bunching, holonomy, criterion, sweep.  Exit codes: 0 success, 1 domain
-error (non-convergence, precondition failure), 2 configuration error.
+error (non-convergence, precondition failure) or output I/O error, 2
+configuration error (including a missing or unreadable config file).
 Output CSVs are written atomically and all numeric fields carry 17
 significant digits so reruns are byte-comparable.
 """
@@ -12,7 +13,7 @@ import os
 import sys as _sys
 import tempfile
 
-from .base_shift import bracket, distance, sample_sequence
+from .base_shift import bracket, sample_sequence
 from .config import build_system, criterion_inputs, parse_config
 from .criterion import (
     TwistingParams,
@@ -132,7 +133,7 @@ def cmd_holonomy(cfg, out_dir):
     beta = cfg.get_float("run", "beta", 1.0)
     report = fiber_bunching_margin(system, beta, seed=seed)
     theta = report.worst_margin
-    d = distance(q.x, q.y)
+    d = q.pair_distance
     scale = d ** system.holder_alpha if d > 0 else 1.0
     c = max(
         (v / (theta ** n * scale) for n, v in enumerate(diag.increments[:3]) if v > 0.0),
@@ -228,16 +229,17 @@ def main(argv=None):
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        return _DISPATCH[args.command](cfg, args.out)
-    except OSError as exc:
-        print("config error: %s" % exc, file=_sys.stderr)
-        return 2
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(exc)
+        return _DISPATCH[args.command](parse_config(text), args.out)
     except ConfigurationError as exc:
         print("config error: %s" % exc, file=_sys.stderr)
         return 2
-    except SkewlabError as exc:
+    except (SkewlabError, OSError) as exc:
+        # OSError here comes from writing the outputs
         print("error: %s" % exc, file=_sys.stderr)
         return 1
 

@@ -20,11 +20,11 @@ _ALLOWED_KEYS = {
     "run": {
         "seed", "n_orbits", "n_steps", "renorm_every", "tol", "n_max", "grid",
         "beta", "delta_pinch", "epsilon_twist", "fraction_required",
-        "eps_K", "j_max", "n_K", "frame_depth", "probe_bins", "probe_iters",
+        "eps_K", "j_max", "n_K", "frame_depth",
     },
     "criterion": {"p_word", "z_symbol", "z_index", "i"},
     "sweep": {"T_values", "generator_word", "center", "radius"},
-    "holonomy": {"direction", "pair_seed", "pair_stream", "point"},
+    "holonomy": {"direction", "point"},
 }
 
 _REQUIRED = {
@@ -115,6 +115,11 @@ def parse_config(text_or_path):
         elif key not in allowed:
             raise ConfigurationError(
                 "line %d: unknown key %s.%s" % (lineno, section, key)
+            )
+        if key in cfg.sections[section]:
+            raise ConfigurationError(
+                "line %d: duplicate key %s.%s (first set on line %d)"
+                % (lineno, section, key, cfg.lines[(section, key)])
             )
         cfg.sections[section][key] = value
         cfg.lines[(section, key)] = lineno

@@ -1,9 +1,11 @@
 """Positivity machinery: pinching and twisting detectors and sweeps.
 
 The homoclinic holonomy loop composes unstable holonomy, a finite cocycle
-excursion, and stable holonomy back to the periodic fiber.  Twisting asks
-whether the loop's projective action moves the Oseledets pair fully off
-the pair at the return point, on a definite fraction of sampled points.
+excursion, and stable holonomy back to the periodic fiber.  It is a fiber
+map of that fiber: ``loop.apply(t)`` gives the image h(t) and the linear
+part H(t) in one pass.  Twisting asks whether the loop's projective action
+moves the Oseledets pair fully off the pair at the return point, on a
+definite fraction of sampled points.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from . import fiber_maps as fm
 from .base_shift import sample_sequence
 from .errors import ConfigurationError, SkewlabError
-from .holonomy import HolonomyQuery, linear_stable_holonomy, stable_holonomy_point
+from .holonomy import HolonomyQuery, stable_holonomy_jet
 from .lyapunov import (
     DELTA_PINCH,
     integrated_exponent,
@@ -28,19 +30,41 @@ from .skew import orbit_maps
 
 
 @dataclass
-class HolonomyLoop:
+class HolonomyLoop(fm.FiberMap):
+    """The loop h = h^s o f^i_z o h^u as a fiber map of the periodic fiber.
+
+    ``apply(t)`` returns (h(t), H(t)) from one unstable and one stable
+    holonomy truncation and one pass along z; ``h`` and ``H_at`` are its halves.
+    """
+
+    sys: object  # SkewSystem
     p: object  # PeriodicPoint
     z: object  # BaseSequence
     i: int
-    h: object  # callable point -> point
-    H_at: object  # callable point -> Mat2
+    q_u: HolonomyQuery  # unstable pair (p, z)
+    q_s: HolonomyQuery  # stable pair (shift(z, i), p)
+    excursion: list  # fiber maps along z for steps 0..i-1
+
+    def apply(self, t):
+        t_z, m, _ = stable_holonomy_jet(self.sys, self.q_u, t)
+        for f in self.excursion:
+            t_z, d = f.apply(t_z)
+            m = fm.mat_mul(d, m)
+        out, hs, _ = stable_holonomy_jet(self.sys, self.q_s, t_z)
+        return out, fm.mat_mul(hs, m)
+
+    def h(self, t):
+        return self.apply(t)[0]
+
+    def H_at(self, t):
+        return self.apply(t)[1]
 
     def area_defect(self, grid=32):
         worst = 0.0
         for a in range(grid):
             for b in range(grid):
                 t = ((a + 0.5) / grid, (b + 0.5) / grid)
-                worst = max(worst, abs(fm.mat_det(self.H_at(t)) - 1.0))
+                worst = max(worst, abs(fm.mat_det(self.apply(t)[1]) - 1.0))
         return worst
 
 
@@ -109,33 +133,16 @@ def _check_homoclinic(p_seq, z, i):
             )
 
 
-def build_holonomy_loop(sys, p, z, i, tol=1e-9, n_max=256):
+def build_holonomy_loop(sys, p, z, i):
     """Assemble h = h^s o f^i_z o h^u and its linear part from holonomies."""
     p_seq = p.point(sys.space)
     _check_homoclinic(p_seq, z, i)
-    zi = z.shift(i)
-    q_u = HolonomyQuery("unstable", p_seq, z, tol, n_max)
-    q_s = HolonomyQuery("stable", zi, p_seq, tol, n_max)
-    excursion = [f for f, _ in orbit_maps(sys, z, n=i)]
-
-    def h(t):
-        t_z, _ = stable_holonomy_point(sys, q_u, t)
-        for f in excursion:
-            t_z = f.apply(t_z)[0]
-        out, _ = stable_holonomy_point(sys, q_s, t_z)
-        return out
-
-    def H_at(t):
-        hu, _ = linear_stable_holonomy(sys, q_u, t)
-        t_z, _ = stable_holonomy_point(sys, q_u, t)
-        m = hu
-        for f in excursion:
-            t_z, d = f.apply(t_z)
-            m = fm.mat_mul(d, m)
-        hs, _ = linear_stable_holonomy(sys, q_s, t_z)
-        return fm.mat_mul(hs, m)
-
-    return HolonomyLoop(p=p, z=z, i=i, h=h, H_at=H_at)
+    return HolonomyLoop(
+        sys, p, z, i,
+        q_u=HolonomyQuery("unstable", p_seq, z),
+        q_s=HolonomyQuery("stable", z.shift(i), p_seq),
+        excursion=[f for f, _ in orbit_maps(sys, z, n=i)],
+    )
 
 
 def check_pinching(sys, p, grid=64, n_steps=1000, delta_pinch=DELTA_PINCH):
@@ -208,13 +215,12 @@ def check_twisting(sys, loop, params=TwistingParams()):
         j_t = None
         min_sep = None
         for j in range(1, params.j_max + 1):
-            H = loop.H_at(cur)
+            cur, H = loop.apply(cur)
             tu = fm.mat_vec(H, tu)
             ts = fm.mat_vec(H, ts)
             nu, ns = math.hypot(*tu), math.hypot(*ts)
             tu = (tu[0] / nu, tu[1] / nu)
             ts = (ts[0] / ns, ts[1] / ns)
-            cur = loop.h(cur)
             k, d = _nearest(positions, cur)
             if d <= params.eps_K:
                 any_return = True
@@ -293,11 +299,11 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     for k in range(side * side):
         t = ((k // side + 0.5) / side, (k % side + 0.5) / side)
         m_t = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
-        ht = loop.h(t)
+        ht, H = loop.apply(t)
         m_ht = _direction_histogram(
             sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k)
         )
-        pushed = _push_histogram(m_t, loop.H_at(t))
+        pushed = _push_histogram(m_t, H)
         worst = max(worst, 0.5 * float(np.abs(pushed - m_ht).sum()))
     return worst
 

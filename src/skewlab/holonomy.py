@@ -181,8 +181,8 @@ def stable_holonomy_point(sys, q, t):
     )
 
 
-def linear_stable_holonomy(sys, q, t):
-    """Linear holonomy at (x, t), paired with (y, h^s(t)) on the strong set."""
+def stable_holonomy_jet(sys, q, t):
+    """(h^s(t), linear holonomy, its diagnostics) from one point truncation."""
     t_y, _ = stable_holonomy_point(sys, q, t)
     backward = q.direction == "unstable"
     walk_x = orbit_maps(sys, q.x, backward)
@@ -210,11 +210,17 @@ def linear_stable_holonomy(sys, q, t):
                 diag.holder_ratio = (
                     fm.mat_sub_norm(cur, fm.IDENTITY) / d ** sys.holder_alpha
                 )
-            return cur, diag
+            return t_y, cur, diag
     raise NonConvergenceError(
         "linear holonomy truncation did not converge within n_max=%d" % q.n_max,
         ConvergenceDiagnostics(increments, _fit_theta(increments), len(increments)),
     )
+
+
+def linear_stable_holonomy(sys, q, t):
+    """Linear holonomy at (x, t), paired with (y, h^s(t)) on the strong set."""
+    _, m, diag = stable_holonomy_jet(sys, q, t)
+    return m, diag
 
 
 def unstable_holonomy_point(sys, q, t):

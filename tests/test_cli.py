@@ -134,6 +134,17 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_output_io_error_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    rc = main([
+        "exponent", "--config", _write(tmp_path, IDENTITY_CFG),
+        "--out", str(blocker / "sub"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     rc = main(["exponent", "--config", _write(tmp_path, "[run]\nbogus = 1\n")])
     assert rc == 2

@@ -54,6 +54,27 @@ def test_unknown_key_reports_line_number():
         parse_config(bad)
 
 
+def test_duplicate_key_rejected_naming_both_lines():
+    # a second g0 must not silently replace the cat map (line 9) on line 11
+    text = BASIC.replace("g1 = toral:2,1,1,1", "g1 = toral:2,1,1,1\ng0 = toral:1,0,0,1")
+    with pytest.raises(ConfigurationError, match=r"line 11: duplicate key fiber\.g0 .*line 9"):
+        parse_config(text)
+    with pytest.raises(ConfigurationError, match=r"line 15: duplicate key run\.seed .*line 13"):
+        parse_config(BASIC + "[run]\nseed = 8\n")
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("run", "probe_bins"), ("run", "probe_iters"),
+     ("holonomy", "pair_seed"), ("holonomy", "pair_stream")],
+)
+def test_unread_keys_rejected(section, key):
+    text = BASIC + "[%s]\n%s = 1\n" % (section, key)
+    message = r"line %d: unknown key %s\.%s" % (len(text.splitlines()), section, key)
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config(text)
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigurationError, match="outside any section"):
         parse_config("seed = 7\n")
