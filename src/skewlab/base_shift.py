@@ -4,14 +4,21 @@ Points of the shift space are bi-infinite symbol sequences, represented
 lazily by a symbol-lookup rule so that arbitrary indices are available in
 O(1) amortized time.  The metric is d(x, y) = metric_base**n with n the
 two-sided agreement radius.
+
+Sampled sequences draw their symbols in blocks of consecutive indices, one
+vectorized counter-RNG call per block (``rng.counter_uniforms``).  Bernoulli
+symbols are independent, so their tape keeps a bounded number of blocks and
+draws a dropped block again when it is read; Markov symbols are picked one
+after another from each block's uniforms, outward from index 0.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketUndefinedError, ConfigurationError
-from .rng import counter_uniform
+from .rng import counter_uniforms
 
 
 @dataclass(frozen=True)
@@ -214,9 +221,35 @@ def _stationary_vector(P):
     return v
 
 
-def _pick(cum, u):
-    """Index of the first cumulative weight exceeding u."""
-    return int(np.searchsorted(cum, u, side="right"))
+# Indices per counter_uniforms call, and the most blocks a Bernoulli tape holds.
+_BLOCK = 64
+_MAX_BLOCKS = 64
+
+
+class _BernoulliTape:
+    """Independent symbols: the first cumulative weight exceeding the uniform.
+
+    Each symbol is a pure function of its counter, so blocks can be dropped
+    and drawn again without changing the sequence.
+    """
+
+    __slots__ = ("cum", "seed", "stream_id", "blocks")
+
+    def __init__(self, measure, seed, stream_id):
+        self.cum = np.cumsum(measure.probs)
+        self.seed = seed
+        self.stream_id = stream_id
+        self.blocks = {}
+
+    def __call__(self, j):
+        b = j // _BLOCK
+        block = self.blocks.get(b)
+        if block is None:
+            if len(self.blocks) >= _MAX_BLOCKS:
+                self.blocks.clear()
+            u = counter_uniforms(self.seed, self.stream_id, b * _BLOCK, (b + 1) * _BLOCK)
+            block = self.blocks[b] = np.searchsorted(self.cum, u, side="right").tolist()
+        return block[j - b * _BLOCK]
 
 
 class _MarkovTape:
@@ -224,33 +257,43 @@ class _MarkovTape:
 
     Forward symbols follow P; backward symbols follow the time reversal
     P_rev[i][j] = pi[j] P[j][i] / pi[i].  Draws use counter-based uniforms,
-    so the tape is a pure function of (seed, stream_id).
+    taken a block at a time, so the tape is a pure function of
+    (seed, stream_id).  ``fwd[j]`` holds index j >= 0 and ``bwd[j]`` index
+    -1 - j.
     """
 
     def __init__(self, measure, seed, stream_id):
         P = np.asarray(measure.P)
         pi = np.asarray(measure.pi)
-        self.cum_fwd = np.cumsum(P, axis=1)
-        self.cum_bwd = np.cumsum((pi[None, :] * P.T) / pi[:, None], axis=1)
-        self.cum_pi = np.cumsum(pi)
+        self.cum_fwd = np.cumsum(P, axis=1).tolist()
+        self.cum_bwd = np.cumsum((pi[None, :] * P.T) / pi[:, None], axis=1).tolist()
         self.seed = seed
         self.stream_id = stream_id
-        self.known = {0: _pick(self.cum_pi, counter_uniform(seed, stream_id, 0))}
-        self.lo = 0
-        self.hi = 0
+        u = counter_uniforms(seed, stream_id, 0, _BLOCK).tolist()
+        self.fwd = [bisect_right(np.cumsum(pi).tolist(), u[0])]
+        self._walk(self.fwd, self.fwd[0], self.cum_fwd, u[1:])
+        self.bwd = []
 
     def __call__(self, j):
-        if self.lo <= j <= self.hi:
-            return self.known[j]
-        while self.hi < j:
-            u = counter_uniform(self.seed, self.stream_id, self.hi + 1)
-            self.known[self.hi + 1] = _pick(self.cum_fwd[self.known[self.hi]], u)
-            self.hi += 1
-        while self.lo > j:
-            u = counter_uniform(self.seed, self.stream_id, self.lo - 1)
-            self.known[self.lo - 1] = _pick(self.cum_bwd[self.known[self.lo]], u)
-            self.lo -= 1
-        return self.known[j]
+        if j >= 0:
+            fwd = self.fwd
+            while j >= len(fwd):
+                n = len(fwd)
+                u = counter_uniforms(self.seed, self.stream_id, n, n + _BLOCK)
+                self._walk(fwd, fwd[-1], self.cum_fwd, u.tolist())
+            return fwd[j]
+        bwd = self.bwd
+        while -1 - j >= len(bwd):
+            n = len(bwd)
+            u = counter_uniforms(self.seed, self.stream_id, -n - _BLOCK, -n)
+            self._walk(bwd, bwd[-1] if bwd else self.fwd[0], self.cum_bwd, u.tolist()[::-1])
+        return bwd[-1 - j]
+
+    @staticmethod
+    def _walk(tape, s, cum, us):
+        for u in us:
+            s = bisect_right(cum[s], u)
+            tape.append(s)
 
 
 def sample_sequence(space, measure, seed, stream_id=0):
@@ -260,13 +303,8 @@ def sample_sequence(space, measure, seed, stream_id=0):
     function of the triple, independent of query order.
     """
     measure.validate_support(space)
-    if measure.kind == "bernoulli":
-        cum = np.cumsum(measure.probs)
-        return BaseSequence(
-            space,
-            lambda j: _pick(cum, counter_uniform(seed, stream_id, j)),
-        )
-    return BaseSequence(space, _MarkovTape(measure, seed, stream_id))
+    tape = _BernoulliTape if measure.kind == "bernoulli" else _MarkovTape
+    return BaseSequence(space, tape(measure, seed, stream_id))
 
 
 def cylinder_measure(measure, word, start_index=0):

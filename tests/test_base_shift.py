@@ -1,5 +1,8 @@
 """Shift spaces: metric, bracket, periodic/homoclinic points, measures."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +166,76 @@ def test_sample_sequence_determinism_and_order_independence():
     assert wa == wb
     c = sl.sample_sequence(space, m, 5, 4)
     assert [c.symbol(j) for j in range(-20, 21)] != wa
+
+
+def _pick(cum, u):
+    return int(np.searchsorted(cum, u, side="right"))
+
+
+def _bernoulli_reference(measure, seed, stream):
+    """One counter draw and one search per index."""
+    cum = np.cumsum(measure.probs)
+    return lambda j: _pick(cum, sl.counter_uniform(seed, stream, j))
+
+
+def _markov_reference(measure, seed, stream):
+    """One counter draw per index, walked outward from index 0."""
+    P, pi = np.asarray(measure.P), np.asarray(measure.pi)
+    cum_fwd = np.cumsum(P, axis=1)
+    cum_bwd = np.cumsum((pi[None, :] * P.T) / pi[:, None], axis=1)
+    known = {0: _pick(np.cumsum(pi), sl.counter_uniform(seed, stream, 0))}
+
+    def look(j):
+        step = 1 if j > 0 else -1
+        cum = cum_fwd if j > 0 else cum_bwd
+        i = 0
+        while i != j:
+            if i + step not in known:
+                u = sl.counter_uniform(seed, stream, i + step)
+                known[i + step] = _pick(cum[known[i]], u)
+            i += step
+        return known[j]
+
+    return look
+
+
+def _query_indices(reach, far=()):
+    """Every index in [-reach, reach], plus ``far``, in shuffled order."""
+    idx = list(range(-reach, reach + 1)) + list(far)
+    random.Random(reach).shuffle(idx)
+    return idx
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (-12, 2 ** 40)])
+def test_sample_sequence_bernoulli_matches_per_index_draws(seed, stream):
+    space = sl.ShiftSpace(3)
+    m = sl.BaseMeasure("bernoulli", probs=(0.2, 0.5, 0.3))
+    # far indices on both edges of 64-index blocks, out to the int64 limits
+    far = (10 ** 9, 10 ** 9 - 1, -(10 ** 9), -(10 ** 9) - 1, 2 ** 63 - 1, -(2 ** 63))
+    x = sl.sample_sequence(space, m, seed, stream)
+    ref = _bernoulli_reference(m, seed, stream)
+    idx = _query_indices(3000, far)
+    assert [x.symbol(j) for j in idx] == [ref(j) for j in idx]
+    # reading again after the tape dropped blocks gives the same symbols
+    assert [x.symbol(j) for j in idx[::-1]] == [ref(j) for j in idx[::-1]]
+    assert [x.shift(-5).symbol(j) for j in range(-70, 70)] == [
+        ref(j - 5) for j in range(-70, 70)
+    ]
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (-12, 2 ** 40)])
+def test_sample_sequence_markov_matches_per_index_draws(seed, stream):
+    space = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+    m = sl.BaseMeasure("markov", P=((0.6, 0.4), (1.0, 0.0)))
+    x = sl.sample_sequence(space, m, seed, stream)
+    ref = _markov_reference(m, seed, stream)
+    idx = _query_indices(3000)
+    got = [x.symbol(j) for j in idx]
+    assert got == [ref(j) for j in idx]
+    assert 0 < sum(got) < len(got) // 2
+    # a fresh tape queried from the far ends inward agrees
+    y = sl.sample_sequence(space, m, seed, stream)
+    assert [y.symbol(j) for j in (-3000, 3000, 0)] == [ref(-3000), ref(3000), ref(0)]
 
 
 def test_measure_validation():

@@ -6,7 +6,7 @@ import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
-from skewlab.errors import ConfigurationError
+from skewlab.errors import ConfigurationError, NonConvergenceError
 from skewlab.holonomy import strong_stable_contraction_rate
 
 from _common import (
@@ -173,3 +173,19 @@ def test_locally_constant_depth4_unstable_holonomy_is_exact():
     assert diag.increments[0] == 0.0
     assert diag.stopped_at == 3
     assert fm.torus_distance(img, exact) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="known defect: linear holonomy increments fall to ~1e-8, then grow "
+    "to the overflow guard on these Holder stable pairs",
+)
+@pytest.mark.parametrize("k", [8, 32, 41, 83])
+def test_linear_stable_holonomy_converges_on_holder_pairs(k):
+    system = holder_system()
+    x, y = stable_pair(system, 29, k)
+    q = sl.HolonomyQuery("stable", x, y)
+    t = sl.random_fiber_point(29, k, stream=2)
+    m, _ = sl.linear_stable_holonomy(system, q, t)
+    assert abs(fm.mat_det(m) - 1.0) < 1e-8

@@ -1,10 +1,16 @@
 """Counter-based RNG: purity, range, and rough uniformity."""
 
+import math
+
+import numpy as np
 from hypothesis import given, strategies as st
 
+import skewlab as sl
 from skewlab import counter_uniform, derive_seed
+from skewlab.rng import _GOLDEN, _MASK, _M1, _M2, counter_uniforms
 
 ints = st.integers(min_value=-(2 ** 62), max_value=2 ** 62)
+words = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
 
 
 @given(ints, ints, ints)
@@ -46,3 +52,63 @@ def test_derive_seed_separates_paths():
     assert derive_seed(s, 1) != derive_seed(s, 2)
     assert derive_seed(s, 1, 2) != derive_seed(s, 2, 1)
     assert derive_seed(s) != derive_seed(s, 0)
+
+
+def _unxorshift(z, s):
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _unmix(z):
+    """Inverse of the splitmix64 finalizer ``rng._mix``."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(_M2, -1, 1 << 64)) & _MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(_M1, -1, 1 << 64)) & _MASK
+    return _unxorshift(z, 30)
+
+
+def _index_with_hash(seed, stream, z):
+    """An index whose 64-bit hash under (seed, stream) is z."""
+    key = derive_seed(seed, stream)
+    counter = ((_unmix(z) - key) * pow(_GOLDEN, -1, 1 << 64)) & _MASK
+    return counter - (1 << 62)
+
+
+def test_counter_uniform_top_hashes_stay_below_one():
+    """z / 2**64 rounds up to 1.0 for the top 1024 hashes; draws clamp below 1."""
+    below = math.nextafter(1.0, 0.0)
+    assert _index_with_hash(5, 0, _MASK) == 8761941433968539397
+    cases = [
+        (_MASK, below),
+        (2 ** 64 - 1024, below),
+        (2 ** 64 - 1025, (2 ** 64 - 2048) / 2 ** 64),
+    ]
+    space = sl.ShiftSpace(2)
+    measure = sl.BaseMeasure("bernoulli", probs=(0.5, 0.5))
+    for z, expected in cases:
+        j = _index_with_hash(5, 0, z)
+        assert counter_uniform(5, 0, j) == expected
+        assert counter_uniforms(5, 0, j, j + 1).tolist() == [expected]
+        assert sl.sample_sequence(space, measure, 5, 0).symbol(j) == 1
+
+
+@given(words, words, st.integers(-(2 ** 63), 2 ** 63 - 513), st.integers(0, 300))
+def test_counter_uniforms_match_scalar(seed, stream, start, n):
+    got = counter_uniforms(seed, stream, start, start + n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tolist() == [counter_uniform(seed, stream, j) for j in range(start, start + n)]
+
+
+def test_counter_uniforms_round_like_the_scalar_draw():
+    """Hashes on and beside the rounding ties of every binade above 2**53."""
+    for k in range(53, 64):
+        half = 1 << (k - 53)  # half an ulp of floats in [2**k, 2**(k+1))
+        for tie in (2 ** k + half, 2 ** k + 3 * half, 2 ** (k + 1) - half):
+            for z in (tie - 1, tie, tie + 1):
+                j = _index_with_hash(11, 2, z)
+                scalar = counter_uniform(11, 2, j)
+                assert counter_uniforms(11, 2, j, j + 1).tolist() == [scalar]
+                assert scalar == min(z / 2 ** 64, math.nextafter(1.0, 0.0))

@@ -250,3 +250,20 @@ def test_backward_holder_orbits_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 0.5 * 2 ** 20
+
+
+def test_long_bernoulli_walk_retains_bounded_memory():
+    system = cat_system()
+    x = sl.sample_sequence(system.space, system.measure, 3, 0)
+    sl.iterate_cocycle(system, x, (0.3, 0.7), 100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sl.iterate_cocycle(system, x, (0.3, 0.7), 200_000)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert x.symbol(0) in (0, 1)  # the sequence is still alive
+    assert retained < 0.5 * 2 ** 20
