@@ -9,9 +9,16 @@ Sampled sequences draw their symbols in blocks of consecutive indices, one
 vectorized counter-RNG call per block (``rng.counter_uniforms``).  Bernoulli
 symbols are independent, so their tape keeps a bounded number of blocks and
 draws a dropped block again when it is read; Markov symbols are picked one
-after another from each block's uniforms, outward from index 0.
+after another from each block's uniforms, outward from index 0.  Both tapes
+pin the cumulative weight of their last positive-weight symbol to 1.0, so
+no uniform below 1 can pick a symbol past it.
+
+``BaseSequence.symbols`` reads a window of indices as a numpy array: a
+Bernoulli tape draws it with one counter-RNG call, a Markov tape slices its
+lists, and any other lookup is asked one index at a time.
 """
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -82,6 +89,14 @@ class BaseSequence:
 
     def symbol(self, j):
         return self._lookup(j + self.offset)
+
+    def symbols(self, start, stop):
+        """Symbols at indices start..stop-1 as a numpy int array."""
+        lo, hi = start + self.offset, stop + self.offset
+        window = getattr(self._lookup, "window", None)
+        if window is not None:
+            return window(lo, hi)
+        return np.array([self._lookup(j) for j in range(lo, hi)], dtype=np.intp)
 
     def word(self, start, stop):
         """Symbols at indices start..stop-1 as a tuple."""
@@ -226,6 +241,20 @@ _BLOCK = 64
 _MAX_BLOCKS = 64
 
 
+def _cumulative(weights):
+    """Running sums of the weights, as a list ending in exactly 1.0.
+
+    The entry of the last positive weight, and every entry after it, is
+    pinned to 1.0: rounding can leave the sum just below 1, and a uniform
+    above it would pick a symbol past the alphabet or a trailing
+    zero-weight one.
+    """
+    cum = list(itertools.accumulate(weights))
+    last = max(i for i, w in enumerate(weights) if w > 0.0)
+    cum[last:] = [1.0] * (len(cum) - last)
+    return cum
+
+
 class _BernoulliTape:
     """Independent symbols: the first cumulative weight exceeding the uniform.
 
@@ -236,7 +265,7 @@ class _BernoulliTape:
     __slots__ = ("cum", "seed", "stream_id", "blocks")
 
     def __init__(self, measure, seed, stream_id):
-        self.cum = np.cumsum(measure.probs)
+        self.cum = np.array(_cumulative(measure.probs))
         self.seed = seed
         self.stream_id = stream_id
         self.blocks = {}
@@ -247,9 +276,12 @@ class _BernoulliTape:
         if block is None:
             if len(self.blocks) >= _MAX_BLOCKS:
                 self.blocks.clear()
-            u = counter_uniforms(self.seed, self.stream_id, b * _BLOCK, (b + 1) * _BLOCK)
-            block = self.blocks[b] = np.searchsorted(self.cum, u, side="right").tolist()
+            block = self.blocks[b] = self.window(b * _BLOCK, (b + 1) * _BLOCK).tolist()
         return block[j - b * _BLOCK]
+
+    def window(self, start, stop):
+        u = counter_uniforms(self.seed, self.stream_id, start, max(start, stop))
+        return np.searchsorted(self.cum, u, side="right")
 
 
 class _MarkovTape:
@@ -265,12 +297,12 @@ class _MarkovTape:
     def __init__(self, measure, seed, stream_id):
         P = np.asarray(measure.P)
         pi = np.asarray(measure.pi)
-        self.cum_fwd = np.cumsum(P, axis=1).tolist()
-        self.cum_bwd = np.cumsum((pi[None, :] * P.T) / pi[:, None], axis=1).tolist()
+        self.cum_fwd = [_cumulative(row) for row in P.tolist()]
+        self.cum_bwd = [_cumulative(row) for row in ((pi[None, :] * P.T) / pi[:, None]).tolist()]
         self.seed = seed
         self.stream_id = stream_id
         u = counter_uniforms(seed, stream_id, 0, _BLOCK).tolist()
-        self.fwd = [bisect_right(np.cumsum(pi).tolist(), u[0])]
+        self.fwd = [bisect_right(_cumulative(measure.pi), u[0])]
         self._walk(self.fwd, self.fwd[0], self.cum_fwd, u[1:])
         self.bwd = []
 
@@ -288,6 +320,14 @@ class _MarkovTape:
             u = counter_uniforms(self.seed, self.stream_id, -n - _BLOCK, -n)
             self._walk(bwd, bwd[-1] if bwd else self.fwd[0], self.cum_bwd, u.tolist()[::-1])
         return bwd[-1 - j]
+
+    def window(self, start, stop):
+        if stop > start:
+            self(start)  # extends the tape over the whole window
+            self(stop - 1)
+        fwd = self.fwd[max(start, 0):max(stop, 0)]
+        bwd = self.bwd[max(-stop, 0):max(-start, 0)]
+        return np.array(bwd[::-1] + fwd, dtype=np.intp)
 
     @staticmethod
     def _walk(tape, s, cum, us):

@@ -174,6 +174,8 @@ def parse_map_spec(spec, generators=None):
         vals = [float(p) for p in params.split(",") if p.strip() != ""]
     except ValueError:
         raise ConfigurationError("map spec %r has malformed parameters" % spec)
+    if kind in ("toral", "compose") and not all(v.is_integer() for v in vals):
+        raise ConfigurationError("map spec %r needs integer entries" % spec)
     if kind == "toral":
         if len(vals) != 4:
             raise ConfigurationError("toral spec needs 4 entries")

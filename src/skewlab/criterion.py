@@ -26,7 +26,7 @@ from .lyapunov import (
     return_map_exponent_grid,
 )
 from .rng import derive_seed
-from .skew import orbit_maps
+from .skew import orbit_batch, orbit_maps
 
 
 @dataclass
@@ -254,22 +254,36 @@ def check_twisting(sys, loop, params=TwistingParams()):
     )
 
 
-def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
-    """Angle histogram of the projective cocycle along sampled base orbits."""
-    hist = np.zeros(bins)
-    for w in range(n_words):
-        x = sample_sequence(sys.space, sys.measure, derive_seed(seed, 31), w)
-        v = (0.6471298642911707, 0.7623855618404413)
-        cur = t
-        for k, (f, _) in enumerate(orbit_maps(sys, x, n=n_iter)):
-            cur, d = f.apply(cur)
-            v = fm.mat_vec(d, v)
-            n = math.hypot(*v)
-            v = (v[0] / n, v[1] / n)
-            if k >= burn_in:
-                a = math.atan2(v[1], v[0]) % math.pi
-                hist[min(int(a / math.pi * bins), bins - 1)] += 1.0
-    return hist / hist.sum()
+_PROBE_WORDS = 8  # sampled base orbits per histogram
+
+
+def _direction_histograms(sys, starts, seeds, bins, n_iter, burn_in):
+    """Angle histogram of the projective cocycle for each (start, seed).
+
+    Histogram k follows _PROBE_WORDS sampled base orbits from the fiber
+    point starts[k]; all orbits step together through ``orbit_batch`` and
+    bins are counted step by step.
+    """
+    xs = [
+        sample_sequence(sys.space, sys.measure, derive_seed(s, 31), w)
+        for s in seeds
+        for w in range(_PROBE_WORDS)
+    ]
+    u, v = (np.repeat(np.array(c, dtype=float), _PROBE_WORDS) for c in zip(*starts))
+    e0 = np.full(len(xs), 0.6471298642911707)
+    e1 = np.full(len(xs), 0.7623855618404413)
+    first_bin = np.repeat(np.arange(len(starts)) * bins, _PROBE_WORDS)
+    counts = np.zeros(len(starts) * bins)
+    for k, (_, _, (a, b, c, d)) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
+        e0, e1 = a * e0 + b * e1, c * e0 + d * e1
+        n = fm.elementwise(math.hypot, e0, e1)
+        e0, e1 = e0 / n, e1 / n
+        if k >= burn_in:
+            angle = fm.elementwise(math.atan2, e1, e0) % math.pi
+            bin_ = np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)
+            np.add.at(counts, first_bin + bin_, 1.0)
+    hists = counts.reshape(len(starts), bins)
+    return hists / hists.sum(axis=1, keepdims=True)
 
 
 def _push_histogram(hist, m):
@@ -295,16 +309,17 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     with an invariant su-structure (isometric systems).
     """
     side = max(2, int(math.ceil(math.sqrt(n_points))))
+    grid = [((k // side + 0.5) / side, (k % side + 0.5) / side) for k in range(side * side)]
+    images = [loop.apply(t) for t in grid]
+    seeds = [derive_seed(seed, 41, k) for k in range(len(grid))]
+    seeds += [derive_seed(seed, 43, k) for k in range(len(grid))]
+    hists = _direction_histograms(
+        sys, grid + [ht for ht, _ in images], seeds, bins, n_iter, burn_in
+    )
     worst = 0.0
-    for k in range(side * side):
-        t = ((k // side + 0.5) / side, (k % side + 0.5) / side)
-        m_t = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
-        ht, H = loop.apply(t)
-        m_ht = _direction_histogram(
-            sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k)
-        )
-        pushed = _push_histogram(m_t, H)
-        worst = max(worst, 0.5 * float(np.abs(pushed - m_ht).sum()))
+    for k, (_, H) in enumerate(images):
+        pushed = _push_histogram(hists[k], H)
+        worst = max(worst, 0.5 * float(np.abs(pushed - hists[len(grid) + k]).sum()))
     return worst
 
 

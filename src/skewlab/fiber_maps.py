@@ -1,12 +1,22 @@
 """Area-preserving diffeomorphisms of the 2-torus with exact derivatives.
 
 Points are plain (u, v) tuples with coordinates in [0, 1); 2x2 matrices are
-(a, b, c, d) tuples in row-major order.  The scalar representation keeps the
-long cocycle loops fast; numpy enters only for sampling and diagnostics.
+(a, b, c, d) tuples in row-major order.  ``apply`` maps one point; every map
+kind also has ``apply_many(u, v)``, which maps arrays of coordinates and
+returns the image coordinates and the four derivative entries as arrays,
+equal bit for bit to ``apply`` at each point.
+
+The batch rule that keeps them equal: numpy does only + - * / %, sqrt and
+comparisons, which round exactly as the scalar float operations do.  Sin,
+cos, exp, hypot, atan2 and log go through ``math`` one element at a time
+(``elementwise``), because numpy's versions can differ from libm in the
+last bit.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .rng import counter_uniform
@@ -64,6 +74,19 @@ def mat_norm(m):
     return math.sqrt(0.5 * (t + math.sqrt(disc)))
 
 
+def mat_norms(a, b, c, d):
+    """``mat_norm`` over arrays of the four entries."""
+    t = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+    return np.sqrt(0.5 * (t + np.sqrt(disc)))
+
+
+def elementwise(fn, *arrays):
+    """A ``math`` function applied one element at a time, as a float array."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 def mat_conorm(m):
     """m(A) = ||A^{-1}||^{-1}: the smallest singular value."""
     det = abs(mat_det(m))
@@ -113,6 +136,17 @@ class FiberMap:
     def apply(self, t):
         raise NotImplementedError
 
+    def apply_many(self, u, v):
+        """``apply`` at every point (u[i], v[i]): arrays u', v' and (a, b, c, d).
+
+        This default calls ``apply`` point by point; it is the reference
+        that every kind's array form equals bit for bit.
+        """
+        out = [self.apply(t) for t in zip(u.tolist(), v.tolist())]
+        images = np.array([t for t, _ in out], dtype=float).reshape(-1, 2)
+        derivs = np.array([d for _, d in out], dtype=float).reshape(-1, 4)
+        return images[:, 0].copy(), images[:, 1].copy(), tuple(derivs.T.copy())
+
     def inverse(self):
         raise NotImplementedError
 
@@ -124,9 +158,12 @@ class ToralAutomorphism(FiberMap):
     kind = "toral"
 
     def __init__(self, matrix):
-        m = tuple(int(v) for v in matrix)
-        if len(m) != 4:
-            raise ConfigurationError("toral automorphism needs 4 integer entries")
+        m = tuple(matrix)
+        if len(m) != 4 or not all(float(v).is_integer() for v in m):
+            raise ConfigurationError(
+                "toral automorphism needs 4 integer entries, got %r" % (m,)
+            )
+        m = tuple(int(v) for v in m)
         if m[0] * m[3] - m[1] * m[2] != 1:
             raise ConfigurationError("toral automorphism must have determinant 1")
         self.matrix = tuple(float(v) for v in m)
@@ -134,6 +171,12 @@ class ToralAutomorphism(FiberMap):
     def apply(self, t):
         a, b, c, d = self.matrix
         return ((a * t[0] + b * t[1]) % 1.0, (c * t[0] + d * t[1]) % 1.0), self.matrix
+
+    def apply_many(self, u, v):
+        a, b, c, d = self.matrix
+        return (a * u + b * v) % 1.0, (c * u + d * v) % 1.0, tuple(
+            np.full(u.shape, e) for e in self.matrix
+        )
 
     def inverse(self):
         a, b, c, d = self.matrix
@@ -154,8 +197,20 @@ class StandardMap(FiberMap):
         s = self.K * math.cos(TWO_PI * u)
         return ((u + v + kick) % 1.0, (v + kick) % 1.0), (1.0 + s, 1.0, s, 1.0)
 
+    def apply_many(self, u, v):
+        return standard_map_many(self.K, u, v)
+
     def inverse(self):
         return _StandardMapInverse(self.K)
+
+
+def standard_map_many(K, u, v):
+    """``StandardMap(K).apply_many(u, v)``; K may be an array, one value per point."""
+    x = TWO_PI * u
+    kick = K / TWO_PI * elementwise(math.sin, x)
+    s = K * elementwise(math.cos, x)
+    one = np.ones(u.shape)
+    return (u + v + kick) % 1.0, (v + kick) % 1.0, (1.0 + s, one, s, one)
 
 
 class _StandardMapInverse(FiberMap):
@@ -171,6 +226,14 @@ class _StandardMapInverse(FiberMap):
         s = self.K * math.cos(TWO_PI * u)
         # inverse of the forward Jacobian [[1+s, 1], [s, 1]] at the preimage
         return (u, v), (1.0, -1.0, -s, 1.0 + s)
+
+    def apply_many(self, u1, v1):
+        u = (u1 - v1) % 1.0
+        x = TWO_PI * u
+        v = (v1 - self.K / TWO_PI * elementwise(math.sin, x)) % 1.0
+        s = self.K * elementwise(math.cos, x)
+        one = np.ones(u.shape)
+        return u, v, (one, -one, -s, 1.0 + s)
 
     def inverse(self):
         return StandardMap(self.K)
@@ -217,6 +280,23 @@ class LocalizedTwist(FiberMap):
             cp + z1 * g * y2,
         )
 
+    def apply_many(self, u, v):
+        """Identity off the support disc; ``apply`` at the points near it.
+
+        The squared offset selects the points, with a relative margin that
+        covers its rounding, so ``apply`` makes the exact support test.
+        """
+        y1 = (u - self.center[0] + 0.5) % 1.0 - 0.5
+        y2 = (v - self.center[1] + 0.5) % 1.0 - 0.5
+        reach = self.profile.support_end * self.radius
+        near = np.flatnonzero(y1 * y1 + y2 * y2 <= reach * reach * (1.0 + 1e-9))
+        out_u, out_v = u.copy(), v.copy()
+        a, d = np.ones(u.shape), np.ones(u.shape)
+        b, c = np.zeros(u.shape), np.zeros(u.shape)
+        for i, t in zip(near.tolist(), zip(u[near].tolist(), v[near].tolist())):
+            (out_u[i], out_v[i]), (a[i], b[i], c[i], d[i]) = self.apply(t)
+        return out_u, out_v, (a, b, c, d)
+
     def inverse(self):
         return LocalizedTwist(self.center, self.radius, -self.angle, self.profile)
 
@@ -238,6 +318,13 @@ class Composite(FiberMap):
             t, d = f.apply(t)
             deriv = mat_mul(d, deriv)
         return t, deriv
+
+    def apply_many(self, u, v):
+        deriv = IDENTITY
+        for f in reversed(self.factors):
+            u, v, d = f.apply_many(u, v)
+            deriv = mat_mul(d, deriv)
+        return u, v, deriv
 
     def inverse(self):
         return Composite([f.inverse() for f in reversed(self.factors)])

@@ -105,16 +105,18 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
         ]
     pts = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
     pts.extend(random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
+    u, v = (np.array(c) for c in zip(*pts))
     worst = 0.0
     for x in base_points:
         for f in next(orbit_maps(sys, x, n=1)):
-            sup_norm = 0.0
-            sup_conorm = 0.0
-            for t in pts:
-                _, d = f.apply(t)
-                sup_norm = max(sup_norm, fm.mat_norm(d))
-                sup_conorm = max(sup_conorm, fm.mat_conorm(d))
-            margin = sup_norm / sup_conorm * lam ** beta
+            _, _, (a, b, c, d) = f.apply_many(u, v)
+            norms = fm.mat_norms(a, b, c, d)
+            # m(A) = |det A| / ||A||, as fm.mat_conorm
+            conorms = np.divide(
+                abs(a * d - b * c), norms, out=np.zeros(norms.shape), where=norms > 0.0
+            )
+            sup_norm = float(norms.max(initial=0.0))
+            margin = sup_norm / float(conorms.max(initial=0.0)) * lam ** beta
             if margin > worst:
                 worst = margin
     return BunchingReport(

@@ -7,6 +7,9 @@ parameter by a geometrically weighted symbol sum, giving a genuinely
 base-dependent family with an explicit Holder certificate.  Every walk
 along a base orbit goes through ``orbit_maps``, which reads the symbols
 once per window and asks the family for all the window's maps at once.
+``orbit_batch`` walks many orbits forward together on arrays: the family
+turns a symbol window into one key per orbit and step (a generator index,
+or the standard-map parameter) and applies a whole step from the keys.
 """
 
 import itertools
@@ -47,6 +50,19 @@ class LocallyConstantFamily:
             self.table[word] = f
         self._pairs = {word: (f, f.inverse()) for word, f in self.table.items()}
         self.reach = (0, self.depth - 1)
+        # word code (the word's digits in base _radix) -> index into _maps, or -1
+        self._radix = 1 + max((max(word) for word in self.table), default=0)
+        self._maps = list({id(f): f for f in self.table.values()}.values())
+        index = {id(f): k for k, f in enumerate(self._maps)}
+        self._keys = np.full(self._radix ** self.depth, -1, dtype=np.int32)
+        for word, f in self.table.items():
+            self._keys[self._code(np.array(word), 1)] = index[id(f)]
+
+    def _code(self, syms, n):
+        code = syms[..., 0:n]
+        for i in range(1, self.depth):
+            code = code * self._radix + syms[..., i:i + n]
+        return code
 
     def map_for_word(self, word):
         try:
@@ -61,6 +77,31 @@ class LocallyConstantFamily:
             return [pairs[tuple(syms[i:i + d])] for i in range(n)]
         except KeyError as exc:
             raise ConfigurationError("no generator for word %r" % (exc.args[0],))
+
+    def window_keys(self, syms, n):
+        """Generator indices at the n positions whose words start at syms[..., 0], ..."""
+        syms = np.asarray(syms)
+        in_range = syms.size == 0 or (syms.min() >= 0 and syms.max() < self._radix)
+        keys = self._keys[self._code(syms, n)] if in_range else None
+        if keys is None or (keys < 0).any():
+            # some word has no generator: window_maps raises, naming the first
+            for row in syms.reshape(-1, syms.shape[-1]).tolist():
+                self.window_maps(row, n)
+        return keys
+
+    def apply_many(self, keys, u, v):
+        """One step of every orbit: orbit i applies generator keys[i]."""
+        out_u, out_v = np.empty(u.shape), np.empty(u.shape)
+        deriv = tuple(np.empty(u.shape) for _ in range(4))
+        for k, f in enumerate(self._maps):
+            sel = np.flatnonzero(keys == k)
+            if len(sel) == len(keys):
+                return f.apply_many(u, v)
+            if len(sel):
+                out_u[sel], out_v[sel], d = f.apply_many(u[sel], v[sel])
+                for dst, src in zip(deriv, d):
+                    dst[sel] = src
+        return out_u, out_v, deriv
 
 
 class HolderFamily:
@@ -82,28 +123,33 @@ class HolderFamily:
         self.gamma = space.metric_base ** self.alpha
         self.reach = (-self.window, self.window)
 
-    def _parameters(self, syms, n):
-        """K at the n positions centred at syms[window], syms[window + 1], ...
+    def window_keys(self, syms, n):
+        """K at the n positions centred at syms[..., window], syms[..., window + 1], ...
 
         Sums over j in the same order as the scalar formula, so each value
         is bit-identical to it.
         """
         c = np.array(self.coeffs)[np.asarray(syms)]
         W = self.window
-        s = c[W:W + n].copy()
+        s = c[..., W:W + n].copy()
         w = 1.0
         for j in range(1, W + 1):
             w *= self.gamma
-            s += w * (c[W + j:W + j + n] + c[W - j:W - j + n])
-        return (self.K0 + self.eps * s).tolist()
+            s += w * (c[..., W + j:W + j + n] + c[..., W - j:W - j + n])
+        return self.K0 + self.eps * s
 
     def parameter(self, x):
         W = self.window
-        return self._parameters([x.symbol(j) for j in range(-W, W + 1)], 1)[0]
+        return float(self.window_keys([x.symbol(j) for j in range(-W, W + 1)], 1)[0])
 
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions centred at syms[window], ..."""
-        return [(f, f.inverse()) for f in map(fm.StandardMap, self._parameters(syms, n))]
+        Ks = self.window_keys(syms, n).tolist()
+        return [(f, f.inverse()) for f in map(fm.StandardMap, Ks)]
+
+    def apply_many(self, keys, u, v):
+        """One step of every orbit: orbit i applies StandardMap(keys[i])."""
+        return fm.standard_map_many(keys, u, v)
 
     def holder_constant(self):
         """Certified bound on d_C1(f_x, f_y) / d(x, y)^alpha."""
@@ -164,6 +210,7 @@ class SkewSystem:
 
 
 _MAX_CHUNK = 4096
+_MAX_BATCH_CELLS = 1 << 17  # 1 MB per int64 array of an orbit_batch chunk
 
 
 def orbit_maps(sys, x, backward=False, n=None):
@@ -193,6 +240,29 @@ def orbit_maps(sys, x, backward=False, n=None):
             yield from pairs
         k += size
         size = min(2 * size, _MAX_CHUNK)
+
+
+def orbit_batch(sys, xs, u, v, n):
+    """Walk the orbits of (xs[i], (u[i], v[i])) forward together for n steps.
+
+    Step k yields the fiber points after it and the derivatives of its maps,
+    as arrays (u, v, (a, b, c, d)) with one entry per orbit, equal bit for
+    bit to walking each orbit with ``orbit_maps`` and ``apply``.  Symbols
+    and family keys are read in chunks of at most _MAX_CHUNK steps and
+    _MAX_BATCH_CELLS orbit-steps, so memory stays bounded for any n and
+    any number of orbits.
+    """
+    family = sys.family
+    lo, hi = family.reach
+    chunk = max(1, min(_MAX_CHUNK, _MAX_BATCH_CELLS // max(1, len(xs))))
+    for k in range(0, n, chunk):
+        size = min(n - k, chunk)
+        syms = np.empty((len(xs), size + hi - lo), dtype=np.int32)
+        for row, x in zip(syms, xs):
+            row[:] = x.symbols(k + lo, k + size + hi)
+        for step_keys in family.window_keys(syms, size).T:
+            u, v, d = family.apply_many(step_keys, u, v)
+            yield u, v, d
 
 
 def accumulate_cocycle(maps, t, renorm_every=16):

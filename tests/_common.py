@@ -4,6 +4,7 @@ import math
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
+from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -45,6 +46,15 @@ def twisted_cat_system(T=0.5, center=(0.25, 0.25), radius=0.2):
     """Generators (A, A o twist): the end-to-end pipeline configuration."""
     twist = fm.LocalizedTwist(center, radius, T)
     return lc_system(cat_map(), fm.Composite([cat_map(), twist]))
+
+
+def golden_mean_system(T=0.7):
+    """Depth-1 family (A, A o twist) over the golden-mean Markov shift."""
+    space = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+    measure = sl.BaseMeasure("markov", P=((0.5, 0.5), (1.0, 0.0)))
+    twisted = fm.Composite([cat_map(), fm.LocalizedTwist((0.3, 0.6), 0.2, T)])
+    family = sl.LocallyConstantFamily(1, {0: cat_map(), 1: twisted})
+    return sl.SkewSystem(space, measure, family)
 
 
 def rotation_system():
@@ -106,3 +116,42 @@ def loop_inputs(system, z_symbol=1, z_index=1, i=2):
     p = sl.PeriodicPoint((0,))
     z = sl.homoclinic_point(system.space, p, z_symbol, z_index)
     return p, z, i
+
+
+def _unxorshift(z, s):
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _unmix(z):
+    """Inverse of the splitmix64 finalizer ``rng._mix``."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(_M2, -1, 1 << 64)) & _MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(_M1, -1, 1 << 64)) & _MASK
+    return _unxorshift(z, 30)
+
+
+def _key_for(index, z):
+    """The stream key under which ``index`` hashes to z."""
+    return (_unmix(z) - ((index + (1 << 62)) & _MASK) * _GOLDEN) & _MASK
+
+
+def index_with_hash(seed, stream, z):
+    """An index whose 64-bit hash under (seed, stream) is z."""
+    key = sl.derive_seed(seed, stream)
+    counter = ((_unmix(z) - key) * pow(_GOLDEN, -1, 1 << 64)) & _MASK
+    return counter - (1 << 62)
+
+
+def stream_with_hash(seed, index, z):
+    """A stream id under which ``index`` of seed's streams hashes to z.
+
+    It inverts ``derive_seed(seed, stream)``, whose last step mixes the
+    seed's hash with the stream's.
+    """
+    seed_hash = sl.rng._mix((seed & _MASK) + _GOLDEN)
+    stream_hash = _unmix(_key_for(index, z)) ^ seed_hash
+    return (_unmix(stream_hash) - _GOLDEN) & _MASK

@@ -1,5 +1,6 @@
 """Shift spaces: metric, bracket, periodic/homoclinic points, measures."""
 
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 import skewlab as sl
 from skewlab.errors import BracketUndefinedError, ConfigurationError
 
-from _common import bernoulli2
+from _common import bernoulli2, stream_with_hash
 
 
 def seq_from(space, past, future):
@@ -236,6 +237,78 @@ def test_sample_sequence_markov_matches_per_index_draws(seed, stream):
     # a fresh tape queried from the far ends inward agrees
     y = sl.sample_sequence(space, m, seed, stream)
     assert [y.symbol(j) for j in (-3000, 3000, 0)] == [ref(-3000), ref(3000), ref(0)]
+
+
+def _window_sequences():
+    space3 = sl.ShiftSpace(3)
+    bern = sl.BaseMeasure("bernoulli", probs=(0.2, 0.5, 0.3))
+    golden = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+    markov = sl.BaseMeasure("markov", P=((0.5, 0.5), (1.0, 0.0)))
+    x = sl.sample_sequence(space3, bern, 4, 1)
+    partner = next(
+        y for y in (sl.sample_sequence(space3, bern, 4, k) for k in range(2, 50))
+        if y.symbol(0) == x.symbol(0)
+    )
+    return {
+        "bernoulli": lambda: sl.sample_sequence(space3, bern, 4, 1),
+        "markov": lambda: sl.sample_sequence(golden, markov, 6, 2),
+        "periodic": lambda: sl.periodic_point(space3, (0, 1, 1, 2, 0)),
+        "bracket": lambda: sl.bracket(x, partner),
+        "bernoulli-shifted": lambda: sl.sample_sequence(space3, bern, 4, 1).shift(-70),
+        "markov-shifted": lambda: sl.sample_sequence(golden, markov, 6, 2).shift(37),
+    }
+
+
+@pytest.mark.parametrize("name", list(_window_sequences()))
+def test_symbols_window_matches_symbol_lookups(name):
+    make = _window_sequences()[name]
+    windows = [
+        (-130, -60), (-64, 64), (-1, 1), (63, 129), (0, 0), (5, 3), (-200, 200),
+        (127, 128), (-65, -63), (-128, -64), (4000, 4100),
+    ]
+    reused = make()
+    for a, b in windows:
+        want = [make().symbol(j) for j in range(a, b)]
+        for x in (make(), reused):
+            got = x.symbols(a, b)
+            assert got.dtype.kind == "i" and got.tolist() == want, (a, b)
+
+
+def test_bernoulli_symbols_stay_in_range_when_weights_sum_below_one():
+    """np.cumsum((0.7, 0.2, 0.1)) ends at 0.9999999999999999."""
+    measure = sl.BaseMeasure("bernoulli", probs=(0.7, 0.2, 0.1))
+    assert np.cumsum(measure.probs)[-1] < 1.0
+    j = 8761941433968539397  # hashes to 2**64 - 1 under (5, 0): the largest draw
+    x = sl.sample_sequence(sl.ShiftSpace(3), measure, 5, 0)
+    assert x.symbol(j) == 2
+    assert x.symbols(j - 2, j + 2).tolist() == [x.symbol(i) for i in range(j - 2, j + 2)]
+
+
+_ROW_A, _ROW_B = (0.7, 0.2, 0.0, 0.1), (0.7, 0.2, 0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "P, index",
+    [
+        # forward: each row's sum ends below 1, on its last entry or before a zero
+        ((_ROW_A, _ROW_B, _ROW_B, _ROW_B), 1),
+        # backward: symmetric and doubly stochastic, so the time reversal is P
+        (((0.7, 0.2, 0.1), (0.2, 0.1, 0.7), (0.1, 0.7, 0.2)), -1),
+    ],
+)
+def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
+    """The largest draw must pick an admissible successor of every row."""
+    d = len(P)
+    space = sl.ShiftSpace(d, transitions=tuple(tuple(p > 0 for p in row) for row in P))
+    measure = sl.BaseMeasure("markov", P=P)
+    for seed in range(8):
+        stream = stream_with_hash(seed, index, 2 ** 64 - 1)
+        assert sl.counter_uniform(seed, stream, index) == math.nextafter(1.0, 0.0)
+        x = sl.sample_sequence(space, measure, seed, stream)
+        word = [x.symbol(j) for j in range(-3, 4)]
+        assert all(0 <= s < d for s in word), word
+        space.check_word(word)
+        assert x.symbols(-3, 4).tolist() == word
 
 
 def test_measure_validation():

@@ -151,6 +151,22 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, replaces",
+    [
+        ("toral:2.5,1,1,1", "g0 = toral:2,1,1,1"),  # int() truncation gave the cat map
+        ("compose:0.9", "g2 = compose:0,1"),  # and this compose:0
+    ],
+)
+def test_non_integral_map_spec_exits_2(tmp_path, capsys, spec, replaces):
+    cfg = TWISTED_CRITERION_CFG.replace(replaces, replaces.split("=")[0] + "= " + spec)
+    assert spec in cfg
+    rc = main(["exponent", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert spec in capsys.readouterr().err
+    assert not (tmp_path / "exponent.csv").exists()
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     # rotation fibers: pinching fails, so the twisting stage is a domain error
     cfg = TWISTED_CRITERION_CFG.replace("g0 = toral:2,1,1,1", "g0 = toral:0,-1,1,0")

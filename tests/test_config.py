@@ -147,6 +147,9 @@ def test_parse_map_spec_kinds():
         "toral:a,b,c,d",  # malformed numbers
         "spiral:1.0",  # unknown kind
         "compose:5",  # missing generator reference
+        "toral:2.5,1,1,1",  # non-integral entries
+        "toral:nan,1,1,1",
+        "compose:0.9",
     ],
 )
 def test_parse_map_spec_rejects(spec):

@@ -1,7 +1,9 @@
 """Pinching/twisting detectors, holonomy loop, probes, and sweeps."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 import skewlab as sl
@@ -10,11 +12,15 @@ import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
 from skewlab.criterion import SweepRow
 from skewlab.errors import ConfigurationError, NonConvergenceError, SkewlabError
+from skewlab.lyapunov import return_map, return_map_exponent_grid
+from skewlab.rng import derive_seed
+from skewlab.skew import accumulate_cocycle, orbit_maps
 
 from _common import (
     LOG_CAT,
     cat_map,
     cat_system,
+    golden_mean_system,
     holder_system,
     identity_map,
     lc_system,
@@ -208,6 +214,90 @@ def test_su_state_probe_identity_system_is_invariant():
     loop = sl.build_holonomy_loop(system, p, z, i)
     score = sl.su_state_probe(system, p, loop, bins=32, n_iter=60, n_points=4, burn_in=10)
     assert score < 1e-12
+
+
+# --- scalar references: one orbit and one fiber point at a time --------------
+
+
+def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
+    """Angle histogram of the projective cocycle along sampled base orbits."""
+    hist = np.zeros(bins)
+    for w in range(n_words):
+        x = sl.sample_sequence(sys.space, sys.measure, derive_seed(seed, 31), w)
+        v = (0.6471298642911707, 0.7623855618404413)
+        cur = t
+        for k, (f, _) in enumerate(orbit_maps(sys, x, n=n_iter)):
+            cur, d = f.apply(cur)
+            v = fm.mat_vec(d, v)
+            n = math.hypot(*v)
+            v = (v[0] / n, v[1] / n)
+            if k >= burn_in:
+                a = math.atan2(v[1], v[0]) % math.pi
+                hist[min(int(a / math.pi * bins), bins - 1)] += 1.0
+    return hist / hist.sum()
+
+
+def _scalar_su_state_probe(sys, loop, bins, n_iter, n_points, seed, burn_in):
+    side = max(2, int(math.ceil(math.sqrt(n_points))))
+    worst = 0.0
+    for k in range(side * side):
+        t = ((k // side + 0.5) / side, (k % side + 0.5) / side)
+        m_t = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
+        ht, H = loop.apply(t)
+        m_ht = _direction_histogram(sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k))
+        pushed = criterion._push_histogram(m_t, H)
+        worst = max(worst, 0.5 * float(np.abs(pushed - m_ht).sum()))
+    return worst
+
+
+def _scalar_exponent_grid(sys, p, grid, n_steps, renorm_every=16):
+    g = return_map(sys, p)
+    out = np.empty((grid, grid))
+    for i in range(grid):
+        for j in range(grid):
+            t = ((i + 0.5) / grid, (j + 0.5) / grid)
+            maps = itertools.repeat(g, n_steps)
+            out[i, j] = accumulate_cocycle(maps, t, renorm_every)[1] / n_steps
+    return out
+
+
+BATCH_SYSTEMS = [
+    twisted_cat_system,
+    lambda: twisted_cat_system(T=0.0),
+    rotation_system,
+    golden_mean_system,
+    holder_system,
+]
+BATCH_IDS = ["twisted-cat", "cat-T0", "rotation", "golden-mean", "holder"]
+
+
+@pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
+def test_su_state_probe_matches_scalar_reference(make_system):
+    system = make_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    kw = dict(bins=32, n_iter=60, n_points=4, seed=3, burn_in=10)
+    score = sl.su_state_probe(system, p, loop, **kw)
+    assert score == _scalar_su_state_probe(system, loop, **kw)
+    starts = [(0.125, 0.375), (0.9, 0.05), (0.3, 0.6)]
+    seeds = [derive_seed(5, k) for k in range(len(starts))]
+    hists = criterion._direction_histograms(system, starts, seeds, 16, 50, 5)
+    for h, t, s in zip(hists, starts, seeds):
+        assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s).tobytes()
+
+
+@pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
+def test_pinching_grid_matches_scalar_reference(make_system):
+    system = make_system()
+    for p in (sl.PeriodicPoint((0,)), sl.PeriodicPoint((0, 1))):  # a map, a composite
+        for renorm_every in (16, 5):
+            got = return_map_exponent_grid(system, p, 5, 37, renorm_every)
+            want = _scalar_exponent_grid(system, p, 5, 37, renorm_every)
+            assert got.tobytes() == want.tobytes()
+        report = sl.check_pinching(system, p, grid=6, n_steps=50)
+        values = _scalar_exponent_grid(system, p, 6, 50)
+        assert report.integral == float(values.mean())
+        assert report.nuh_fraction == float((values > criterion.DELTA_PINCH).mean())
 
 
 def test_perturbed_system():

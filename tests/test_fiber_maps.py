@@ -25,6 +25,61 @@ MAP_KINDS = [
 ]
 
 
+EDGE_TWIST = fm.LocalizedTwist((0.97, 0.02), 0.2, -1.1)  # support wraps both edges
+BATCH_KINDS = MAP_KINDS + [f.inverse() for f in MAP_KINDS] + [
+    EDGE_TWIST,
+    fm.Composite([fm.StandardMap(0.8), EDGE_TWIST, fm.ToralAutomorphism((1, 0, 1, 1))]),
+]
+
+
+def _boundary_points(tw, n_angles=24):
+    """Points on and a few ulps either side of the twist's support circle."""
+    reach = tw.profile.support_end * tw.radius
+    pts = []
+    for k in range(n_angles):
+        theta = 2.0 * math.pi * k / n_angles
+        for scale in (1.0 - 4e-16, 1.0 - 1e-16, 1.0, 1.0 + 1e-16, 1.0 + 4e-16):
+            r = reach * scale
+            pts.append(((tw.center[0] + r * math.cos(theta)) % 1.0,
+                        (tw.center[1] + r * math.sin(theta)) % 1.0))
+    return pts
+
+
+def _assert_apply_many_matches(f, pts):
+    u = np.array([t[0] for t in pts], dtype=float)
+    v = np.array([t[1] for t in pts], dtype=float)
+    out = [f.apply(t) for t in pts]
+    got_u, got_v, got_d = f.apply_many(u, v)
+    want = [[t[0] for t, _ in out], [t[1] for t, _ in out]]
+    want += [[d[k] for _, d in out] for k in range(4)]
+    # bit patterns, so that 0.0 and -0.0 differ too
+    for got, w in zip((got_u, got_v, *got_d), want):
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == np.array(w, dtype=float).tobytes()
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@pytest.mark.parametrize("f", BATCH_KINDS, ids=lambda f: f.kind)
+@given(st.lists(st.tuples(unit, unit), max_size=40))
+def test_apply_many_matches_apply_bit_for_bit(f, pts):
+    _assert_apply_many_matches(f, pts)
+
+
+@pytest.mark.parametrize("f", BATCH_KINDS, ids=lambda f: f.kind)
+def test_apply_many_matches_apply_on_twist_support_boundaries(f):
+    pts = _boundary_points(MAP_KINDS[3]) + _boundary_points(EDGE_TWIST)
+    pts += random_points(500, seed=4)
+    _assert_apply_many_matches(f, pts)
+
+
+def test_twist_boundary_points_straddle_the_support():
+    for tw in (MAP_KINDS[3], EDGE_TWIST):
+        moved = [tw.apply(t)[1] is not fm.IDENTITY for t in _boundary_points(tw)]
+        assert any(moved) and not all(moved)
+
+
 def test_toral_fixed_point():
     img, d = cat_map().apply((0.0, 0.0))
     assert img == (0.0, 0.0)
@@ -41,6 +96,8 @@ def test_toral_rejects_non_unimodular():
         fm.ToralAutomorphism((2, 0, 0, 2))
     with pytest.raises(ConfigurationError):
         fm.ToralAutomorphism((1, 0, 0))
+    with pytest.raises(ConfigurationError, match="integer entries"):
+        fm.ToralAutomorphism((2.5, 1, 1, 1))  # int() would make it the cat map
 
 
 def test_standard_map_at_origin():

@@ -7,11 +7,13 @@ import pytest
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError, NonConvergenceError
-from skewlab.holonomy import strong_stable_contraction_rate
+from skewlab.holonomy import BunchingReport, strong_stable_contraction_rate
+from skewlab.skew import orbit_maps
 
 from _common import (
     bernoulli2,
     cat_system,
+    golden_mean_system,
     holder_system,
     rotation_system,
     stable_pair,
@@ -43,6 +45,46 @@ def test_bunching_cat_sixteenths():
 def test_bunching_beta_validation():
     with pytest.raises(ConfigurationError):
         sl.fiber_bunching_margin(cat_system(), beta=0.0)
+
+
+def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
+    """fiber_bunching_margin one fiber point at a time (the reference)."""
+    if sys.is_locally_constant:
+        base_points = [
+            sl.BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
+            for w in sys.admissible_words(sys.family.depth)
+        ]
+    else:
+        base_points = [
+            sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 23), i)
+            for i in range(n_base)
+        ]
+    pts = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
+    pts.extend(sl.random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
+    worst = 0.0
+    for x in base_points:
+        for f in next(orbit_maps(sys, x, n=1)):
+            sup_norm = 0.0
+            sup_conorm = 0.0
+            for t in pts:
+                _, d = f.apply(t)
+                sup_norm = max(sup_norm, fm.mat_norm(d))
+                sup_conorm = max(sup_conorm, fm.mat_conorm(d))
+            worst = max(worst, sup_norm / sup_conorm * sys.space.metric_base ** beta)
+    return BunchingReport(beta, worst, worst < 1.0, {"n_base": len(base_points),
+                                                     "n_fiber": len(pts)})
+
+
+@pytest.mark.parametrize(
+    "make_system",
+    [twisted_cat_system, rotation_system, golden_mean_system, holder_system,
+     lambda: holder_system(metric_base=0.5, eps=0.3)],
+)
+def test_bunching_margin_matches_scalar_reference(make_system):
+    system = make_system()
+    for beta, kw in ((1.0, {}), (0.7, dict(n_base=7, n_fiber=31, grid=5, seed=4))):
+        report = sl.fiber_bunching_margin(system, beta, **kw)
+        assert report == _scalar_bunching_margin(system, beta, **kw)
 
 
 def test_query_validation():

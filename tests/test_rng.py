@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 import skewlab as sl
 from skewlab import counter_uniform, derive_seed
-from skewlab.rng import _GOLDEN, _MASK, _M1, _M2, counter_uniforms
+from skewlab.rng import _MASK, counter_uniforms
+
+from _common import index_with_hash as _index_with_hash
 
 ints = st.integers(min_value=-(2 ** 62), max_value=2 ** 62)
 words = st.integers(min_value=-(2 ** 63), max_value=2 ** 64 - 1)
@@ -52,29 +54,6 @@ def test_derive_seed_separates_paths():
     assert derive_seed(s, 1) != derive_seed(s, 2)
     assert derive_seed(s, 1, 2) != derive_seed(s, 2, 1)
     assert derive_seed(s) != derive_seed(s, 0)
-
-
-def _unxorshift(z, s):
-    x = z
-    for _ in range(64 // s + 1):
-        x = z ^ (x >> s)
-    return x
-
-
-def _unmix(z):
-    """Inverse of the splitmix64 finalizer ``rng._mix``."""
-    z = _unxorshift(z, 31)
-    z = (z * pow(_M2, -1, 1 << 64)) & _MASK
-    z = _unxorshift(z, 27)
-    z = (z * pow(_M1, -1, 1 << 64)) & _MASK
-    return _unxorshift(z, 30)
-
-
-def _index_with_hash(seed, stream, z):
-    """An index whose 64-bit hash under (seed, stream) is z."""
-    key = derive_seed(seed, stream)
-    counter = ((_unmix(z) - key) * pow(_GOLDEN, -1, 1 << 64)) & _MASK
-    return counter - (1 << 62)
 
 
 def test_counter_uniform_top_hashes_stay_below_one():

@@ -5,12 +5,14 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
-from skewlab.skew import fiber_c1_distance, orbit_maps
+import skewlab.skew as skew
+from skewlab.skew import fiber_c1_distance, orbit_batch, orbit_maps
 
 from _common import (
     LOG_CAT,
@@ -22,6 +24,7 @@ from _common import (
     holder_system,
     identity_map,
     lc_system,
+    twisted_cat_system,
 )
 
 
@@ -55,6 +58,10 @@ def test_missing_table_entry_errors():
     system = sl.SkewSystem(space, bernoulli2(), family)
     with pytest.raises(ConfigurationError):
         system.fiber_map_at(sl.periodic_point(space, (1,)))
+    x = sl.periodic_point(space, (0, 0, 1))
+    u = np.zeros(1)
+    with pytest.raises(ConfigurationError, match=r"no generator for word \(1,\)"):
+        list(orbit_batch(system, [x], u, u, 5))
 
 
 def test_iterate_cocycle_n_zero():
@@ -231,6 +238,28 @@ def test_orbit_maps_locally_constant_are_table_entries():
         assert g_inv is table[x.word(-k - 1, 1 - k)]
         assert g_inv is system.fiber_map_at(xk)
         assert g is system.inverse_fiber_map_at(xk)
+
+
+@pytest.mark.parametrize(
+    "make_system", [_golden_mean_depth2_system, holder_system, twisted_cat_system]
+)
+def test_orbit_batch_matches_orbit_maps(make_system, monkeypatch):
+    monkeypatch.setattr(skew, "_MAX_CHUNK", 7)  # several chunks, one partial
+    system = make_system()
+    xs = [sl.sample_sequence(system.space, system.measure, 23, k) for k in range(6)]
+    xs += [xs[0].shift(-40), sl.periodic_point(system.space, (0, 1, 0))]
+    pts = [fm.random_point(5, 0, k) for k in range(len(xs))]
+    u = np.array([t[0] for t in pts])
+    v = np.array([t[1] for t in pts])
+    n = 30
+    steps = list(orbit_batch(system, xs, u, v, n))
+    assert len(steps) == n
+    for i, (x, t) in enumerate(zip(xs, pts)):
+        for k, (f, _) in enumerate(orbit_maps(system, x, n=n)):
+            t, d = f.apply(t)
+            bu, bv, bd = steps[k]
+            got = np.array([bu[i], bv[i], *(e[i] for e in bd)])
+            assert got.tobytes() == np.array([*t, *d]).tobytes(), (i, k)
 
 
 def test_backward_holder_orbits_retain_no_memory():
