@@ -74,7 +74,6 @@ from .lyapunov import (
     furstenberg_exponent_transfer_operator,
     integrated_exponent,
     oseledets_frame,
-    pinching_integral,
     pointwise_exponent,
     return_map,
 )

@@ -6,6 +6,7 @@ comment; lists are comma-separated; fiber maps are given as
 is deliberately diff-friendly so configs double as experiment provenance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import fiber_maps as fm
@@ -174,6 +175,8 @@ def parse_map_spec(spec, generators=None):
         vals = [float(p) for p in params.split(",") if p.strip() != ""]
     except ValueError:
         raise ConfigurationError("map spec %r has malformed parameters" % spec)
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigurationError("map spec %r has non-finite parameters" % spec)
     if kind in ("toral", "compose") and not all(v.is_integer() for v in vals):
         raise ConfigurationError("map spec %r needs integer entries" % spec)
     if kind == "toral":

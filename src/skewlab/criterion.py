@@ -20,9 +20,9 @@ from .errors import ConfigurationError, SkewlabError
 from .holonomy import HolonomyQuery, stable_holonomy_jet
 from .lyapunov import (
     DELTA_PINCH,
+    GENERIC_DIRECTION,
     integrated_exponent,
     oseledets_frame,
-    projective_gap,
     return_map_exponent_grid,
 )
 from .rng import derive_seed
@@ -60,12 +60,7 @@ class HolonomyLoop(fm.FiberMap):
         return self.apply(t)[1]
 
     def area_defect(self, grid=32):
-        worst = 0.0
-        for a in range(grid):
-            for b in range(grid):
-                t = ((a + 0.5) / grid, (b + 0.5) / grid)
-                worst = max(worst, abs(fm.mat_det(self.apply(t)[1]) - 1.0))
-        return worst
+        return fm.max_det_defect(self, *fm.grid_points(grid))
 
 
 @dataclass
@@ -186,17 +181,14 @@ def check_twisting(sys, loop, params=TwistingParams()):
     """
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
     K = []
-    for a in range(side):
-        for b in range(side):
-            if len(K) >= params.n_K:
-                break
-            t = ((a + 0.5) / side, (b + 0.5) / side)
-            frame = oseledets_frame(
-                sys, loop.p, t, depth=params.frame_depth,
-                delta_pinch=params.delta_pinch,
-            )
-            if frame.converged:
-                K.append((t, frame))
+    for t in zip(*(c.tolist() for c in fm.grid_points(side))):
+        if len(K) >= params.n_K:
+            break
+        frame = oseledets_frame(
+            sys, loop.p, t, depth=params.frame_depth, delta_pinch=params.delta_pinch
+        )
+        if frame.converged:
+            K.append((t, frame))
     if not K:
         raise SkewlabError(
             "no sample points with converged frames: pinching failed, "
@@ -257,23 +249,22 @@ def check_twisting(sys, loop, params=TwistingParams()):
 _PROBE_WORDS = 8  # sampled base orbits per histogram
 
 
-def _direction_histograms(sys, starts, seeds, bins, n_iter, burn_in):
+def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     """Angle histogram of the projective cocycle for each (start, seed).
 
     Histogram k follows _PROBE_WORDS sampled base orbits from the fiber
-    point starts[k]; all orbits step together through ``orbit_batch`` and
-    bins are counted step by step.
+    point (u[k], v[k]); all orbits step together through ``orbit_batch``
+    and bins are counted step by step.
     """
     xs = [
         sample_sequence(sys.space, sys.measure, derive_seed(s, 31), w)
         for s in seeds
         for w in range(_PROBE_WORDS)
     ]
-    u, v = (np.repeat(np.array(c, dtype=float), _PROBE_WORDS) for c in zip(*starts))
-    e0 = np.full(len(xs), 0.6471298642911707)
-    e1 = np.full(len(xs), 0.7623855618404413)
-    first_bin = np.repeat(np.arange(len(starts)) * bins, _PROBE_WORDS)
-    counts = np.zeros(len(starts) * bins)
+    u, v = np.repeat(u, _PROBE_WORDS), np.repeat(v, _PROBE_WORDS)
+    e0, e1 = (np.full(len(xs), c) for c in GENERIC_DIRECTION)
+    first_bin = np.repeat(np.arange(len(seeds)) * bins, _PROBE_WORDS)
+    counts = np.zeros(len(seeds) * bins)
     for k, (_, _, (a, b, c, d)) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
         e0, e1 = a * e0 + b * e1, c * e0 + d * e1
         n = fm.elementwise(math.hypot, e0, e1)
@@ -282,7 +273,7 @@ def _direction_histograms(sys, starts, seeds, bins, n_iter, burn_in):
             angle = fm.elementwise(math.atan2, e1, e0) % math.pi
             bin_ = np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)
             np.add.at(counts, first_bin + bin_, 1.0)
-    hists = counts.reshape(len(starts), bins)
+    hists = counts.reshape(len(seeds), bins)
     return hists / hists.sum(axis=1, keepdims=True)
 
 
@@ -308,18 +299,23 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     maximum defect over a fiber grid.  Near-zero scores are consistent
     with an invariant su-structure (isometric systems).
     """
+    if n_iter <= burn_in:
+        raise ConfigurationError(
+            "su_state_probe needs n_iter > burn_in (got %d <= %d)" % (n_iter, burn_in)
+        )
     side = max(2, int(math.ceil(math.sqrt(n_points))))
-    grid = [((k // side + 0.5) / side, (k % side + 0.5) / side) for k in range(side * side)]
-    images = [loop.apply(t) for t in grid]
-    seeds = [derive_seed(seed, 41, k) for k in range(len(grid))]
-    seeds += [derive_seed(seed, 43, k) for k in range(len(grid))]
+    u, v = fm.grid_points(side)
+    hu, hv, H = loop.apply_many(u, v)
+    n = len(u)
+    seeds = [derive_seed(seed, 41, k) for k in range(n)]
+    seeds += [derive_seed(seed, 43, k) for k in range(n)]
     hists = _direction_histograms(
-        sys, grid + [ht for ht, _ in images], seeds, bins, n_iter, burn_in
+        sys, np.concatenate([u, hu]), np.concatenate([v, hv]), seeds, bins, n_iter, burn_in
     )
     worst = 0.0
-    for k, (_, H) in enumerate(images):
-        pushed = _push_histogram(hists[k], H)
-        worst = max(worst, 0.5 * float(np.abs(pushed - hists[len(grid) + k]).sum()))
+    for k, m in enumerate(zip(*(e.tolist() for e in H))):
+        pushed = _push_histogram(hists[k], m)
+        worst = max(worst, 0.5 * float(np.abs(pushed - hists[n + k]).sum()))
     return worst
 
 

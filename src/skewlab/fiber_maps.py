@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import counter_uniform
+from .rng import counter_uniform, counter_uniforms
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
@@ -286,8 +286,7 @@ class LocalizedTwist(FiberMap):
         The squared offset selects the points, with a relative margin that
         covers its rounding, so ``apply`` makes the exact support test.
         """
-        y1 = (u - self.center[0] + 0.5) % 1.0 - 0.5
-        y2 = (v - self.center[1] + 0.5) % 1.0 - 0.5
+        y1, y2 = torus_delta((u, v), self.center)
         reach = self.profile.support_end * self.radius
         near = np.flatnonzero(y1 * y1 + y2 * y2 <= reach * reach * (1.0 + 1e-9))
         out_u, out_v = u.copy(), v.copy()
@@ -342,14 +341,27 @@ def random_point(seed, stream_id, index):
     )
 
 
+def grid_points(side):
+    """Centres of the side x side grid cells as arrays (u, v), u varying slowest."""
+    axis = (np.arange(side) + 0.5) / side
+    return np.repeat(axis, side), np.tile(axis, side)
+
+
+def sample_points(grid, n_random, seed, stream_id):
+    """``grid_points(grid)`` followed by ``random_point(seed, stream_id, i)``, i < n_random."""
+    u, v = grid_points(grid)
+    r = counter_uniforms(seed, stream_id, 0, 2 * n_random)
+    return np.concatenate([u, r[0::2]]), np.concatenate([v, r[1::2]])
+
+
+def max_det_defect(f, u, v):
+    """Max of |det Df(t) - 1| over the points (u[i], v[i]); 0.0 for none."""
+    _, _, (a, b, c, d) = f.apply_many(u, v)
+    return float(np.abs(a * d - b * c - 1.0).max(initial=0.0))
+
+
 def area_preservation_defect(f, n_samples=1000, seed=0):
     """Max over sampled points of |det Df(t) - 1|."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    worst = 0.0
-    for i in range(n_samples):
-        _, d = f.apply(random_point(seed, 0, i))
-        defect = abs(mat_det(d) - 1.0)
-        if defect > worst:
-            worst = defect
-    return worst
+    return max_det_defect(f, *sample_points(0, n_samples, seed, 0))

@@ -19,10 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from . import fiber_maps as fm
-from .base_shift import distance, sample_sequence
+from .base_shift import distance
 from .errors import ConfigurationError, NonConvergenceError
-from .rng import derive_seed
-from .skew import orbit_maps, random_fiber_point
+from .skew import generator_base_points, orbit_maps
 
 _OVERFLOW_GUARD = 1e120
 
@@ -89,23 +88,8 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
     lam = sys.space.metric_base
-    if sys.is_locally_constant:
-        from .base_shift import BaseSequence
-
-        words = sys.admissible_words(sys.family.depth)
-        base_points = []
-        for w in words:
-            base_points.append(
-                BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
-            )
-    else:
-        base_points = [
-            sample_sequence(sys.space, sys.measure, derive_seed(seed, 23), i)
-            for i in range(n_base)
-        ]
-    pts = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
-    pts.extend(random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
-    u, v = (np.array(c) for c in zip(*pts))
+    base_points = generator_base_points(sys, n_base, seed, 23)
+    u, v = fm.sample_points(grid, n_fiber, seed, 1003)  # random_fiber_point(seed, i, stream=3)
     worst = 0.0
     for x in base_points:
         for f in next(orbit_maps(sys, x, n=1)):
@@ -125,7 +109,7 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
         satisfied=worst < 1.0,
         sample_counts={
             "n_base": len(base_points),
-            "n_fiber": len(pts),
+            "n_fiber": len(u),
         },
     )
 

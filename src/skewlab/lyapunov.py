@@ -20,6 +20,8 @@ from .skew import accumulate_cocycle, iterate_cocycle, orbit_maps, random_fiber_
 
 DELTA_PINCH = 0.05
 
+GENERIC_DIRECTION = (0.6471298642911707, 0.7623855618404413)  # a fixed unit vector
+
 
 @dataclass(frozen=True)
 class ExponentEstimate:
@@ -101,8 +103,7 @@ def return_map_exponent_grid(sys, p, grid=64, n_steps=1000, renorm_every=16):
     single-point result bit for bit.
     """
     g = return_map(sys, p)
-    axis = (np.arange(grid) + 0.5) / grid
-    u, v = np.repeat(axis, grid), np.tile(axis, grid)
+    u, v = fm.grid_points(grid)
     pp, qq, rr, ss = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
     since = 0
@@ -117,11 +118,6 @@ def return_map_exponent_grid(sys, p, grid=64, n_steps=1000, renorm_every=16):
             since = 0
     log_norm = log_acc + fm.elementwise(math.log, fm.mat_norms(pp, qq, rr, ss))
     return (log_norm / n_steps).reshape(grid, grid)
-
-
-def pinching_integral(sys, p, grid=64, n_steps=1000, renorm_every=16):
-    """Grid average of the return-map exponent over the periodic fiber."""
-    return float(return_map_exponent_grid(sys, p, grid, n_steps, renorm_every).mean())
 
 
 def _direction_angle(v):
@@ -140,7 +136,7 @@ def _limit_direction(g, t, depth):
     back = [t]
     for _ in range(depth):
         back.append(g_inv.apply(back[-1])[0])
-    v = (0.6471298642911707, 0.7623855618404413)  # fixed generic direction
+    v = GENERIC_DIRECTION
     for k in range(depth, 0, -1):
         _, d = g.apply(back[k])
         v = fm.mat_vec(d, v)

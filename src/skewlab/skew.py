@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber_maps as fm
-from .base_shift import sample_sequence
+from .base_shift import BaseSequence, distance, sample_sequence
 from .errors import CertificateViolationError, ConfigurationError
 from .rng import derive_seed
 
@@ -308,38 +308,31 @@ def iterate_cocycle(sys, x, t, n, renorm_every=16):
 
 def fiber_c1_distance(f, g, grid=64, n_random=1000, seed=0):
     """sup over sampled fiber points of displacement + derivative gap."""
-    worst = 0.0
-    pts = [
-        ((i + 0.5) / grid, (j + 0.5) / grid)
-        for i in range(grid)
-        for j in range(grid)
-    ]
-    pts.extend(fm.random_point(seed, 1, i) for i in range(n_random))
-    for t in pts:
-        tf, df = f.apply(t)
-        tg, dg = g.apply(t)
-        gap = fm.torus_distance(tf, tg) + fm.mat_sub_norm(df, dg)
-        if gap > worst:
-            worst = gap
-    return worst
+    u, v = fm.sample_points(grid, n_random, seed, 1)
+    fu, fv, df = f.apply_many(u, v)
+    gu, gv, dg = g.apply_many(u, v)
+    du, dv = fm.torus_delta((fu, fv), (gu, gv))
+    gaps = fm.elementwise(math.hypot, du, dv) + fm.mat_norms(*(p - q for p, q in zip(df, dg)))
+    return float(gaps.max(initial=0.0))
 
 
-def _sampled_base_points(sys, n_samples, seed):
+def generator_base_points(sys, n, seed, stream):
+    """Base points at which to evaluate the family's fiber maps.
+
+    A locally constant family gets one sequence per admissible word w of
+    its depth, reading w on [0, depth) and w's end symbols beyond it, so
+    each word's generator is met, also for words that no periodic point
+    starts with.  Any other family gets n sequences sampled on the stream
+    derive_seed(seed, stream).
+    """
     if sys.is_locally_constant:
-        from .base_shift import periodic_point
-
-        out = []
-        for w in sys.admissible_words(sys.family.depth):
-            # any sequence starting with w selects table[w]; cyclic words suffice
-            try:
-                out.append(periodic_point(sys.space, w))
-            except ConfigurationError:
-                continue
-        if out:
-            return out
+        return [
+            BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
+            for w in sys.admissible_words(sys.family.depth)
+        ]
     return [
-        sample_sequence(sys.space, sys.measure, derive_seed(seed, 11), i)
-        for i in range(n_samples)
+        sample_sequence(sys.space, sys.measure, derive_seed(seed, stream), i)
+        for i in range(n)
     ]
 
 
@@ -348,7 +341,7 @@ def c1_distance(sys_f, sys_g, n_base_samples=100, grid=32, n_random=200, seed=0)
     if sys_f.space.alphabet_size != sys_g.space.alphabet_size:
         raise ConfigurationError("systems live over different bases")
     worst = 0.0
-    for x in _sampled_base_points(sys_f, n_base_samples, seed):
+    for x in generator_base_points(sys_f, n_base_samples, seed, 11):
         gap = fiber_c1_distance(
             sys_f.fiber_map_at(x), sys_g.fiber_map_at(x), grid, n_random, seed
         )
@@ -366,8 +359,6 @@ def _perturbed_partner(sys, x, radius, seed, k):
         if abs(j) < radius:
             return xs(j)
         return os(j)
-
-    from .base_shift import BaseSequence
 
     return BaseSequence(sys.space, look)
 
@@ -387,8 +378,6 @@ def holder_estimate(sys, n_pairs=100, seed=0, grid=16, n_random=100):
         x = sample_sequence(sys.space, sys.measure, derive_seed(seed, 17), k)
         radius = k % 8
         y = _perturbed_partner(sys, x, radius, seed, k)
-        from .base_shift import distance
-
         d = distance(x, y)
         if d == 0.0:
             continue

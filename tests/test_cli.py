@@ -156,6 +156,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     [
         ("toral:2.5,1,1,1", "g0 = toral:2,1,1,1"),  # int() truncation gave the cat map
         ("compose:0.9", "g2 = compose:0,1"),  # and this compose:0
+        ("stdmap:nan", "g0 = toral:2,1,1,1"),  # exited 0 with mean=nan
+        ("twist:0.25,0.25,0.2,inf", "g1 = twist:0.25,0.25,0.2,0.5"),
     ],
 )
 def test_non_integral_map_spec_exits_2(tmp_path, capsys, spec, replaces):

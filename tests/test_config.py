@@ -150,6 +150,10 @@ def test_parse_map_spec_kinds():
         "toral:2.5,1,1,1",  # non-integral entries
         "toral:nan,1,1,1",
         "compose:0.9",
+        "stdmap:nan",  # non-finite parameters
+        "stdmap:inf",
+        "twist:0.25,0.25,0.2,inf",
+        "twist:nan,0.25,0.2,0.5",
     ],
 )
 def test_parse_map_spec_rejects(spec):

@@ -12,7 +12,7 @@ import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
 from skewlab.criterion import SweepRow
 from skewlab.errors import ConfigurationError, NonConvergenceError, SkewlabError
-from skewlab.lyapunov import return_map, return_map_exponent_grid
+from skewlab.lyapunov import oseledets_frame, return_map, return_map_exponent_grid
 from skewlab.rng import derive_seed
 from skewlab.skew import accumulate_cocycle, orbit_maps
 
@@ -216,6 +216,16 @@ def test_su_state_probe_identity_system_is_invariant():
     assert score < 1e-12
 
 
+@pytest.mark.parametrize("n_iter, burn_in", [(10, 20), (20, 20)])
+def test_su_state_probe_rejects_empty_histograms(n_iter, burn_in):
+    # no step is counted, which used to score 0.0, as an invariant su-state
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    with pytest.raises(ConfigurationError, match="n_iter > burn_in"):
+        sl.su_state_probe(system, p, loop, n_iter=n_iter, burn_in=burn_in)
+
+
 # --- scalar references: one orbit and one fiber point at a time --------------
 
 
@@ -250,6 +260,30 @@ def _scalar_su_state_probe(sys, loop, bins, n_iter, n_points, seed, burn_in):
     return worst
 
 
+def _scalar_area_defect(loop, grid):
+    worst = 0.0
+    for a in range(grid):
+        for b in range(grid):
+            t = ((a + 0.5) / grid, (b + 0.5) / grid)
+            worst = max(worst, abs(fm.mat_det(loop.apply(t)[1]) - 1.0))
+    return worst
+
+
+def _scalar_twisting_sample(sys, loop, params):
+    """The first n_K grid points, u slowest, whose Oseledets frames converge."""
+    side = max(2, int(math.ceil(math.sqrt(params.n_K))))
+    K = []
+    for a in range(side):
+        for b in range(side):
+            t = ((a + 0.5) / side, (b + 0.5) / side)
+            frame = oseledets_frame(
+                sys, loop.p, t, depth=params.frame_depth, delta_pinch=params.delta_pinch
+            )
+            if frame.converged and len(K) < params.n_K:
+                K.append((t, frame))
+    return K
+
+
 def _scalar_exponent_grid(sys, p, grid, n_steps, renorm_every=16):
     g = return_map(sys, p)
     out = np.empty((grid, grid))
@@ -281,9 +315,22 @@ def test_su_state_probe_matches_scalar_reference(make_system):
     assert score == _scalar_su_state_probe(system, loop, **kw)
     starts = [(0.125, 0.375), (0.9, 0.05), (0.3, 0.6)]
     seeds = [derive_seed(5, k) for k in range(len(starts))]
-    hists = criterion._direction_histograms(system, starts, seeds, 16, 50, 5)
+    u, v = (np.array(c) for c in zip(*starts))
+    hists = criterion._direction_histograms(system, u, v, seeds, 16, 50, 5)
     for h, t, s in zip(hists, starts, seeds):
         assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s).tobytes()
+
+
+@pytest.mark.parametrize("T", [0.5, 0.0])
+def test_loop_grid_checks_match_scalar_reference(T):
+    system = twisted_cat_system(T=T)
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    assert loop.area_defect(grid=5) == _scalar_area_defect(loop, 5)
+    params = sl.TwistingParams(n_K=7, j_max=4, frame_depth=40)
+    K = sl.check_twisting(system, loop, params).K_sample
+    assert K == _scalar_twisting_sample(system, loop, params)
+    assert all(type(c) is float for t, _ in K for c in t)
 
 
 @pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)

@@ -133,6 +133,41 @@ def test_area_preservation(f):
     assert fm.area_preservation_defect(f, 1000, seed=1) < 1e-12
 
 
+def _scalar_area_preservation_defect(f, n_samples, seed):
+    worst = 0.0
+    for i in range(n_samples):
+        _, d = f.apply(fm.random_point(seed, 0, i))
+        defect = abs(fm.mat_det(d) - 1.0)
+        if defect > worst:
+            worst = defect
+    return worst
+
+
+@pytest.mark.parametrize("f", BATCH_KINDS, ids=lambda f: f.kind)
+def test_area_preservation_defect_matches_scalar_reference(f):
+    for n_samples, seed in ((1, 0), (37, 5), (1000, 1)):
+        got = fm.area_preservation_defect(f, n_samples, seed)
+        assert got == _scalar_area_preservation_defect(f, n_samples, seed)
+
+
+@pytest.mark.parametrize("side", [0, 1, 2, 7])
+def test_grid_points_are_cell_centres_u_slowest(side):
+    u, v = fm.grid_points(side)
+    want = [((i + 0.5) / side, (j + 0.5) / side) for i in range(side) for j in range(side)]
+    assert u.dtype == v.dtype == np.float64
+    assert list(zip(u.tolist(), v.tolist())) == want
+
+
+@pytest.mark.parametrize("grid, n_random", [(0, 0), (0, 5), (3, 0), (4, 9)])
+@pytest.mark.parametrize("seed, stream_id", [(0, 1), (7, 1003)])
+def test_sample_points_are_grid_then_random_points(grid, n_random, seed, stream_id):
+    u, v = fm.sample_points(grid, n_random, seed, stream_id)
+    want = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
+    want += [fm.random_point(seed, stream_id, i) for i in range(n_random)]
+    assert u.shape == v.shape == (grid * grid + n_random,)
+    assert list(zip(u.tolist(), v.tolist())) == want
+
+
 @pytest.mark.parametrize("f", MAP_KINDS, ids=lambda f: f.kind)
 def test_derivative_matches_finite_differences(f):
     h = 1e-6

@@ -221,7 +221,7 @@ def test_locally_constant_depth4_unstable_holonomy_is_exact():
     strict=True,
     raises=NonConvergenceError,
     reason="known defect: linear holonomy increments fall to ~1e-8, then grow "
-    "to the overflow guard on these Holder stable pairs",
+    "until the truncation stops at n_max on these Holder stable pairs",
 )
 @pytest.mark.parametrize("k", [8, 32, 41, 83])
 def test_linear_stable_holonomy_converges_on_holder_pairs(k):

@@ -98,16 +98,16 @@ def test_forward_backward_symmetry():
 def test_pinching_integral_cat():
     system = cat_system()
     p = sl.PeriodicPoint((0,))
-    val = sl.pinching_integral(system, p, grid=8, n_steps=300)
+    val = sl.check_pinching(system, p, grid=8, n_steps=300).integral
     assert abs(val - LOG_CAT) < 1e-2
 
 
 def test_pinching_integral_identity_and_rotation():
     p = sl.PeriodicPoint((0,))
     ident = lc_system(identity_map(), identity_map())
-    assert sl.pinching_integral(ident, p, grid=4, n_steps=50) == 0.0
+    assert sl.check_pinching(ident, p, grid=4, n_steps=50).integral == 0.0
     rot = rotation_system()
-    assert abs(sl.pinching_integral(rot, p, grid=4, n_steps=50)) < 1e-2
+    assert abs(sl.check_pinching(rot, p, grid=4, n_steps=50).integral) < 1e-2
 
 
 def test_return_map_composes_over_the_period():

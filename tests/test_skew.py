@@ -21,6 +21,7 @@ from _common import (
     bernoulli2,
     cat_map,
     cat_system,
+    golden_mean_system,
     holder_system,
     identity_map,
     lc_system,
@@ -147,6 +148,61 @@ def test_c1_distance_single_generator_gap():
     assert sl.c1_distance(sys_f, sys_g) == pytest.approx(
         fiber_c1_distance(b, b2, 32, 200, 0)
     )
+
+
+def _scalar_fiber_c1_distance(f, g, grid, n_random, seed):
+    worst = 0.0
+    pts = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
+    pts.extend(fm.random_point(seed, 1, i) for i in range(n_random))
+    for t in pts:
+        tf, df = f.apply(t)
+        tg, dg = g.apply(t)
+        gap = fm.torus_distance(tf, tg) + fm.mat_sub_norm(df, dg)
+        if gap > worst:
+            worst = gap
+    return worst
+
+
+_TWIST = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
+C1_MAPS = [
+    cat_map(),
+    fm.StandardMap(1.0),
+    fm.StandardMap(1.4).inverse(),
+    _TWIST,
+    fm.Composite([cat_map(), _TWIST]),
+    fm.Composite([fm.StandardMap(0.8), fm.LocalizedTwist((0.97, 0.02), 0.2, -1.1)]),
+]
+
+
+@pytest.mark.parametrize("f", C1_MAPS, ids=lambda f: f.kind)
+def test_fiber_c1_distance_matches_scalar_reference(f):
+    for g in C1_MAPS:
+        for grid, n_random, seed in ((16, 100, 0), (5, 0, 1), (0, 7, 3), (0, 0, 0)):
+            got = fiber_c1_distance(f, g, grid, n_random, seed)
+            assert got == _scalar_fiber_c1_distance(f, g, grid, n_random, seed)
+
+
+def test_c1_distance_golden_mean_covers_every_word():
+    # word (1,) has no periodic point on the golden-mean shift; it used to be skipped
+    sys_f, sys_g = golden_mean_system(0.7), golden_mean_system(0.0)
+    want = max(
+        _scalar_fiber_c1_distance(sys_f.family.table[w], sys_g.family.table[w], 32, 200, 0)
+        for w in sys_f.family.table
+    )
+    assert want > 5.0
+    assert sl.c1_distance(sys_f, sys_g) == want
+
+
+def test_generator_base_points():
+    system = golden_mean_system()
+    table = system.family.table
+    xs = skew.generator_base_points(system, 5, 0, 11)
+    assert [system.fiber_map_at(x) for x in xs] == [table[(0,)], table[(1,)]]
+    holder = holder_system()
+    xs = skew.generator_base_points(holder, 3, 4, 11)
+    stream = sl.derive_seed(4, 11)
+    want = [sl.sample_sequence(holder.space, holder.measure, stream, i) for i in range(3)]
+    assert [x.symbols(-20, 20).tolist() for x in xs] == [x.symbols(-20, 20).tolist() for x in want]
 
 
 def test_with_generator():
