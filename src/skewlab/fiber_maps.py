@@ -57,12 +57,6 @@ def mat_det(m):
     return m[0] * m[3] - m[1] * m[2]
 
 
-def mat_inv_det1(m):
-    """Inverse of a determinant-one matrix."""
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
 def mat_norm(m):
     """Spectral norm of a 2x2 matrix, in closed form."""
     a, b, c, d = m

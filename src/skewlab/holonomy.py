@@ -1,15 +1,24 @@
 """Stable/unstable holonomies as truncated limits, with diagnostics.
 
-Non-linear holonomies are limits of (f^n_y)^{-1} o f^n_x along stable
-pairs; linear holonomies are the analogous limits for the derivative
-cocycle.  Unstable holonomies reuse the same code path on the inverted
-dynamics: both walk the orbits of x and y with ``skew.orbit_maps``.
-Truncation stops once successive increments fall below the query
+Non-linear holonomies are limits of h^n = (f^n_y)^{-1} o f^n_x along stable
+pairs; unstable holonomies are the same limits along the backward orbits.
+One truncation serves both the point and the linear holonomy: each n
+extends f^n_x(t) by one step along x and maps it back through the n
+inverses along y (both orbits walked once, with ``skew.orbit_maps``), and
+the derivatives those ``apply`` calls return give Dh^n(t) =
+D[(f^n_y)^{-1}](f^n_x(t)) . Df^n_x(t) by the chain rule.  The point and the
+matrix each freeze once their own increments fall below the query
 tolerance: two in a row for smooth families, where a single increment can
 vanish by accident; for a locally constant family of depth D, the first
 one from the (D - 1)-th increment on, since the truncations are exactly
 stationary from there (earlier increments can vanish while x and y still
 read different words).
+
+Every Dh^n(t) has determinant 1, so |det - 1| measures rounding, which the
+expanding products amplify.  For smooth families the linear truncation
+raises ``NonConvergenceError`` once it reaches the tolerance: past it, the
+increments can fall below tol on rounding noise alone.  Locally constant
+families skip this guard, because their stop is exact stationarity.
 """
 
 import math
@@ -22,9 +31,6 @@ from . import fiber_maps as fm
 from .base_shift import distance
 from .errors import ConfigurationError, NonConvergenceError
 from .skew import generator_base_points, orbit_maps
-
-_OVERFLOW_GUARD = 1e120
-
 
 @dataclass
 class BunchingReport:
@@ -90,6 +96,8 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     lam = sys.space.metric_base
     base_points = generator_base_points(sys, n_base, seed, 23)
     u, v = fm.sample_points(grid, n_fiber, seed, 1003)  # random_fiber_point(seed, i, stream=3)
+    if not base_points or len(u) == 0:
+        raise ConfigurationError("fiber_bunching_margin sampled no base or fiber point")
     worst = 0.0
     for x in base_points:
         for f in next(orbit_maps(sys, x, n=1)):
@@ -132,75 +140,72 @@ def _stop_ok(sys, increments, tol):
     return len(increments) >= 2 and increments[-2] < tol
 
 
-def stable_holonomy_point(sys, q, t):
-    """Holonomy image of a fiber point, with convergence diagnostics.
+def _diagnostics(sys, q, increments, n, displacement):
+    diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
+    d = q.pair_distance
+    if d > 0.0:
+        diag.holder_ratio = displacement / d ** sys.holder_alpha
+    return diag
 
-    The n-th truncation is h^n(t) = (f^n_y)^{-1}(f^n_x(t)), or its mirror
-    along the backward orbits for unstable queries; f^n_x(t) and the list
-    of inverses along y grow by one step per n.
-    """
+
+def _truncate(sys, q, t, linear):
+    """One walk of both orbits: ((h(t), diag), (Dh(t), diag) or None)."""
     backward = q.direction == "unstable"
     walk_x = orbit_maps(sys, q.x, backward)
     walk_y = orbit_maps(sys, q.y, backward)
     y_inverses = []
-    s = t
-    increments = []
-    prev = t
+    s, px = t, fm.IDENTITY
+    prev, prev_m = t, fm.IDENTITY
+    increments, m_increments = [], []
+    point = jet = None
     for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
-        s = f_x.apply(s)[0]
+        s, d = f_x.apply(s)
         y_inverses.append(g_y)
         cur = s
-        for g in reversed(y_inverses):
-            cur = g.apply(cur)[0]
-        inc = fm.torus_distance(cur, prev)
-        increments.append(inc)
-        prev = cur
-        if _stop_ok(sys, increments, q.tol):
-            diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
-            d = q.pair_distance
-            if d > 0.0:
-                diag.holder_ratio = fm.torus_distance(cur, t) / d ** sys.holder_alpha
-            return cur, diag
+        if linear and jet is None:
+            px = m = fm.mat_mul(d, px)
+            for g in reversed(y_inverses):
+                cur, d = g.apply(cur)
+                m = fm.mat_mul(d, m)
+            m_increments.append(fm.mat_sub_norm(m, prev_m))
+            prev_m = m
+            drift = fm.mat_det(m) - 1.0
+            if not sys.is_locally_constant and abs(drift) >= q.tol:
+                raise NonConvergenceError(
+                    "linear holonomy truncation lost precision at n=%d: "
+                    "det - 1 = %.3g" % (n, drift),
+                    ConvergenceDiagnostics(m_increments, _fit_theta(m_increments), n),
+                )
+            if _stop_ok(sys, m_increments, q.tol):
+                jet = m, _diagnostics(
+                    sys, q, m_increments, n, fm.mat_sub_norm(m, fm.IDENTITY)
+                )
+        else:
+            for g in reversed(y_inverses):
+                cur = g.apply(cur)[0]
+        if point is None:
+            increments.append(fm.torus_distance(cur, prev))
+            prev = cur
+            if _stop_ok(sys, increments, q.tol):
+                point = cur, _diagnostics(sys, q, increments, n, fm.torus_distance(cur, t))
+        if point is not None and (jet is not None or not linear):
+            return point, jet
+    kind, incs = ("", increments) if point is None else ("linear ", m_increments)
     raise NonConvergenceError(
-        "holonomy truncation did not converge within n_max=%d" % q.n_max,
-        ConvergenceDiagnostics(increments, _fit_theta(increments), q.n_max),
+        "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
+        ConvergenceDiagnostics(incs, _fit_theta(incs), q.n_max),
     )
+
+
+def stable_holonomy_point(sys, q, t):
+    """Holonomy image of a fiber point, with convergence diagnostics."""
+    return _truncate(sys, q, t, linear=False)[0]
 
 
 def stable_holonomy_jet(sys, q, t):
-    """(h^s(t), linear holonomy, its diagnostics) from one point truncation."""
-    t_y, _ = stable_holonomy_point(sys, q, t)
-    backward = q.direction == "unstable"
-    walk_x = orbit_maps(sys, q.x, backward)
-    walk_y = orbit_maps(sys, q.y, backward)
-    px = fm.IDENTITY
-    py = fm.IDENTITY
-    tx, ty = t, t_y
-    prev = fm.IDENTITY
-    increments = []
-    for n, (fx, _), (fy, _) in zip(range(1, q.n_max + 1), walk_x, walk_y):
-        tx, dx = fx.apply(tx)
-        ty, dy = fy.apply(ty)
-        px = fm.mat_mul(dx, px)
-        py = fm.mat_mul(dy, py)
-        if fm.mat_norm(px) > _OVERFLOW_GUARD or fm.mat_norm(py) > _OVERFLOW_GUARD:
-            break
-        cur = fm.mat_mul(fm.mat_inv_det1(py), px)
-        inc = fm.mat_sub_norm(cur, prev)
-        increments.append(inc)
-        prev = cur
-        if _stop_ok(sys, increments, q.tol):
-            diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
-            d = q.pair_distance
-            if d > 0.0:
-                diag.holder_ratio = (
-                    fm.mat_sub_norm(cur, fm.IDENTITY) / d ** sys.holder_alpha
-                )
-            return t_y, cur, diag
-    raise NonConvergenceError(
-        "linear holonomy truncation did not converge within n_max=%d" % q.n_max,
-        ConvergenceDiagnostics(increments, _fit_theta(increments), len(increments)),
-    )
+    """(h^s(t), linear holonomy, its diagnostics) from one truncation."""
+    (t_y, _), (m, diag) = _truncate(sys, q, t, linear=True)
+    return t_y, m, diag
 
 
 def linear_stable_holonomy(sys, q, t):

@@ -309,6 +309,8 @@ def iterate_cocycle(sys, x, t, n, renorm_every=16):
 def fiber_c1_distance(f, g, grid=64, n_random=1000, seed=0):
     """sup over sampled fiber points of displacement + derivative gap."""
     u, v = fm.sample_points(grid, n_random, seed, 1)
+    if len(u) == 0:
+        raise ConfigurationError("fiber_c1_distance needs grid or n_random >= 1")
     fu, fv, df = f.apply_many(u, v)
     gu, gv, dg = g.apply_many(u, v)
     du, dv = fm.torus_delta((fu, fv), (gu, gv))
@@ -340,8 +342,11 @@ def c1_distance(sys_f, sys_g, n_base_samples=100, grid=32, n_random=200, seed=0)
     """Estimate of sup_x d_C1(f_x, g_x) over sampled base points."""
     if sys_f.space.alphabet_size != sys_g.space.alphabet_size:
         raise ConfigurationError("systems live over different bases")
+    base_points = generator_base_points(sys_f, n_base_samples, seed, 11)
+    if not base_points:
+        raise ConfigurationError("c1_distance needs n_base_samples >= 1")
     worst = 0.0
-    for x in generator_base_points(sys_f, n_base_samples, seed, 11):
+    for x in base_points:
         gap = fiber_c1_distance(
             sys_f.fiber_map_at(x), sys_g.fiber_map_at(x), grid, n_random, seed
         )
@@ -372,6 +377,8 @@ def holder_estimate(sys, n_pairs=100, seed=0, grid=16, n_random=100):
         declared = sys.family.holder_constant()
     if not sys.space.is_full_shift:
         raise ConfigurationError("holder_estimate pair splicing needs a full shift")
+    if n_pairs < 1:
+        raise ConfigurationError("holder_estimate needs n_pairs >= 1")
     h_hat = 0.0
     witness = None
     for k in range(n_pairs):

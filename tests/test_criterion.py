@@ -11,7 +11,7 @@ import skewlab.criterion as criterion
 import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
 from skewlab.criterion import SweepRow
-from skewlab.errors import ConfigurationError, NonConvergenceError, SkewlabError
+from skewlab.errors import ConfigurationError, SkewlabError
 from skewlab.lyapunov import oseledets_frame, return_map, return_map_exponent_grid
 from skewlab.rng import derive_seed
 from skewlab.skew import accumulate_cocycle, orbit_maps
@@ -87,35 +87,31 @@ def test_loop_apply_matches_separate_point_and_linear_passes(make_system):
     loop = sl.build_holonomy_loop(system, p, z, i)
     assert isinstance(loop, fm.FiberMap)
     ref_h, ref_H = _reference_loop(system, p, z, i)
-    for k in range(60, 80):  # the Holder linear holonomy fails at k = 72
+    for k in range(60, 80):
         t = fm.random_point(3, 7, k)
-        try:
-            expected = (ref_h(t), ref_H(t))
-        except NonConvergenceError:
-            with pytest.raises(NonConvergenceError):
-                loop.apply(t)
-            continue
+        expected = (ref_h(t), ref_H(t))
         assert loop.apply(t) == expected
         assert loop(t) == loop.h(t) == expected[0]
         assert loop.H_at(t) == expected[1]
 
 
-def test_loop_step_runs_two_point_holonomies(monkeypatch):
+def test_loop_step_walks_each_orbit_once(monkeypatch):
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    original = holonomy.stable_holonomy_point
-    calls = []
+    original = holonomy.orbit_maps
+    walks = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return original(*args, **kwargs)
 
-    # criterion would see the counter too if it imported the function by name
+    # criterion would see the counter too if it walked orbits inside apply
     for module in (holonomy, criterion):
-        monkeypatch.setattr(module, "stable_holonomy_point", counted, raising=False)
+        monkeypatch.setattr(module, "orbit_maps", counted)
     loop.apply((0.3, 0.7))
-    assert len(calls) == 2
+    # one unstable and one stable truncation, each walking x and y once
+    assert len(walks) == 4
 
 
 def test_loop_linear_part_matches_finite_differences():

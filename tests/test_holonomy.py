@@ -47,6 +47,19 @@ def test_bunching_beta_validation():
         sl.fiber_bunching_margin(cat_system(), beta=0.0)
 
 
+def test_bunching_rejects_empty_samples():
+    # n_base=0 used to report worst_margin=0.0, satisfied=True; an empty
+    # fiber sample divided by zero
+    with pytest.raises(ConfigurationError):
+        sl.fiber_bunching_margin(holder_system(), beta=1.0, n_base=0)
+    for system in (holder_system(), cat_system()):
+        with pytest.raises(ConfigurationError):
+            sl.fiber_bunching_margin(system, beta=1.0, grid=0, n_fiber=0)
+    # a locally constant family evaluates every generator whatever n_base is
+    report = sl.fiber_bunching_margin(cat_system(metric_base=0.5), beta=1.0, n_base=0)
+    assert report.worst_margin == pytest.approx(CAT_RATIO * 0.5, rel=1e-9)
+
+
 def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     """fiber_bunching_margin one fiber point at a time (the reference)."""
     if sys.is_locally_constant:
@@ -217,17 +230,70 @@ def test_locally_constant_depth4_unstable_holonomy_is_exact():
     assert fm.torus_distance(img, exact) < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NonConvergenceError,
-    reason="known defect: linear holonomy increments fall to ~1e-8, then grow "
-    "until the truncation stops at n_max on these Holder stable pairs",
-)
-@pytest.mark.parametrize("k", [8, 32, 41, 83])
+# k = 8, 32, 41, 83 diverge if Df^n_x(t) is paired with Df^n_y at an approximate h(t)
+@pytest.mark.parametrize("k", range(100))
 def test_linear_stable_holonomy_converges_on_holder_pairs(k):
     system = holder_system()
     x, y = stable_pair(system, 29, k)
-    q = sl.HolonomyQuery("stable", x, y)
+    q = sl.HolonomyQuery("stable", x, y, tol=1e-9)
     t = sl.random_fiber_point(29, k, stream=2)
     m, _ = sl.linear_stable_holonomy(system, q, t)
-    assert abs(fm.mat_det(m) - 1.0) < 1e-8
+    assert abs(fm.mat_det(m) - 1.0) < 1e-10
+
+
+def _central_difference(system, q, t, h=1e-5):
+    cols = []
+    for du, dv in ((h, 0.0), (0.0, h)):
+        plus, _ = sl.stable_holonomy_point(system, q, ((t[0] + du) % 1.0, (t[1] + dv) % 1.0))
+        minus, _ = sl.stable_holonomy_point(system, q, ((t[0] - du) % 1.0, (t[1] - dv) % 1.0))
+        delta = fm.torus_delta(plus, minus)
+        cols.append((delta[0] / (2 * h), delta[1] / (2 * h)))
+    return (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+
+
+@pytest.mark.parametrize("k", [8, 32, 41, 83])
+def test_linear_holonomy_matches_finite_differences(k):
+    system = holder_system()
+    x, y = stable_pair(system, 29, k)
+    t = sl.random_fiber_point(29, k, stream=2)
+    m, _ = sl.linear_stable_holonomy(system, sl.HolonomyQuery("stable", x, y), t)
+    fd = _central_difference(system, sl.HolonomyQuery("stable", x, y, tol=1e-13), t)
+    assert fm.mat_sub_norm(m, fd) < 1e-7
+
+
+def test_linear_holonomy_below_rounding_floor_raises():
+    # At tol 1e-10 the expanding products lose det 1 before the increments
+    # settle; without the det guard this pair "converges" at n = 131 with
+    # det - 1 = -52.
+    system = holder_system()
+    x, y = stable_pair(system, 29, 83)
+    q = sl.HolonomyQuery("stable", x, y, tol=1e-10)
+    with pytest.raises(NonConvergenceError, match="det - 1"):
+        sl.linear_stable_holonomy(system, q, sl.random_fiber_point(29, 83, stream=2))
+
+
+@pytest.mark.parametrize("make_system", [twisted_cat_system, golden_mean_system])
+def test_locally_constant_linear_holonomy_answers_at_tight_tol(make_system):
+    # No det guard for LC families: their stop is exact stationarity.
+    system = make_system()
+    for k in range(40):
+        for direction, pair in (("stable", stable_pair), ("unstable", unstable_pair)):
+            x, y = pair(system, 29, k)
+            q = sl.HolonomyQuery(direction, x, y, tol=1e-16)
+            sl.linear_stable_holonomy(system, q, sl.random_fiber_point(29, k, stream=2))
+
+
+def test_linear_holonomy_stops_on_its_own_increments():
+    # At tol 1e-16 the points need 3 and 4 steps; the matrix is exactly the
+    # identity from n = 1.  Running the matrix on until the point stops
+    # amplifies rounding to entries of 1e3 and 7e24 on these pairs.
+    system = twisted_cat_system()
+    for k in (4, 9):
+        x, y = unstable_pair(system, 29, k)
+        q = sl.HolonomyQuery("unstable", x, y, tol=1e-16)
+        t = sl.random_fiber_point(29, k, stream=2)
+        _, diag = sl.stable_holonomy_point(system, q, t)
+        m, mdiag = sl.linear_stable_holonomy(system, q, t)
+        assert diag.stopped_at > 2
+        assert mdiag.stopped_at == 1
+        assert m == fm.IDENTITY

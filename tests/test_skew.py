@@ -177,9 +177,26 @@ C1_MAPS = [
 @pytest.mark.parametrize("f", C1_MAPS, ids=lambda f: f.kind)
 def test_fiber_c1_distance_matches_scalar_reference(f):
     for g in C1_MAPS:
-        for grid, n_random, seed in ((16, 100, 0), (5, 0, 1), (0, 7, 3), (0, 0, 0)):
+        for grid, n_random, seed in ((16, 100, 0), (5, 0, 1), (0, 7, 3)):
             got = fiber_c1_distance(f, g, grid, n_random, seed)
             assert got == _scalar_fiber_c1_distance(f, g, grid, n_random, seed)
+
+
+def test_c1_checks_reject_empty_samples():
+    # an empty sample used to read 0.0, the value for C1-equal systems
+    cat, twisted, holder = cat_system(), twisted_cat_system(), holder_system()
+    with pytest.raises(ConfigurationError):
+        fiber_c1_distance(cat_map(), fm.StandardMap(1.0), grid=0, n_random=0)
+    with pytest.raises(ConfigurationError):
+        sl.c1_distance(cat, twisted, grid=0, n_random=0)
+    with pytest.raises(ConfigurationError):
+        sl.c1_distance(holder, holder_system(eps=0.1), n_base_samples=0)
+    with pytest.raises(ConfigurationError):
+        sl.holder_estimate(holder, grid=0, n_random=0)
+    with pytest.raises(ConfigurationError):
+        sl.holder_estimate(holder, n_pairs=0)
+    # a locally constant family evaluates every generator whatever n_base_samples is
+    assert sl.c1_distance(cat, twisted, n_base_samples=0) > 0.0
 
 
 def test_c1_distance_golden_mean_covers_every_word():
