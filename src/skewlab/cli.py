@@ -74,7 +74,6 @@ def cmd_exponent(cfg, out_dir):
         cfg.get_int("run", "n_orbits", 100),
         cfg.get_int("run", "n_steps", 1000),
         cfg.get_int("run", "seed", required=True),
-        cfg.get_int("run", "renorm_every", 16),
     )
     write_csv(
         os.path.join(out_dir, "exponent.csv"),

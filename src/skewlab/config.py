@@ -19,7 +19,7 @@ _ALLOWED_KEYS = {
     "fiber": None,  # g0..gN, validated by pattern
     "skew": {"family", "depth", "assign", "K0", "eps", "alpha", "window"},
     "run": {
-        "seed", "n_orbits", "n_steps", "renorm_every", "tol", "n_max", "grid",
+        "seed", "n_orbits", "n_steps", "tol", "n_max", "grid",
         "beta", "delta_pinch", "epsilon_twist", "fraction_required",
         "eps_K", "j_max", "n_K", "frame_depth",
     },

@@ -22,7 +22,7 @@ from .lyapunov import (
     DELTA_PINCH,
     GENERIC_DIRECTION,
     integrated_exponent,
-    oseledets_frame,
+    oseledets_frames,
     return_map_exponent_grid,
 )
 from .rng import derive_seed
@@ -180,15 +180,12 @@ def check_twisting(sys, loop, params=TwistingParams()):
     recurrences of an integer toral generator with zero separation.
     """
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
-    K = []
-    for t in zip(*(c.tolist() for c in fm.grid_points(side))):
-        if len(K) >= params.n_K:
-            break
-        frame = oseledets_frame(
-            sys, loop.p, t, depth=params.frame_depth, delta_pinch=params.delta_pinch
-        )
-        if frame.converged:
-            K.append((t, frame))
+    u, v = fm.grid_points(side)
+    frames = oseledets_frames(
+        sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
+    )
+    K = [(t, f) for t, f in zip(zip(u.tolist(), v.tolist()), frames) if f.converged]
+    K = K[: params.n_K]
     if not K:
         raise SkewlabError(
             "no sample points with converged frames: pinching failed, "
@@ -265,10 +262,8 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     e0, e1 = (np.full(len(xs), c) for c in GENERIC_DIRECTION)
     first_bin = np.repeat(np.arange(len(seeds)) * bins, _PROBE_WORDS)
     counts = np.zeros(len(seeds) * bins)
-    for k, (_, _, (a, b, c, d)) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
-        e0, e1 = a * e0 + b * e1, c * e0 + d * e1
-        n = fm.elementwise(math.hypot, e0, e1)
-        e0, e1 = e0 / n, e1 / n
+    for k, (_, _, d) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
+        e0, e1 = fm.mat_vec_unit(d, (e0, e1))
         if k >= burn_in:
             angle = fm.elementwise(math.atan2, e1, e0) % math.pi
             bin_ = np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)

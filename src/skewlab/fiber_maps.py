@@ -26,10 +26,6 @@ IDENTITY = (1.0, 0.0, 0.0, 1.0)
 TWO_PI = 2.0 * math.pi
 
 
-def wrap(t):
-    return (t[0] % 1.0, t[1] % 1.0)
-
-
 def torus_delta(a, b):
     """Shortest displacement from b to a, componentwise in [-1/2, 1/2)."""
     du = (a[0] - b[0] + 0.5) % 1.0 - 0.5
@@ -51,6 +47,13 @@ def mat_mul(m, n):
 def mat_vec(m, v):
     a, b, c, d = m
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def mat_vec_unit(m, v):
+    """m v scaled to unit length, over arrays of vectors v = (x, y)."""
+    x, y = mat_vec(m, v)
+    n = elementwise(math.hypot, x, y)
+    return x / n, y / n
 
 
 def mat_det(m):

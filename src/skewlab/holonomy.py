@@ -15,10 +15,9 @@ stationary from there (earlier increments can vanish while x and y still
 read different words).
 
 Every Dh^n(t) has determinant 1, so |det - 1| measures rounding, which the
-expanding products amplify.  For smooth families the linear truncation
-raises ``NonConvergenceError`` once it reaches the tolerance: past it, the
-increments can fall below tol on rounding noise alone.  Locally constant
-families skip this guard, because their stop is exact stationarity.
+expanding products amplify.  The linear truncation raises
+``NonConvergenceError`` once it reaches the tolerance: past it, the
+increments can fall below tol on rounding noise alone.
 """
 
 import math
@@ -43,9 +42,21 @@ class BunchingReport:
 @dataclass
 class ConvergenceDiagnostics:
     increments: list
-    fitted_theta: float
     stopped_at: int
-    holder_ratio: float = 0.0
+
+    @property
+    def fitted_theta(self):
+        """Least-squares decay rate of the positive increments."""
+        return _fit_rate(self.increments, 0.0)
+
+
+def _fit_rate(values, floor):
+    """exp of the least-squares slope of log values[n] over the values above floor."""
+    pts = [(n, math.log(v)) for n, v in enumerate(values) if v > floor]
+    if len(pts) < 2:
+        return 0.0
+    ns, ls = np.array(pts, dtype=float).T
+    return float(math.exp(np.polyfit(ns, ls, 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -71,17 +82,6 @@ class HolonomyQuery:
     @cached_property
     def pair_distance(self):
         return distance(self.x, self.y)
-
-
-def _fit_theta(increments):
-    """Least-squares decay rate of the positive increments."""
-    pts = [(n, math.log(v)) for n, v in enumerate(increments) if v > 0.0]
-    if len(pts) < 2:
-        return 0.0
-    ns = np.array([p[0] for p in pts], dtype=float)
-    ls = np.array([p[1] for p in pts], dtype=float)
-    slope = np.polyfit(ns, ls, 1)[0]
-    return float(math.exp(slope))
 
 
 def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
@@ -140,14 +140,6 @@ def _stop_ok(sys, increments, tol):
     return len(increments) >= 2 and increments[-2] < tol
 
 
-def _diagnostics(sys, q, increments, n, displacement):
-    diag = ConvergenceDiagnostics(increments, _fit_theta(increments), n)
-    d = q.pair_distance
-    if d > 0.0:
-        diag.holder_ratio = displacement / d ** sys.holder_alpha
-    return diag
-
-
 def _truncate(sys, q, t, linear):
     """One walk of both orbits: ((h(t), diag), (Dh(t), diag) or None)."""
     backward = q.direction == "unstable"
@@ -170,16 +162,14 @@ def _truncate(sys, q, t, linear):
             m_increments.append(fm.mat_sub_norm(m, prev_m))
             prev_m = m
             drift = fm.mat_det(m) - 1.0
-            if not sys.is_locally_constant and abs(drift) >= q.tol:
+            if abs(drift) >= q.tol:
                 raise NonConvergenceError(
                     "linear holonomy truncation lost precision at n=%d: "
                     "det - 1 = %.3g" % (n, drift),
-                    ConvergenceDiagnostics(m_increments, _fit_theta(m_increments), n),
+                    ConvergenceDiagnostics(m_increments, n),
                 )
             if _stop_ok(sys, m_increments, q.tol):
-                jet = m, _diagnostics(
-                    sys, q, m_increments, n, fm.mat_sub_norm(m, fm.IDENTITY)
-                )
+                jet = m, ConvergenceDiagnostics(m_increments, n)
         else:
             for g in reversed(y_inverses):
                 cur = g.apply(cur)[0]
@@ -187,13 +177,13 @@ def _truncate(sys, q, t, linear):
             increments.append(fm.torus_distance(cur, prev))
             prev = cur
             if _stop_ok(sys, increments, q.tol):
-                point = cur, _diagnostics(sys, q, increments, n, fm.torus_distance(cur, t))
+                point = cur, ConvergenceDiagnostics(increments, n)
         if point is not None and (jet is not None or not linear):
             return point, jet
     kind, incs = ("", increments) if point is None else ("linear ", m_increments)
     raise NonConvergenceError(
         "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
-        ConvergenceDiagnostics(incs, _fit_theta(incs), q.n_max),
+        ConvergenceDiagnostics(incs, q.n_max),
     )
 
 
@@ -277,10 +267,4 @@ def strong_stable_contraction_rate(sys, q, t, n=20):
         b = next(walk_y)[0].apply(b)[0]
     if len(dists) >= 4:
         dists = dists[1:]  # drop the transient step; fit the asymptotic rate
-    pts = [(k, math.log(v)) for k, v in enumerate(dists) if v > 1e-14]
-    if len(pts) < 2:
-        return 0.0
-    ks = np.array([p[0] for p in pts], dtype=float)
-    ls = np.array([p[1] for p in pts], dtype=float)
-    slope = np.polyfit(ks, ls, 1)[0]
-    return float(math.exp(slope))
+    return _fit_rate(dists, 1e-14)

@@ -1,22 +1,25 @@
 """Lyapunov exponent estimation along the fiber direction.
 
 Monte Carlo orbits are addressed by counter-based streams derived from
-(seed, orbit_index), so estimates are a pure function of the seed.  An
+(seed, orbit_index), so estimates are a pure function of the seed.  The
+return map g of a periodic point runs on arrays: the pinching grid and
+the Oseledets frames step all their fiber points at once through
+``g.apply_many``, equal bit for bit to one point at a time.  An
 independent projective transfer-operator discretization provides the
 cross-check oracle for random matrix products.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fiber_maps as fm
+from . import skew
 from .base_shift import sample_sequence
 from .errors import ConfigurationError
 from .rng import derive_seed
-from .skew import accumulate_cocycle, iterate_cocycle, orbit_maps, random_fiber_point
+from .skew import iterate_cocycle, orbit_maps, random_fiber_point
 
 DELTA_PINCH = 0.05
 
@@ -46,7 +49,7 @@ class OseledetsFrame:
     depth_used: int
 
 
-def pointwise_exponent(sys, x, t, n, renorm_every=16):
+def pointwise_exponent(sys, x, t, n):
     """(1/n) log ||Df^n_x(t)||; negative n gives the backward exponent.
 
     For n < 0 the value returned is -(1/|n|) log ||Df^n_x(t)||, i.e. the
@@ -55,13 +58,13 @@ def pointwise_exponent(sys, x, t, n, renorm_every=16):
     """
     if n == 0:
         raise ConfigurationError("n must be nonzero")
-    res = iterate_cocycle(sys, x, t, n, renorm_every)
+    res = iterate_cocycle(sys, x, t, n)
     if n > 0:
         return res.log_norm / n
     return -res.log_norm / abs(n)
 
 
-def integrated_exponent(sys, n_orbits, n_steps, seed, renorm_every=16):
+def integrated_exponent(sys, n_orbits, n_steps, seed):
     """Monte Carlo mean of the pointwise exponent over the product measure."""
     if n_orbits < 1 or n_steps < 1:
         raise ConfigurationError("n_orbits and n_steps must be >= 1")
@@ -72,7 +75,7 @@ def integrated_exponent(sys, n_orbits, n_steps, seed, renorm_every=16):
     for i in range(n_orbits):
         x = sample_sequence(sys.space, sys.measure, base_seed, i)
         t = random_fiber_point(fiber_seed, i)
-        res = iterate_cocycle(sys, x, t, n_steps, renorm_every)
+        res = iterate_cocycle(sys, x, t, n_steps)
         values[i] = res.log_norm / n_steps
         defects[i] = res.det_defect
     mean = float(values.mean())
@@ -95,73 +98,91 @@ def return_map(sys, p):
     return fm.Composite(factors)
 
 
-def return_map_exponent_grid(sys, p, grid=64, n_steps=1000, renorm_every=16):
-    """Pointwise exponents of the return cocycle on a fiber grid.
+def _mean_log_norms(g, u, v, n_steps):
+    """(1/n) log ||Dg^n(t)|| at every point t = (u[i], v[i]), for n = n_steps.
 
-    All grid points step together through ``g.apply_many``; the log norm
-    is ``accumulate_cocycle``'s, in array form, so each value equals the
+    All points step together through ``g.apply_many``; the log norm is
+    ``accumulate_cocycle``'s, in array form, so each value equals the
     single-point result bit for bit.
     """
-    g = return_map(sys, p)
-    u, v = fm.grid_points(grid)
     pp, qq, rr, ss = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
-    since = 0
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         u, v, (a, b, c, d) = g.apply_many(u, v)
         pp, qq, rr, ss = a * pp + b * rr, a * qq + b * ss, c * pp + d * rr, c * qq + d * ss
-        since += 1
-        if since == renorm_every:
+        if k % skew.RENORM_EVERY == 0:
             nb = fm.mat_norms(pp, qq, rr, ss)
             log_acc = log_acc + fm.elementwise(math.log, nb)
             pp, qq, rr, ss = pp / nb, qq / nb, rr / nb, ss / nb
-            since = 0
     log_norm = log_acc + fm.elementwise(math.log, fm.mat_norms(pp, qq, rr, ss))
-    return (log_norm / n_steps).reshape(grid, grid)
+    return log_norm / n_steps
 
 
-def _direction_angle(v):
-    return math.atan2(v[1], v[0]) % math.pi
+def return_map_exponent_grid(sys, p, grid=64, n_steps=1000):
+    """Pointwise exponents of the return cocycle on a fiber grid."""
+    g = return_map(sys, p)
+    return _mean_log_norms(g, *fm.grid_points(grid), n_steps).reshape(grid, grid)
 
 
 def projective_gap(a, b):
-    """Acute angle between two projective angles."""
+    """Acute angle between two projective angles (floats or arrays)."""
     d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
+    return np.minimum(d, math.pi - d)
 
 
-def _limit_direction(g, t, depth):
-    """Direction of Dg^depth(g^{-depth}(t)) applied to a generic vector."""
+def _limit_angles(f, f_inv, u, v, depth):
+    """Angles of Df^k(f^{-k}(t)) applied to a generic vector, for k = depth, 2 depth.
+
+    One backward walk of 2 depth steps serves both k; each push starts at
+    the far end of its walk and normalises the vector at every step.
+    """
+    derivs = []
+    for _ in range(2 * depth):
+        u, v, _ = f_inv.apply_many(u, v)
+        derivs.append(f.apply_many(u, v)[2])
+    angles = []
+    for k in (depth, 2 * depth):
+        e = tuple(np.full(u.shape, c) for c in GENERIC_DIRECTION)
+        for d in reversed(derivs[:k]):
+            e = fm.mat_vec_unit(d, e)
+        angles.append(fm.elementwise(math.atan2, e[1], e[0]) % math.pi)
+    return angles
+
+
+def oseledets_frames(sys, p, u, v, depth=200, delta_pinch=DELTA_PINCH, gap_steps=400):
+    """Estimated Oseledets directions of the return cocycle at every (u[i], v[i]).
+
+    The gap is the mean log norm of Dg^gap_steps.  Where it reaches
+    delta_pinch, e_u and e_s are the limit directions of g and g^{-1} at
+    2 depth; the frame has converged when they agree with those at depth
+    to 1e-4 and are more than 1e-6 apart.  All points go through g in one
+    array pass, so each frame equals the single-point computation bit for bit.
+    """
+    g = return_map(sys, p)
+    gaps = _mean_log_norms(g, u, v, gap_steps)
+    frames = [OseledetsFrame(0.0, 0.0, gap, False, depth) for gap in gaps.tolist()]
+    live = np.flatnonzero(gaps >= delta_pinch)
+    if len(live) == 0:
+        return frames
     g_inv = g.inverse()
-    back = [t]
-    for _ in range(depth):
-        back.append(g_inv.apply(back[-1])[0])
-    v = GENERIC_DIRECTION
-    for k in range(depth, 0, -1):
-        _, d = g.apply(back[k])
-        v = fm.mat_vec(d, v)
-        n = math.hypot(*v)
-        v = (v[0] / n, v[1] / n)
-    return _direction_angle(v)
+    e_u_1, e_u_2 = _limit_angles(g, g_inv, u[live], v[live], depth)
+    e_s_1, e_s_2 = _limit_angles(g_inv, g, u[live], v[live], depth)
+    converged = (
+        (projective_gap(e_u_1, e_u_2) < 1e-4)
+        & (projective_gap(e_s_1, e_s_2) < 1e-4)
+        & (projective_gap(e_u_2, e_s_2) > 1e-6)
+    )
+    for i, e_u, e_s, c in zip(
+        live.tolist(), e_u_2.tolist(), e_s_2.tolist(), converged.tolist()
+    ):
+        frames[i] = OseledetsFrame(e_u, e_s, frames[i].gap, c, 2 * depth)
+    return frames
 
 
 def oseledets_frame(sys, p, t, depth=200, delta_pinch=DELTA_PINCH, gap_steps=400):
-    """Estimated Oseledets directions of the return cocycle at a fiber point."""
-    g = return_map(sys, p)
-    gap = accumulate_cocycle(itertools.repeat(g, gap_steps), t)[1] / gap_steps
-    if gap < delta_pinch:
-        return OseledetsFrame(0.0, 0.0, gap, False, depth)
-    g_inv = g.inverse()
-    e_u_1 = _limit_direction(g, t, depth)
-    e_u_2 = _limit_direction(g, t, 2 * depth)
-    e_s_1 = _limit_direction(g_inv, t, depth)
-    e_s_2 = _limit_direction(g_inv, t, 2 * depth)
-    converged = (
-        projective_gap(e_u_1, e_u_2) < 1e-4
-        and projective_gap(e_s_1, e_s_2) < 1e-4
-        and projective_gap(e_u_2, e_s_2) > 1e-6
-    )
-    return OseledetsFrame(e_u_2, e_s_2, gap, converged, 2 * depth)
+    """Estimated Oseledets directions of the return cocycle at one fiber point."""
+    u, v = (np.array([c], dtype=float) for c in t)
+    return oseledets_frames(sys, p, u, v, depth, delta_pinch, gap_steps)[0]
 
 
 def furstenberg_exponent_transfer_operator(

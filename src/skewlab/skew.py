@@ -265,44 +265,42 @@ def orbit_batch(sys, xs, u, v, n):
             yield u, v, d
 
 
-def accumulate_cocycle(maps, t, renorm_every=16):
+RENORM_EVERY = 16  # steps between renormalizations of a running derivative product
+
+
+def accumulate_cocycle(maps, t):
     """Endpoint, log norm, normalized tail and det defect of a map sequence.
 
     The running derivative product is renormalized by its norm every
-    ``renorm_every`` steps; the factored-out norms go into a log
+    RENORM_EVERY steps; the factored-out norms go into a log
     accumulator, so the result is exact up to round-off for up to 1e7 steps.
     """
     p, q, r, s = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
     det_defect = 0.0
-    since = 0
-    for f in maps:
+    for k, f in enumerate(maps, 1):
         t, (a, b, c, d) = f.apply(t)
         defect = abs(a * d - b * c - 1.0)
         if defect > det_defect:
             det_defect = defect
         p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-        since += 1
-        if since == renorm_every:
+        if k % RENORM_EVERY == 0:
             nb = fm.mat_norm((p, q, r, s))
             log_acc += math.log(nb)
             p, q, r, s = p / nb, q / nb, r / nb, s / nb
-            since = 0
     tail_norm = fm.mat_norm((p, q, r, s))
     log_norm = log_acc + math.log(tail_norm)
     tail = (p / tail_norm, q / tail_norm, r / tail_norm, s / tail_norm)
     return t, log_norm, tail, det_defect
 
 
-def iterate_cocycle(sys, x, t, n, renorm_every=16):
+def iterate_cocycle(sys, x, t, n):
     """Orbit endpoint and log operator norm of the derivative product.
 
     Negative n follows the backward orbit with inverted generators.
     """
-    if renorm_every <= 0:
-        raise ConfigurationError("renorm_every must be positive")
     maps = (f for f, _ in orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
-    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t, renorm_every)
+    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
     return CocycleResult(t, log_norm, tail, int(n), det_defect)
 
 

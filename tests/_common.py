@@ -67,6 +67,17 @@ def holder_system(metric_base=1.0 / 16.0, eps=0.05, K0=0.5, alpha=1.0):
     return sl.SkewSystem(space, bernoulli2(), family)
 
 
+# one system per array-path case: LC maps, a twist, zero gap, a Markov base, sin/cos
+BATCH_SYSTEMS = [
+    twisted_cat_system,
+    lambda: twisted_cat_system(T=0.0),
+    rotation_system,
+    golden_mean_system,
+    holder_system,
+]
+BATCH_IDS = ["twisted-cat", "cat-T0", "rotation", "golden-mean", "holder"]
+
+
 def stable_pair(system, seed, k, diff_index=-1):
     """A sampled point and a partner on its local stable set.
 

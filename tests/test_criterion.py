@@ -10,6 +10,7 @@ import skewlab as sl
 import skewlab.criterion as criterion
 import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
+import skewlab.skew as skew
 from skewlab.criterion import SweepRow
 from skewlab.errors import ConfigurationError, SkewlabError
 from skewlab.lyapunov import oseledets_frame, return_map, return_map_exponent_grid
@@ -17,6 +18,8 @@ from skewlab.rng import derive_seed
 from skewlab.skew import accumulate_cocycle, orbit_maps
 
 from _common import (
+    BATCH_IDS,
+    BATCH_SYSTEMS,
     LOG_CAT,
     cat_map,
     cat_system,
@@ -280,25 +283,15 @@ def _scalar_twisting_sample(sys, loop, params):
     return K
 
 
-def _scalar_exponent_grid(sys, p, grid, n_steps, renorm_every=16):
+def _scalar_exponent_grid(sys, p, grid, n_steps):
     g = return_map(sys, p)
     out = np.empty((grid, grid))
     for i in range(grid):
         for j in range(grid):
             t = ((i + 0.5) / grid, (j + 0.5) / grid)
             maps = itertools.repeat(g, n_steps)
-            out[i, j] = accumulate_cocycle(maps, t, renorm_every)[1] / n_steps
+            out[i, j] = accumulate_cocycle(maps, t)[1] / n_steps
     return out
-
-
-BATCH_SYSTEMS = [
-    twisted_cat_system,
-    lambda: twisted_cat_system(T=0.0),
-    rotation_system,
-    golden_mean_system,
-    holder_system,
-]
-BATCH_IDS = ["twisted-cat", "cat-T0", "rotation", "golden-mean", "holder"]
 
 
 @pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
@@ -330,13 +323,15 @@ def test_loop_grid_checks_match_scalar_reference(T):
 
 
 @pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
-def test_pinching_grid_matches_scalar_reference(make_system):
+def test_pinching_grid_matches_scalar_reference(make_system, monkeypatch):
     system = make_system()
     for p in (sl.PeriodicPoint((0,)), sl.PeriodicPoint((0, 1))):  # a map, a composite
         for renorm_every in (16, 5):
-            got = return_map_exponent_grid(system, p, 5, 37, renorm_every)
-            want = _scalar_exponent_grid(system, p, 5, 37, renorm_every)
+            monkeypatch.setattr(skew, "RENORM_EVERY", renorm_every)
+            got = return_map_exponent_grid(system, p, 5, 37)
+            want = _scalar_exponent_grid(system, p, 5, 37)
             assert got.tobytes() == want.tobytes()
+        monkeypatch.undo()
         report = sl.check_pinching(system, p, grid=6, n_steps=50)
         values = _scalar_exponent_grid(system, p, 6, 50)
         assert report.integral == float(values.mean())

@@ -274,13 +274,28 @@ def test_linear_holonomy_below_rounding_floor_raises():
 
 @pytest.mark.parametrize("make_system", [twisted_cat_system, golden_mean_system])
 def test_locally_constant_linear_holonomy_answers_at_tight_tol(make_system):
-    # No det guard for LC families: their stop is exact stationarity.
+    # Depth-1 LC holonomies are exactly I.  Below the rounding floor the det
+    # guard must stop any truncation that drifts: every query raises or
+    # answers within 1e-12 of I.  Unguarded, two of these pairs returned
+    # entries of 1.8e19 and a matrix 2.7e-11 off I.
     system = make_system()
+    must_raise = {
+        golden_mean_system: ("unstable", 2),
+        twisted_cat_system: ("stable", 5),
+    }[make_system]
+    raised = set()
     for k in range(40):
         for direction, pair in (("stable", stable_pair), ("unstable", unstable_pair)):
             x, y = pair(system, 29, k)
             q = sl.HolonomyQuery(direction, x, y, tol=1e-16)
-            sl.linear_stable_holonomy(system, q, sl.random_fiber_point(29, k, stream=2))
+            t = sl.random_fiber_point(29, k, stream=2)
+            try:
+                m, _ = sl.linear_stable_holonomy(system, q, t)
+            except NonConvergenceError:
+                raised.add((direction, k))
+                continue
+            assert fm.mat_sub_norm(m, fm.IDENTITY) < 1e-12
+    assert must_raise in raised
 
 
 def test_linear_holonomy_stops_on_its_own_increments():

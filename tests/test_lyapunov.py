@@ -1,5 +1,6 @@
 """Exponent estimation, Oseledets frames, and the transfer-operator oracle."""
 
+import itertools
 import math
 
 import pytest
@@ -7,9 +8,18 @@ import pytest
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
-from skewlab.lyapunov import projective_gap
+from skewlab.lyapunov import (
+    DELTA_PINCH,
+    GENERIC_DIRECTION,
+    OseledetsFrame,
+    oseledets_frames,
+    projective_gap,
+)
+from skewlab.skew import accumulate_cocycle
 
 from _common import (
+    BATCH_IDS,
+    BATCH_SYSTEMS,
     LOG_CAT,
     SHEAR_LO,
     SHEAR_UP,
@@ -154,6 +164,64 @@ def test_frame_equivariance_under_one_step():
     pushed = fm.mat_vec(d, (math.cos(frame.e_u), math.sin(frame.e_u)))
     frame2 = sl.oseledets_frame(system, p, img, depth=60)
     assert projective_gap(math.atan2(pushed[1], pushed[0]) % math.pi, frame2.e_u) < 1e-4
+
+
+def _limit_direction(g, t, depth):
+    """Direction of Dg^depth(g^{-depth}(t)) applied to a generic vector."""
+    g_inv = g.inverse()
+    back = [t]
+    for _ in range(depth):
+        back.append(g_inv.apply(back[-1])[0])
+    v = GENERIC_DIRECTION
+    for k in range(depth, 0, -1):
+        _, d = g.apply(back[k])
+        v = fm.mat_vec(d, v)
+        n = math.hypot(*v)
+        v = (v[0] / n, v[1] / n)
+    return math.atan2(v[1], v[0]) % math.pi
+
+
+def _gap(a, b):
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def _scalar_frame(sys, p, t, depth, delta_pinch=DELTA_PINCH, gap_steps=400):
+    """One point with the scalar cocycle, each depth walked on its own."""
+    g = sl.return_map(sys, p)
+    gap = accumulate_cocycle(itertools.repeat(g, gap_steps), t)[1] / gap_steps
+    if gap < delta_pinch:
+        return OseledetsFrame(0.0, 0.0, gap, False, depth)
+    g_inv = g.inverse()
+    e_u_1 = _limit_direction(g, t, depth)
+    e_u_2 = _limit_direction(g, t, 2 * depth)
+    e_s_1 = _limit_direction(g_inv, t, depth)
+    e_s_2 = _limit_direction(g_inv, t, 2 * depth)
+    converged = (
+        _gap(e_u_1, e_u_2) < 1e-4 and _gap(e_s_1, e_s_2) < 1e-4 and _gap(e_u_2, e_s_2) > 1e-6
+    )
+    return OseledetsFrame(e_u_2, e_s_2, gap, converged, 2 * depth)
+
+
+@pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
+def test_oseledets_frames_match_scalar_reference(make_system):
+    system = make_system()
+    u, v = fm.sample_points(3, 4, 7, 0)
+    points = list(zip(u.tolist(), v.tolist()))
+    for p in (sl.PeriodicPoint((0,)), sl.PeriodicPoint((0, 1))):  # a map, a composite
+        got = oseledets_frames(system, p, u, v, depth=30, gap_steps=60)
+        want = [_scalar_frame(system, p, t, 30, gap_steps=60) for t in points]
+        assert len(got) == len(points)
+        for g, w in zip(got, want):
+            assert (g.gap, g.e_u, g.e_s, g.converged, g.depth_used) == (
+                w.gap, w.e_u, w.e_s, w.converged, w.depth_used
+            )
+            assert [type(c) for c in (g.gap, g.e_u, g.e_s)] == [float] * 3
+            assert type(g.converged) is bool
+        if make_system is rotation_system:
+            assert all(f.gap < DELTA_PINCH for f in got)
+        one = sl.oseledets_frame(system, p, points[-1], depth=30, gap_steps=60)
+        assert one == want[-1]
 
 
 def test_furstenberg_oracle_properties():

@@ -91,19 +91,18 @@ def test_iterate_cocycle_shear_subexponential():
     assert abs(res.log_norm - math.log(fm.mat_norm((1.0, float(n), 0.0, 1.0)))) < 1e-6
 
 
-def test_renormalization_bookkeeping_is_exact():
+def test_renormalization_bookkeeping_is_exact(monkeypatch):
     system = cat_system()
     x = sl.periodic_point(system.space, (0, 1))
     t = (0.21, 0.43)
     n = 500
-    ref = sl.iterate_cocycle(system, x, t, n, renorm_every=16)
+    ref = sl.iterate_cocycle(system, x, t, n)
     # block size is capped so the raw product stays in floating range
     for renorm in (1, 7, 50, 100):
-        res = sl.iterate_cocycle(system, x, t, n, renorm_every=renorm)
+        monkeypatch.setattr(skew, "RENORM_EVERY", renorm)
+        res = sl.iterate_cocycle(system, x, t, n)
         assert abs(res.log_norm - ref.log_norm) < 1e-8 * n
         assert fm.torus_distance(res.end_point, ref.end_point) < 1e-12
-    with pytest.raises(ConfigurationError):
-        sl.iterate_cocycle(system, x, t, n, renorm_every=0)
 
 
 def test_inverse_duality():
