@@ -8,14 +8,16 @@ two-sided agreement radius.
 Sampled sequences draw their symbols in blocks of consecutive indices, one
 vectorized counter-RNG call per block (``rng.counter_uniforms``).  Bernoulli
 symbols are independent, so their tape keeps a bounded number of blocks and
-draws a dropped block again when it is read; Markov symbols are picked one
-after another from each block's uniforms, outward from index 0.  Both tapes
-pin the cumulative weight of their last positive-weight symbol to 1.0, so
-no uniform below 1 can pick a symbol past it.
+draws a dropped block again when it is read.  Markov symbols are picked one
+after another from each block's uniforms, outward from index 0; their tape
+also keeps a bounded number of blocks, plus one checkpoint symbol per block
+reached, from which it walks a dropped block again.  Both tapes pin the
+cumulative weight of their last positive-weight symbol to 1.0, so no
+uniform below 1 can pick a symbol past it.
 
 ``BaseSequence.symbols`` reads a window of indices as a numpy array: a
 Bernoulli tape draws it with one counter-RNG call, a Markov tape slices its
-lists, and any other lookup is asked one index at a time.
+blocks, and any other lookup is asked one index at a time.
 """
 
 import itertools
@@ -236,7 +238,7 @@ def _stationary_vector(P):
     return v
 
 
-# Indices per counter_uniforms call, and the most blocks a Bernoulli tape holds.
+# Indices per counter_uniforms call, and the most blocks a tape holds.
 _BLOCK = 64
 _MAX_BLOCKS = 64
 
@@ -285,55 +287,75 @@ class _BernoulliTape:
 
 
 class _MarkovTape:
-    """Lazily materialized two-sided stationary Markov sequence.
+    """Lazily drawn two-sided stationary Markov sequence.
 
     Forward symbols follow P; backward symbols follow the time reversal
     P_rev[i][j] = pi[j] P[j][i] / pi[i].  Draws use counter-based uniforms,
     taken a block at a time, so the tape is a pure function of
-    (seed, stream_id).  ``fwd[j]`` holds index j >= 0 and ``bwd[j]`` index
-    -1 - j.
+    (seed, stream_id).  Block b holds indices [b * _BLOCK, (b + 1) * _BLOCK)
+    and is walked outward from index 0: block 0 from a draw from pi, block
+    b > 0 on from the last symbol of block b - 1, block b < 0 back from the
+    first symbol of block b + 1.  ``fwd[b]`` and ``bwd[-1 - b]`` keep that
+    checkpoint symbol for every block reached, so the tape keeps at most
+    _MAX_BLOCKS blocks, as the Bernoulli tape does, and walks a dropped
+    block again from its checkpoint.
     """
 
     def __init__(self, measure, seed, stream_id):
         P = np.asarray(measure.P)
         pi = np.asarray(measure.pi)
+        self.cum_pi = _cumulative(measure.pi)
         self.cum_fwd = [_cumulative(row) for row in P.tolist()]
         self.cum_bwd = [_cumulative(row) for row in ((pi[None, :] * P.T) / pi[:, None]).tolist()]
         self.seed = seed
         self.stream_id = stream_id
-        u = counter_uniforms(seed, stream_id, 0, _BLOCK).tolist()
-        self.fwd = [bisect_right(_cumulative(measure.pi), u[0])]
-        self._walk(self.fwd, self.fwd[0], self.cum_fwd, u[1:])
-        self.bwd = []
+        self.blocks = {}
+        self.fwd = [None]  # block 0 opens with a draw from pi
+        self.bwd = [self._block(0)[0]]
 
     def __call__(self, j):
-        if j >= 0:
-            fwd = self.fwd
-            while j >= len(fwd):
-                n = len(fwd)
-                u = counter_uniforms(self.seed, self.stream_id, n, n + _BLOCK)
-                self._walk(fwd, fwd[-1], self.cum_fwd, u.tolist())
-            return fwd[j]
-        bwd = self.bwd
-        while -1 - j >= len(bwd):
-            n = len(bwd)
-            u = counter_uniforms(self.seed, self.stream_id, -n - _BLOCK, -n)
-            self._walk(bwd, bwd[-1] if bwd else self.fwd[0], self.cum_bwd, u.tolist()[::-1])
-        return bwd[-1 - j]
+        try:
+            return self.blocks[j // _BLOCK][j % _BLOCK]
+        except KeyError:
+            return self._block(j // _BLOCK)[j % _BLOCK]
 
     def window(self, start, stop):
-        if stop > start:
-            self(start)  # extends the tape over the whole window
-            self(stop - 1)
-        fwd = self.fwd[max(start, 0):max(stop, 0)]
-        bwd = self.bwd[max(-stop, 0):max(-start, 0)]
-        return np.array(bwd[::-1] + fwd, dtype=np.intp)
+        out = []
+        for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+            block = self.blocks.get(b) or self._block(b)
+            out += block[max(start - b * _BLOCK, 0):stop - b * _BLOCK]
+        return np.array(out, dtype=np.intp)
+
+    def _block(self, b):
+        """Block b, walked from its checkpoint, recording the checkpoints out to it."""
+        marks, k = (self.fwd, b) if b >= 0 else (self.bwd, -1 - b)
+        if k < len(marks) - 1:  # reached before and dropped
+            block = self._walk(b, marks[k])
+        for c in range(len(marks) - 1, k + 1):
+            block = self._walk(c if b >= 0 else -1 - c, marks[c])
+            marks.append(block[-1] if b >= 0 else block[0])
+        if len(self.blocks) >= _MAX_BLOCKS:
+            self.blocks.clear()
+        self.blocks[b] = block
+        return block
+
+    def _walk(self, b, s):
+        """The symbols of block b in index order, walked outward from symbol s."""
+        us = counter_uniforms(self.seed, self.stream_id, b * _BLOCK, (b + 1) * _BLOCK).tolist()
+        if b < 0:
+            return self._steps(s, self.cum_bwd, us[::-1])[::-1]
+        if s is None:
+            s = bisect_right(self.cum_pi, us[0])
+            return [s] + self._steps(s, self.cum_fwd, us[1:])
+        return self._steps(s, self.cum_fwd, us)
 
     @staticmethod
-    def _walk(tape, s, cum, us):
+    def _steps(s, cum, us):
+        out = []
         for u in us:
             s = bisect_right(cum[s], u)
-            tape.append(s)
+            out.append(s)
+        return out
 
 
 def sample_sequence(space, measure, seed, stream_id=0):

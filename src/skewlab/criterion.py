@@ -2,10 +2,12 @@
 
 The homoclinic holonomy loop composes unstable holonomy, a finite cocycle
 excursion, and stable holonomy back to the periodic fiber.  It is a fiber
-map of that fiber: ``loop.apply(t)`` gives the image h(t) and the linear
-part H(t) in one pass.  Twisting asks whether the loop's projective action
-moves the Oseledets pair fully off the pair at the return point, on a
-definite fraction of sampled points.
+map of that fiber: ``loop.apply_many(u, v)`` gives the images h(t) and the
+linear parts H(t) of a whole point set in one pass, with one walk of each
+holonomy orbit, and ``loop.apply(t)`` is its one-point case.  Twisting asks
+whether the loop's projective action moves the Oseledets pair fully off the
+pair at the return point, on a definite fraction of sampled points; all
+sample points go round the loop together.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from . import fiber_maps as fm
 from .base_shift import sample_sequence
 from .errors import ConfigurationError, SkewlabError
-from .holonomy import HolonomyQuery, stable_holonomy_jet
+from .holonomy import HolonomyQuery, stable_holonomy_jets
 from .lyapunov import (
     DELTA_PINCH,
     GENERIC_DIRECTION,
@@ -33,8 +35,9 @@ from .skew import orbit_batch, orbit_maps
 class HolonomyLoop(fm.FiberMap):
     """The loop h = h^s o f^i_z o h^u as a fiber map of the periodic fiber.
 
-    ``apply(t)`` returns (h(t), H(t)) from one unstable and one stable
-    holonomy truncation and one pass along z; ``h`` and ``H_at`` are its halves.
+    ``apply_many(u, v)`` returns h and H at every point from one unstable
+    and one stable holonomy truncation on arrays and one pass along z;
+    ``apply(t)`` is its one-point case, and ``h`` and ``H_at`` are its halves.
     """
 
     sys: object  # SkewSystem
@@ -45,13 +48,17 @@ class HolonomyLoop(fm.FiberMap):
     q_s: HolonomyQuery  # stable pair (shift(z, i), p)
     excursion: list  # fiber maps along z for steps 0..i-1
 
-    def apply(self, t):
-        t_z, m, _ = stable_holonomy_jet(self.sys, self.q_u, t)
+    def apply_many(self, u, v):
+        u, v, m = stable_holonomy_jets(self.sys, self.q_u, u, v)
         for f in self.excursion:
-            t_z, d = f.apply(t_z)
+            u, v, d = f.apply_many(u, v)
             m = fm.mat_mul(d, m)
-        out, hs, _ = stable_holonomy_jet(self.sys, self.q_s, t_z)
-        return out, fm.mat_mul(hs, m)
+        u, v, hs = stable_holonomy_jets(self.sys, self.q_s, u, v)
+        return u, v, fm.mat_mul(hs, m)
+
+    def apply(self, t):
+        u, v, m = self.apply_many(np.array([t[0]]), np.array([t[1]]))
+        return (float(u[0]), float(v[0])), tuple(float(e[0]) for e in m)
 
     def h(self, t):
         return self.apply(t)[0]
@@ -93,6 +100,15 @@ class TwistingReport:
     inconclusive: bool = False
 
     @property
+    def twisted_count(self):
+        """Points whose best separation exceeds epsilon_twist."""
+        return sum(1 for _, s in self.per_point if s is not None and s > self.epsilon_twist)
+
+    @property
+    def twisted_fraction(self):
+        return self.twisted_count / len(self.per_point) if self.per_point else 0.0
+
+    @property
     def min_separation_median(self):
         seps = [s for _, s in self.per_point if s is not None]
         return statistics.median(seps) if seps else 0.0
@@ -104,13 +120,19 @@ class TwistingReport:
 
 
 def projective_distance(u, v):
-    """Acute angle between the lines spanned by two nonzero vectors."""
-    nu = math.hypot(*u)
-    nv = math.hypot(*v)
-    if nu == 0.0 or nv == 0.0:
+    """Acute angle between the lines spanned by two nonzero vectors.
+
+    u and v are pairs of floats, giving a float, or pairs of arrays,
+    giving the angle at each entry.
+    """
+    u0, u1, v0, v1 = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (*u, *v))
+    nu = fm.elementwise(math.hypot, u0, u1)
+    nv = fm.elementwise(math.hypot, v0, v1)
+    if not (nu.all() and nv.all()):
         raise ConfigurationError("projective distance of a zero vector")
-    c = abs(u[0] * v[0] + u[1] * v[1]) / (nu * nv)
-    return math.acos(min(1.0, c))
+    c = np.abs(u0 * v0 + u1 * v1) / (nu * nv)
+    angles = fm.elementwise(math.acos, np.fmin(c, 1.0))
+    return angles if np.ndim(u[0]) else float(angles[0])
 
 
 def _check_homoclinic(p_seq, z, i):
@@ -153,18 +175,31 @@ def check_pinching(sys, p, grid=64, n_steps=1000, delta_pinch=DELTA_PINCH):
     )
 
 
-def _angle_vec(a):
-    return (math.cos(a), math.sin(a))
+_NEAREST_CELLS = 1 << 17  # point pairs per distance block: 1 MB per float array
 
 
-def _nearest(points, t):
-    du = np.abs(points[:, 0] - t[0])
-    du = np.minimum(du, 1.0 - du)
-    dv = np.abs(points[:, 1] - t[1])
-    dv = np.minimum(dv, 1.0 - dv)
-    d = np.hypot(du, dv)
-    k = int(d.argmin())
-    return k, float(d[k])
+def _nearest(points, u, v, eps):
+    """The i with a sample point within eps of (u[i], v[i]), and each one's nearest.
+
+    Distances and the nearest point come from np.hypot; squared distances,
+    with a relative margin that covers their rounding, first pick the i
+    that can have a point that near.  The i go in blocks of at most
+    _NEAREST_CELLS point pairs, so memory stays bounded for large samples.
+    """
+    step = max(1, _NEAREST_CELLS // len(points))
+    hits, nearest = [], []
+    for lo in range(0, max(len(u), 1), step):
+        du = np.abs(points[:, 0] - u[lo:lo + step, None])
+        du = np.minimum(du, 1.0 - du)
+        dv = np.abs(points[:, 1] - v[lo:lo + step, None])
+        dv = np.minimum(dv, 1.0 - dv)
+        rows = np.flatnonzero((du * du + dv * dv).min(axis=1) <= (eps * (1.0 + 1e-9)) ** 2)
+        d = np.hypot(du[rows], dv[rows])
+        k = d.argmin(axis=1)
+        near = d[np.arange(len(rows)), k] <= eps
+        hits.append(lo + rows[near])
+        nearest.append(k[near])
+    return np.concatenate(hits), np.concatenate(nearest)
 
 
 def check_twisting(sys, loop, params=TwistingParams()):
@@ -178,6 +213,8 @@ def check_twisting(sys, loop, params=TwistingParams()):
     the first return when none does) and min_separation the best over
     returns -- first returns alone can be degenerate, e.g. exact lattice
     recurrences of an integer toral generator with zero separation.
+    All sample points go round the loop together, through
+    ``loop.apply_many``; a point leaves once it has separated.
     """
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
     u, v = fm.grid_points(side)
@@ -192,55 +229,55 @@ def check_twisting(sys, loop, params=TwistingParams()):
             "twisting is not applicable"
         )
     positions = np.array([t for t, _ in K])
-    per_point = []
-    any_return = False
-    for t, frame in K:
-        cur = t
-        # push the pair through the per-step linear parts with per-step
-        # normalization: the same projective action as the matrix product,
-        # but stable when the product becomes numerically rank-one
-        tu = _angle_vec(frame.e_u)
-        ts = _angle_vec(frame.e_s)
-        j_t = None
-        min_sep = None
-        for j in range(1, params.j_max + 1):
-            cur, H = loop.apply(cur)
-            tu = fm.mat_vec(H, tu)
-            ts = fm.mat_vec(H, ts)
-            nu, ns = math.hypot(*tu), math.hypot(*ts)
-            tu = (tu[0] / nu, tu[1] / nu)
-            ts = (ts[0] / ns, ts[1] / ns)
-            k, d = _nearest(positions, cur)
-            if d <= params.eps_K:
-                any_return = True
-                target = K[k][1]
-                sep = min(
-                    projective_distance(tu, _angle_vec(target.e_u)),
-                    projective_distance(tu, _angle_vec(target.e_s)),
-                    projective_distance(ts, _angle_vec(target.e_u)),
-                    projective_distance(ts, _angle_vec(target.e_s)),
-                )
-                if j_t is None:
-                    j_t, min_sep = j, sep
-                if sep > min_sep:
-                    min_sep = sep
-                    if sep > params.epsilon_twist:
-                        j_t = j
-                if min_sep > params.epsilon_twist:
-                    break
-        per_point.append((j_t, min_sep))
-    twisted = sum(
-        1 for _, s in per_point if s is not None and s > params.epsilon_twist
+    # the frame directions as unit vectors: (e_u, e_s) for each sample point
+    angles = np.array([(f.e_u, f.e_s) for _, f in K])
+    eu, es = (
+        (fm.elementwise(math.cos, a), fm.elementwise(math.sin, a)) for a in angles.T
     )
-    fraction = twisted / len(K)
-    return TwistingReport(
+    j_t = np.zeros(len(K), dtype=int)  # 0 until the first return
+    min_sep = np.zeros(len(K))
+    active = np.arange(len(K))
+    cu, cv = positions[:, 0], positions[:, 1]
+    # push the pair through the per-step linear parts with per-step
+    # normalization: the same projective action as the matrix product,
+    # but stable when the product becomes numerically rank-one
+    tu, ts = eu, es
+    for j in range(1, params.j_max + 1):
+        if not len(active):
+            break
+        cu, cv, H = loop.apply_many(cu, cv)
+        tu = fm.mat_vec_unit(H, tu)
+        ts = fm.mat_vec_unit(H, ts)
+        hit, k = _nearest(positions, cu, cv, params.eps_K)
+        if len(hit):
+            pt = active[hit]
+            sep = np.minimum.reduce([
+                projective_distance(tuple(w[hit] for w in vec), tuple(e[k] for e in target))
+                for vec in (tu, ts)
+                for target in (eu, es)
+            ])
+            first = j_t[pt] == 0
+            better = ~first & (sep > min_sep[pt])
+            j_t[pt[first | (better & (sep > params.epsilon_twist))]] = j
+            min_sep[pt[first | better]] = sep[first | better]
+        keep = min_sep[active] <= params.epsilon_twist
+        active, cu, cv = active[keep], cu[keep], cv[keep]
+        tu, ts = (tuple(w[keep] for w in vec) for vec in (tu, ts))
+    per_point = [
+        (j, s) if j else (None, None) for j, s in zip(j_t.tolist(), min_sep.tolist())
+    ]
+    report = TwistingReport(
         K_sample=K,
         per_point=per_point,
-        twisting=any_return and fraction >= params.fraction_required,
+        twisting=False,
         epsilon_twist=params.epsilon_twist,
         fraction_required=params.fraction_required,
-        inconclusive=not any_return,
+        inconclusive=not j_t.any(),
     )
+    report.twisting = not report.inconclusive and (
+        report.twisted_fraction >= params.fraction_required
+    )
+    return report
 
 
 _PROBE_WORDS = 8  # sampled base orbits per histogram

@@ -18,6 +18,11 @@ Every Dh^n(t) has determinant 1, so |det - 1| measures rounding, which the
 expanding products amplify.  The linear truncation raises
 ``NonConvergenceError`` once it reaches the tolerance: past it, the
 increments can fall below tol on rounding noise alone.
+
+The truncation runs on one point (``_truncate``, for point queries) or on a
+point set (``stable_holonomy_jets``, for the holonomy loop).  Every point of
+a set meets the same maps, so one walk of each orbit serves them all; each
+point keeps its own increments and stops, so both forms agree bit for bit.
 """
 
 import math
@@ -125,19 +130,20 @@ def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
 def _stop_ok(sys, increments, tol):
     """Whether the truncation may stop at the latest increment.
 
-    A locally constant family of depth D reads the word at [0, D), so past
-    the first D - 2 steps the maps along x and y agree and the truncations
-    are stationary: a sub-tol increment is final once there are at least
+    ``increments`` lists one increment per step: floats for one point, or
+    arrays with one entry per point, giving a bool array.  A locally
+    constant family of depth D reads the word at [0, D), so past the first
+    D - 2 steps the maps along x and y agree and the truncations are
+    stationary: a sub-tol increment is final once there are at least
     max(1, D - 1) of them.  Smooth families can produce a spuriously tiny
     first increment (e.g. when a symmetry of the fiber point annihilates
     the leading parameter difference), so two consecutive sub-tol
     increments are required before trusting the limit.
     """
-    if increments[-1] >= tol:
-        return False
+    below = increments[-1] < tol
     if sys.is_locally_constant:
-        return len(increments) >= max(1, sys.family.depth - 1)
-    return len(increments) >= 2 and increments[-2] < tol
+        return below & (len(increments) >= max(1, sys.family.depth - 1))
+    return below & (len(increments) >= 2 and increments[-2] < tol)
 
 
 def _truncate(sys, q, t, linear):
@@ -184,6 +190,74 @@ def _truncate(sys, q, t, linear):
     raise NonConvergenceError(
         "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
         ConvergenceDiagnostics(incs, q.n_max),
+    )
+
+
+def stable_holonomy_jets(sys, q, u, v):
+    """``stable_holonomy_jet`` at every point (u[k], v[k]): arrays h_u, h_v, (a, b, c, d).
+
+    One walk of each orbit serves the whole point set, since every point
+    meets the same maps.  Each point keeps its own increments and freezes
+    its image and its matrix at its own stops, as ``_truncate`` does, so
+    every entry equals the one-point truncation bit for bit; only the
+    points with an open image or matrix take further steps.  Raises
+    ``NonConvergenceError`` when any open point trips the det guard or
+    stays open at n_max, with the diagnostics of the first such point.
+    """
+    backward = q.direction == "unstable"
+    walk_x = orbit_maps(sys, q.x, backward)
+    walk_y = orbit_maps(sys, q.y, backward)
+    y_inverses = []
+    h_u, h_v = np.array(u, dtype=float), np.array(v, dtype=float)
+    jet = tuple(np.empty(len(h_u)) for _ in range(4))
+    idx = np.arange(len(h_u))  # the points still stepping; the arrays below follow it
+    point_open = np.ones(len(idx), dtype=bool)
+    jet_open = point_open.copy()
+    su, sv, px = h_u, h_v, fm.IDENTITY
+    prev, prev_m = (h_u, h_v), fm.IDENTITY
+    increments, m_increments = [], []
+    for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
+        su, sv, d = f_x.apply_many(su, sv)
+        y_inverses.append(g_y)
+        cu, cv = su, sv
+        px = m = fm.mat_mul(d, px)
+        for g in reversed(y_inverses):
+            cu, cv, d = g.apply_many(cu, cv)
+            m = fm.mat_mul(d, m)
+        m_increments.append(fm.mat_norms(*(a - b for a, b in zip(m, prev_m))))
+        prev_m = m
+        drift = fm.mat_det(m) - 1.0
+        bad = np.flatnonzero(jet_open & (abs(drift) >= q.tol))
+        if len(bad):
+            k = bad[0]
+            raise NonConvergenceError(
+                "linear holonomy truncation lost precision at n=%d: "
+                "det - 1 = %.3g" % (n, drift[k]),
+                ConvergenceDiagnostics([float(a[k]) for a in m_increments], n),
+            )
+        stop = jet_open & _stop_ok(sys, m_increments, q.tol)
+        for out, e in zip(jet, m):
+            out[idx[stop]] = e[stop]
+        jet_open &= ~stop
+        increments.append(fm.elementwise(math.hypot, *fm.torus_delta((cu, cv), prev)))
+        prev = cu, cv
+        stop = point_open & _stop_ok(sys, increments, q.tol)
+        h_u[idx[stop]], h_v[idx[stop]] = cu[stop], cv[stop]
+        point_open &= ~stop
+        keep = point_open | jet_open
+        if not keep.any():
+            return h_u, h_v, jet
+        if not keep.all():
+            idx, point_open, jet_open, su, sv = (
+                a[keep] for a in (idx, point_open, jet_open, su, sv)
+            )
+            prev, px, prev_m = (tuple(e[keep] for e in grp) for grp in (prev, px, prev_m))
+            increments = [a[keep] for a in increments]
+            m_increments = [a[keep] for a in m_increments]
+    kind, incs = ("", increments) if point_open[0] else ("linear ", m_increments)
+    raise NonConvergenceError(
+        "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
+        ConvergenceDiagnostics([float(a[0]) for a in incs], q.n_max),
     )
 
 

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
+
 import skewlab as sl
 import skewlab.fiber_maps as fm
+from skewlab.holonomy import stable_holonomy_jet
+from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
 
 CAT = (2, 1, 1, 1)
@@ -76,6 +80,98 @@ BATCH_SYSTEMS = [
     holder_system,
 ]
 BATCH_IDS = ["twisted-cat", "cat-T0", "rotation", "golden-mean", "holder"]
+
+
+def scalar_loop_apply(loop, t):
+    """(h(t), H(t)) of a ``HolonomyLoop`` one point at a time, in one pass."""
+    t_z, m, _ = stable_holonomy_jet(loop.sys, loop.q_u, t)
+    for f in loop.excursion:
+        t_z, d = f.apply(t_z)
+        m = fm.mat_mul(d, m)
+    out, hs, _ = stable_holonomy_jet(loop.sys, loop.q_s, t_z)
+    return out, fm.mat_mul(hs, m)
+
+
+def _scalar_projective_distance(u, v):
+    nu = math.hypot(*u)
+    nv = math.hypot(*v)
+    if nu == 0.0 or nv == 0.0:
+        raise sl.ConfigurationError("projective distance of a zero vector")
+    c = abs(u[0] * v[0] + u[1] * v[1]) / (nu * nv)
+    return math.acos(min(1.0, c))
+
+
+def _angle_vec(a):
+    return (math.cos(a), math.sin(a))
+
+
+def _scalar_nearest(points, t):
+    du = np.abs(points[:, 0] - t[0])
+    du = np.minimum(du, 1.0 - du)
+    dv = np.abs(points[:, 1] - t[1])
+    dv = np.minimum(dv, 1.0 - dv)
+    d = np.hypot(du, dv)
+    k = int(d.argmin())
+    return k, float(d[k])
+
+
+def scalar_check_twisting(sys, loop, params):
+    """``check_twisting`` moving one sample point round the loop at a time."""
+    side = max(2, int(math.ceil(math.sqrt(params.n_K))))
+    u, v = fm.grid_points(side)
+    frames = oseledets_frames(
+        sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
+    )
+    K = [(t, f) for t, f in zip(zip(u.tolist(), v.tolist()), frames) if f.converged]
+    K = K[: params.n_K]
+    if not K:
+        raise sl.SkewlabError("no sample points with converged frames")
+    positions = np.array([t for t, _ in K])
+    per_point = []
+    any_return = False
+    for t, frame in K:
+        cur = t
+        tu = _angle_vec(frame.e_u)
+        ts = _angle_vec(frame.e_s)
+        j_t = None
+        min_sep = None
+        for j in range(1, params.j_max + 1):
+            cur, H = scalar_loop_apply(loop, cur)
+            tu = fm.mat_vec(H, tu)
+            ts = fm.mat_vec(H, ts)
+            nu, ns = math.hypot(*tu), math.hypot(*ts)
+            tu = (tu[0] / nu, tu[1] / nu)
+            ts = (ts[0] / ns, ts[1] / ns)
+            k, d = _scalar_nearest(positions, cur)
+            if d <= params.eps_K:
+                any_return = True
+                target = K[k][1]
+                sep = min(
+                    _scalar_projective_distance(tu, _angle_vec(target.e_u)),
+                    _scalar_projective_distance(tu, _angle_vec(target.e_s)),
+                    _scalar_projective_distance(ts, _angle_vec(target.e_u)),
+                    _scalar_projective_distance(ts, _angle_vec(target.e_s)),
+                )
+                if j_t is None:
+                    j_t, min_sep = j, sep
+                if sep > min_sep:
+                    min_sep = sep
+                    if sep > params.epsilon_twist:
+                        j_t = j
+                if min_sep > params.epsilon_twist:
+                    break
+        per_point.append((j_t, min_sep))
+    twisted = sum(
+        1 for _, s in per_point if s is not None and s > params.epsilon_twist
+    )
+    return sl.TwistingReport(
+        K_sample=K,
+        per_point=per_point,
+        twisting=any_return and twisted / len(K) >= params.fraction_required,
+        epsilon_twist=params.epsilon_twist,
+        fraction_required=params.fraction_required,
+        inconclusive=not any_return,
+    )
 
 
 def stable_pair(system, seed, k, diff_index=-1):

@@ -208,6 +208,7 @@ def test_pipeline_pinching_twisting_positive_exponent():
     assert pin.positive
     assert abs(pin.integral - 0.9624) < 1e-2
     assert tw.twisting
+    assert (tw.twisted_count, len(tw.per_point), tw.twisted_fraction) == (24, 200, 0.12)
     assert est.mean > 3.0 * est.stderr
     flat = cat_system()
     loop0 = sl.build_holonomy_loop(flat, p, z, i)
@@ -215,6 +216,7 @@ def test_pipeline_pinching_twisting_positive_exponent():
     est0 = sl.integrated_exponent(flat, 50, 1000, seed=8)
     print("contrast T=0: twisting=%s L=%.4f" % (tw0.twisting, est0.mean))
     assert not tw0.twisting
+    assert tw0.twisted_count == 0
     assert est0.mean > 0.0
 
 

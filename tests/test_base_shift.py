@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,8 @@ def _markov_reference(measure, seed, stream):
     known = {0: _pick(np.cumsum(pi), sl.counter_uniform(seed, stream, 0))}
 
     def look(j):
+        if j in known:
+            return known[j]
         step = 1 if j > 0 else -1
         cum = cum_fwd if j > 0 else cum_bwd
         i = 0
@@ -237,6 +240,44 @@ def test_sample_sequence_markov_matches_per_index_draws(seed, stream):
     # a fresh tape queried from the far ends inward agrees
     y = sl.sample_sequence(space, m, seed, stream)
     assert [y.symbol(j) for j in (-3000, 3000, 0)] == [ref(-3000), ref(3000), ref(0)]
+
+
+_GOLDEN = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+_GOLDEN_MARKOV = sl.BaseMeasure("markov", P=((0.6, 0.4), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("order", ["forward", "backward", "shuffled", "outside-in"])
+def test_markov_tape_past_its_block_cap_matches_per_index_draws(order):
+    """A tape keeps 64 blocks of 64 symbols; it walks dropped ones again."""
+    reach = 100 * 64 + 5
+    idx = list(range(-reach, reach + 1))
+    if order == "backward":
+        idx.reverse()
+    elif order == "shuffled":
+        random.Random(reach).shuffle(idx)
+    elif order == "outside-in":
+        idx.sort(key=lambda j: (-abs(j), j))
+    ref = _markov_reference(_GOLDEN_MARKOV, 7, 3)
+    ref(reach), ref(-reach)
+    x = sl.sample_sequence(_GOLDEN, _GOLDEN_MARKOV, 7, 3)
+    assert [x.symbol(j) for j in idx] == [ref(j) for j in idx]
+    # again, after the tape dropped the blocks read first, and as windows
+    assert [x.symbol(j) for j in idx[::-1]] == [ref(j) for j in idx[::-1]]
+    assert x.symbols(-reach, reach + 1).tolist() == [ref(j) for j in range(-reach, reach + 1)]
+    assert x.symbols(-reach, -reach + 3).tolist() == [ref(j) for j in range(-reach, -reach + 3)]
+
+
+def test_markov_tape_memory_stays_bounded():
+    x = sl.sample_sequence(_GOLDEN, _GOLDEN_MARKOV, 7, 3)
+    tracemalloc.start()
+    try:
+        for j in range(0, 200_000, 1000):
+            list(map(x.symbol, range(j, j + 1000)))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a tape keeping every symbol held 1.55 MB after 200,000 forward steps
+    assert retained < 250_000, retained
 
 
 def _window_sequences():

@@ -1,5 +1,6 @@
 """Pinching/twisting detectors, holonomy loop, probes, and sweeps."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,7 +13,7 @@ import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
 import skewlab.skew as skew
 from skewlab.criterion import SweepRow
-from skewlab.errors import ConfigurationError, SkewlabError
+from skewlab.errors import ConfigurationError, NonConvergenceError, SkewlabError
 from skewlab.lyapunov import oseledets_frame, return_map, return_map_exponent_grid
 from skewlab.rng import derive_seed
 from skewlab.skew import accumulate_cocycle, orbit_maps
@@ -29,6 +30,8 @@ from _common import (
     lc_system,
     loop_inputs,
     rotation_system,
+    scalar_check_twisting,
+    scalar_loop_apply,
     twisted_cat_system,
 )
 
@@ -58,11 +61,11 @@ def test_loop_is_generator_composition_for_random_products():
         assert fm.mat_sub_norm(loop.H_at(t), fm.mat_mul(d1, d0)) < 1e-9
 
 
-def _reference_loop(system, p, z, i):
+def _reference_loop(system, p, z, i, tol=1e-9):
     """h and H as separate passes: point holonomies, then linear holonomies."""
     p_seq = p.point(system.space)
-    q_u = sl.HolonomyQuery("unstable", p_seq, z)
-    q_s = sl.HolonomyQuery("stable", z.shift(i), p_seq)
+    q_u = sl.HolonomyQuery("unstable", p_seq, z, tol)
+    q_s = sl.HolonomyQuery("stable", z.shift(i), p_seq, tol)
     excursion = [system.fiber_map_at(z.shift(k)) for k in range(i)]
 
     def ref_h(t):
@@ -98,6 +101,66 @@ def test_loop_apply_matches_separate_point_and_linear_passes(make_system):
         assert loop.H_at(t) == expected[1]
 
 
+def _loop_test_points():
+    """Random points, and points that the first excursion map sends into a twist disc."""
+    pts = [fm.random_point(3, 7, k) for k in range(100)]
+    inverse = cat_map().inverse()
+    for center in ((0.25, 0.25), (0.3, 0.6)):  # twisted cat, golden mean
+        for k in range(12):
+            a = 2.0 * math.pi * k / 12
+            r = 0.02 + 0.01 * k  # the discs reach 0.2 * 2/3 from their centres
+            pts.append(inverse((center[0] + r * math.cos(a), center[1] + r * math.sin(a))))
+    return pts
+
+
+def _apply_many(loop, pts):
+    """``loop.apply_many`` at the points, as a list of (h(t), H(t)) pairs."""
+    hu, hv, H = loop.apply_many(*(np.array(c) for c in zip(*pts)))
+    return list(zip(zip(hu.tolist(), hv.tolist()), zip(*(e.tolist() for e in H))))
+
+
+@pytest.mark.parametrize("make_system", [twisted_cat_system, golden_mean_system, holder_system])
+def test_loop_apply_many_matches_reference_loop(make_system):
+    system = make_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    ref_h, ref_H = _reference_loop(system, p, z, i)
+    pts = _loop_test_points()
+    got = _apply_many(loop, pts)
+    assert got == [(ref_h(t), ref_H(t)) for t in pts]
+    assert [scalar_loop_apply(loop, t) for t in pts] == got
+    if not system.is_locally_constant:
+        return
+    # the loop leaves the points off the disc where A^2 leaves them, moves the rest
+    plain = [cat_map()(cat_map()(t)) for t in pts]
+    moved = [fm.torus_distance(h, a) > 1e-9 for (h, _), a in zip(got, plain)]
+    assert 0 < sum(moved) < len(pts)
+
+
+def test_loop_apply_many_raises_when_one_point_fails():
+    system = holder_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    loop = dataclasses.replace(
+        loop,
+        q_u=dataclasses.replace(loop.q_u, tol=1e-12),
+        q_s=dataclasses.replace(loop.q_s, tol=1e-12),
+    )
+    ref_h, ref_H = _reference_loop(system, p, z, i, tol=1e-12)
+    answered, failed = [], []
+    for t in (fm.random_point(3, 7, k) for k in range(100)):
+        try:
+            answered.append((t, (ref_h(t), ref_H(t))))
+        except NonConvergenceError:
+            failed.append(t)
+    assert len(failed) == 1 and len(answered) == 99
+    with pytest.raises(NonConvergenceError, match="linear holonomy truncation"):
+        _apply_many(loop, failed + [answered[0][0]])
+    with pytest.raises(NonConvergenceError):
+        loop.apply(failed[0])
+    assert _apply_many(loop, [t for t, _ in answered]) == [want for _, want in answered]
+
+
 def test_loop_step_walks_each_orbit_once(monkeypatch):
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
@@ -114,6 +177,9 @@ def test_loop_step_walks_each_orbit_once(monkeypatch):
         monkeypatch.setattr(module, "orbit_maps", counted)
     loop.apply((0.3, 0.7))
     # one unstable and one stable truncation, each walking x and y once
+    assert len(walks) == 4
+    walks.clear()
+    loop.apply_many(*fm.grid_points(6))
     assert len(walks) == 4
 
 
@@ -320,6 +386,59 @@ def test_loop_grid_checks_match_scalar_reference(T):
     K = sl.check_twisting(system, loop, params).K_sample
     assert K == _scalar_twisting_sample(system, loop, params)
     assert all(type(c) is float for t, _ in K for c in t)
+
+
+@pytest.mark.parametrize(
+    "make_system, params, verdict",
+    [
+        (twisted_cat_system, FAST_TWIST, False),
+        (lambda: twisted_cat_system(T=0.0), FAST_TWIST, False),
+        (twisted_cat_system, sl.TwistingParams(), True),
+        (lambda: twisted_cat_system(T=0.0), sl.TwistingParams(), False),
+        (golden_mean_system, FAST_TWIST, False),
+        (twisted_cat_system, sl.TwistingParams(j_max=1, eps_K=1e-9, frame_depth=60), False),
+    ],
+    ids=["cat-T0.5-fast", "cat-T0-fast", "cat-T0.5", "cat-T0", "golden-mean", "no-return"],
+)
+def test_check_twisting_matches_scalar_transport(make_system, params, verdict):
+    system = make_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    report = sl.check_twisting(system, loop, params)
+    assert report == scalar_check_twisting(system, loop, params)
+    assert report.twisting is verdict
+    assert report.inconclusive is (params.eps_K < 1e-6)
+
+
+def test_check_twisting_distance_blocks_match_one_block(monkeypatch):
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    want = sl.check_twisting(system, loop, FAST_TWIST)
+    assert not want.inconclusive
+    monkeypatch.setattr(criterion, "_NEAREST_CELLS", 100)  # 2 of the 36 points per block
+    assert sl.check_twisting(system, loop, FAST_TWIST) == want
+
+
+def test_perturbation_sweep_matches_scalar_transport(monkeypatch):
+    system = cat_system()
+    p, z, i = loop_inputs(system)
+    kw = dict(seed=3, grid=8, n_steps=100, n_orbits=4, exponent_steps=100,
+              twisting_params=FAST_TWIST)
+    rows = sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.2, [0.0, 0.5], p, z, i, **kw)
+    monkeypatch.setattr(criterion, "check_twisting", scalar_check_twisting)
+    assert rows == sl.perturbation_sweep(
+        system, 1, (0.25, 0.25), 0.2, [0.0, 0.5], p, z, i, **kw
+    )
+    assert all(r.error == "" for r in rows)
+
+
+def test_twisting_report_counts_twisted_points():
+    per_point = [(3, 0.2), (5, 0.01), (None, None), (2, 0.05), (7, 0.06)]
+    report = sl.TwistingReport([], per_point, False, 0.05, 0.1)
+    assert report.twisted_count == 2
+    assert report.twisted_fraction == 0.4
+    assert sl.TwistingReport([], [], False, 0.05, 0.1).twisted_fraction == 0.0
 
 
 @pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)

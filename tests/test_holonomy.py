@@ -2,12 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError, NonConvergenceError
-from skewlab.holonomy import BunchingReport, strong_stable_contraction_rate
+from skewlab.holonomy import (
+    BunchingReport,
+    stable_holonomy_jet,
+    stable_holonomy_jets,
+    strong_stable_contraction_rate,
+)
 from skewlab.skew import orbit_maps
 
 from _common import (
@@ -312,3 +318,46 @@ def test_linear_holonomy_stops_on_its_own_increments():
         assert diag.stopped_at > 2
         assert mdiag.stopped_at == 1
         assert m == fm.IDENTITY
+
+
+def _jets(system, q, pts):
+    hu, hv, m = stable_holonomy_jets(system, q, *(np.array(c) for c in zip(*pts)))
+    return list(zip(zip(hu.tolist(), hv.tolist()), zip(*(e.tolist() for e in m))))
+
+
+@pytest.mark.parametrize(
+    "make_system, tol", [(holder_system, 1e-9), (twisted_cat_system, 1e-16)]
+)
+def test_holonomy_jets_match_one_point_truncations(make_system, tol):
+    # at tol 1e-16 the twisted cat's points and matrices stop at different n
+    system = make_system()
+    pts = [sl.random_fiber_point(29, j, stream=2) for j in range(30)]
+    for k in (4, 9, 17):
+        for direction, pair in (("stable", stable_pair), ("unstable", unstable_pair)):
+            x, y = pair(system, 29, k)
+            q = sl.HolonomyQuery(direction, x, y, tol=tol)
+            answered, failed = [], []
+            for t in pts:
+                try:
+                    t_y, m, _ = stable_holonomy_jet(system, q, t)
+                    answered.append((t, (t_y, m)))
+                except NonConvergenceError:
+                    failed.append(t)
+            assert _jets(system, q, [t for t, _ in answered]) == [w for _, w in answered]
+            if failed:
+                with pytest.raises(NonConvergenceError):
+                    _jets(system, q, pts)
+
+
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_holonomy_jets_report_non_convergence_as_one_point(n_max):
+    system = holder_system()
+    x, y = stable_pair(system, 29, 8)
+    q = sl.HolonomyQuery("stable", x, y, n_max=n_max)
+    pts = [sl.random_fiber_point(29, j, stream=2) for j in range(5)]
+    with pytest.raises(NonConvergenceError) as one:
+        stable_holonomy_jet(system, q, pts[0])
+    with pytest.raises(NonConvergenceError) as many:
+        _jets(system, q, pts)
+    assert str(many.value) == str(one.value)
+    assert many.value.diagnostics == one.value.diagnostics
