@@ -9,6 +9,7 @@ significant digits so reruns are byte-comparable.
 """
 
 import argparse
+import inspect
 import os
 import sys as _sys
 import tempfile
@@ -55,16 +56,17 @@ def write_csv(path, header, rows):
         raise
 
 
-def _twisting_params(cfg):
-    return TwistingParams(
-        n_K=cfg.get_int("run", "n_K", 200),
-        j_max=cfg.get_int("run", "j_max", 64),
-        epsilon_twist=cfg.get_float("run", "epsilon_twist", 0.05),
-        fraction_required=cfg.get_float("run", "fraction_required", 0.1),
-        eps_K=cfg.get_float("run", "eps_K", 1e-2),
-        frame_depth=cfg.get_int("run", "frame_depth", 150),
-        delta_pinch=cfg.get_float("run", "delta_pinch", 0.05),
-    )
+def _run_options(cfg, target):
+    """The [run] keys that cfg sets and target takes, typed like target's defaults.
+
+    Keys the config leaves out are not passed, so target's defaults apply.
+    """
+    get = {int: cfg.get_int, float: cfg.get_float}
+    return {
+        k: get[type(param.default)]("run", k)
+        for k, param in inspect.signature(target).parameters.items()
+        if cfg.has("run", k)
+    }
 
 
 def cmd_exponent(cfg, out_dir):
@@ -122,13 +124,9 @@ def cmd_holonomy(cfg, out_dir):
     if direction not in ("stable", "unstable"):
         raise ConfigurationError("[holonomy].direction must be stable or unstable")
     x, y = _holonomy_pair(system, seed, direction)
-    q = HolonomyQuery(
-        direction, x, y,
-        cfg.get_float("run", "tol", 1e-9),
-        cfg.get_int("run", "n_max", 256),
-    )
-    point = cfg.get_list("holonomy", "point", float, default=[0.3, 0.7])
-    _, diag = stable_holonomy_point(system, q, tuple(point))
+    q = HolonomyQuery(direction, x, y, **_run_options(cfg, HolonomyQuery))
+    point = cfg.get_point("holonomy", "point", default=[0.3, 0.7])
+    _, diag = stable_holonomy_point(system, q, point)
     beta = cfg.get_float("run", "beta", 1.0)
     report = fiber_bunching_margin(system, beta, seed=seed)
     theta = report.worst_margin
@@ -153,15 +151,9 @@ def cmd_holonomy(cfg, out_dir):
 def cmd_criterion(cfg, out_dir):
     system = build_system(cfg)
     p, z, i = criterion_inputs(cfg, system)
-    pin = check_pinching(
-        system,
-        p,
-        grid=cfg.get_int("run", "grid", 64),
-        n_steps=cfg.get_int("run", "n_steps", 1000),
-        delta_pinch=cfg.get_float("run", "delta_pinch", 0.05),
-    )
+    pin = check_pinching(system, p, **_run_options(cfg, check_pinching))
     loop = build_holonomy_loop(system, p, z, i)
-    tw = check_twisting(system, loop, _twisting_params(cfg))
+    tw = check_twisting(system, loop, TwistingParams(**_run_options(cfg, TwistingParams)))
     write_csv(
         os.path.join(out_dir, "criterion.csv"),
         ["pinching_flag", "pinching_integral", "nuh_fraction", "twisting_flag",
@@ -180,13 +172,14 @@ def cmd_sweep(cfg, out_dir):
     system = build_system(cfg)
     p, z, i = criterion_inputs(cfg, system)
     t_values = cfg.get_list("sweep", "T_values", float, required=True)
-    center = cfg.get_list("sweep", "center", float, default=[0.25, 0.25])
-    word_raw = cfg.raw("sweep", "generator_word", required=True)
-    word = tuple(int(ch) for ch in str(word_raw).replace(",", ""))
+    center = cfg.get_point("sweep", "center", default=[0.25, 0.25])
+    word = cfg.get_word("sweep", "generator_word")
+    if system.is_locally_constant and word not in system.family.table:
+        raise ConfigurationError("sweep.generator_word %r names no generator" % (word,))
     rows = perturbation_sweep(
         system,
         word,
-        tuple(center),
+        center,
         cfg.get_float("sweep", "radius", 0.2),
         t_values,
         p,
@@ -197,7 +190,7 @@ def cmd_sweep(cfg, out_dir):
         n_steps=cfg.get_int("run", "n_steps", 500),
         n_orbits=cfg.get_int("run", "n_orbits", 100),
         exponent_steps=cfg.get_int("run", "n_steps", 500) * 4,
-        twisting_params=_twisting_params(cfg),
+        twisting_params=TwistingParams(**_run_options(cfg, TwistingParams)),
     )
     write_csv(
         os.path.join(out_dir, "sweep.csv"),

@@ -77,17 +77,28 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigurationError("%s.%s has a malformed list: %r" % (section, key, v))
 
+    def get_point(self, section, key, default):
+        """A fiber point: exactly two finite numbers u, v."""
+        point = tuple(self.get_list(section, key, float, default))
+        if len(point) != 2 or not all(math.isfinite(c) for c in point):
+            raise ConfigurationError("%s.%s must list two finite numbers u, v" % (section, key))
+        return point
+
+    def get_word(self, section, key):
+        """A required word of symbols: comma-separated, or one digit per symbol."""
+        v = str(self.raw(section, key, required=True))
+        parts = [s for s in v.split(",") if s.strip() != ""] if "," in v else list(v)
+        try:
+            return tuple(int(s) for s in parts)
+        except ValueError:
+            raise ConfigurationError("%s.%s must be a word of symbols, got %r" % (section, key, v))
+
     def __eq__(self, other):
         return isinstance(other, ExperimentConfig) and self.sections == other.sections
 
 
-def parse_config(text_or_path):
-    """Parse and validate a config; diagnostics name section, key, and line."""
-    if "\n" not in text_or_path and text_or_path.strip().endswith((".cfg", ".ini", ".txt")):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
+def parse_config(text):
+    """Parse and validate config text; diagnostics name section, key, and line."""
     cfg = ExperimentConfig()
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -278,10 +289,7 @@ def build_system(cfg):
 
 def criterion_inputs(cfg, system):
     """Periodic point, homoclinic point, and transition time for the loop."""
-    p_word = cfg.raw("criterion", "p_word", required=True)
-    p = PeriodicPoint(tuple(int(ch) for ch in str(p_word).split(",") if ch.strip() != "")
-                      if "," in str(p_word)
-                      else tuple(int(ch) for ch in str(p_word)))
+    p = PeriodicPoint(cfg.get_word("criterion", "p_word"))
     z_symbol = cfg.get_int("criterion", "z_symbol", required=True)
     z_index = cfg.get_int("criterion", "z_index", 1)
     i = cfg.get_int("criterion", "i", z_index + 1)

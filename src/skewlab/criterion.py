@@ -42,8 +42,6 @@ class HolonomyLoop(fm.FiberMap):
 
     sys: object  # SkewSystem
     p: object  # PeriodicPoint
-    z: object  # BaseSequence
-    i: int
     q_u: HolonomyQuery  # unstable pair (p, z)
     q_s: HolonomyQuery  # stable pair (shift(z, i), p)
     excursion: list  # fiber maps along z for steps 0..i-1
@@ -135,27 +133,15 @@ def projective_distance(u, v):
     return angles if np.ndim(u[0]) else float(angles[0])
 
 
-def _check_homoclinic(p_seq, z, i):
-    horizon = p_seq.space.metric_horizon
-    for j in range(0, horizon + 1):
-        if z.symbol(-j) != p_seq.symbol(-j):
-            raise ConfigurationError(
-                "z is not on the local unstable set of p (index %d)" % (-j,)
-            )
-    zi = z.shift(i)
-    for j in range(0, horizon + 1):
-        if zi.symbol(j) != p_seq.symbol(j):
-            raise ConfigurationError(
-                "shift(z, i) is not on the local stable set of p (index %d)" % j
-            )
-
-
 def build_holonomy_loop(sys, p, z, i):
-    """Assemble h = h^s o f^i_z o h^u and its linear part from holonomies."""
+    """Assemble h = h^s o f^i_z o h^u and its linear part from holonomies.
+
+    The queries raise ``ConfigurationError`` unless z and shift(z, i) lie on
+    the local unstable and stable sets of p.
+    """
     p_seq = p.point(sys.space)
-    _check_homoclinic(p_seq, z, i)
     return HolonomyLoop(
-        sys, p, z, i,
+        sys, p,
         q_u=HolonomyQuery("unstable", p_seq, z),
         q_s=HolonomyQuery("stable", z.shift(i), p_seq),
         excursion=[f for f, _ in orbit_maps(sys, z, n=i)],

@@ -75,9 +75,9 @@ class HolonomyQuery:
     def __post_init__(self):
         if self.direction not in ("stable", "unstable"):
             raise ConfigurationError("direction must be 'stable' or 'unstable'")
-        horizon = self.x.space.metric_horizon
-        rng = range(0, horizon + 1) if self.direction == "stable" else range(-horizon, 1)
-        for j in rng:
+        # nearest index first: 0, 1, ... (stable) or 0, -1, ... (unstable)
+        sign = 1 if self.direction == "stable" else -1
+        for j in range(0, sign * (self.x.space.metric_horizon + 1), sign):
             if self.x.symbol(j) != self.y.symbol(j):
                 raise ConfigurationError(
                     "query pair is not on the same local %s set (index %d)"
@@ -199,8 +199,8 @@ def stable_holonomy_jets(sys, q, u, v):
     One walk of each orbit serves the whole point set, since every point
     meets the same maps.  Each point keeps its own increments and freezes
     its image and its matrix at its own stops, as ``_truncate`` does, so
-    every entry equals the one-point truncation bit for bit; only the
-    points with an open image or matrix take further steps.  Raises
+    every entry equals the one-point truncation bit for bit; frozen points
+    keep their place in the arrays until the last point stops.  Raises
     ``NonConvergenceError`` when any open point trips the det guard or
     stays open at n_max, with the diagnostics of the first such point.
     """
@@ -208,13 +208,12 @@ def stable_holonomy_jets(sys, q, u, v):
     walk_x = orbit_maps(sys, q.x, backward)
     walk_y = orbit_maps(sys, q.y, backward)
     y_inverses = []
-    h_u, h_v = np.array(u, dtype=float), np.array(v, dtype=float)
-    jet = tuple(np.empty(len(h_u)) for _ in range(4))
-    idx = np.arange(len(h_u))  # the points still stepping; the arrays below follow it
-    point_open = np.ones(len(idx), dtype=bool)
+    su, sv = np.array(u, dtype=float), np.array(v, dtype=float)
+    h_u, h_v = np.empty(len(su)), np.empty(len(su))
+    jet = tuple(np.empty(len(su)) for _ in range(4))
+    point_open = np.ones(len(su), dtype=bool)
     jet_open = point_open.copy()
-    su, sv, px = h_u, h_v, fm.IDENTITY
-    prev, prev_m = (h_u, h_v), fm.IDENTITY
+    px, prev, prev_m = fm.IDENTITY, (su, sv), fm.IDENTITY
     increments, m_increments = [], []
     for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
         su, sv, d = f_x.apply_many(su, sv)
@@ -237,27 +236,20 @@ def stable_holonomy_jets(sys, q, u, v):
             )
         stop = jet_open & _stop_ok(sys, m_increments, q.tol)
         for out, e in zip(jet, m):
-            out[idx[stop]] = e[stop]
+            out[stop] = e[stop]
         jet_open &= ~stop
         increments.append(fm.elementwise(math.hypot, *fm.torus_delta((cu, cv), prev)))
         prev = cu, cv
         stop = point_open & _stop_ok(sys, increments, q.tol)
-        h_u[idx[stop]], h_v[idx[stop]] = cu[stop], cv[stop]
+        h_u[stop], h_v[stop] = cu[stop], cv[stop]
         point_open &= ~stop
-        keep = point_open | jet_open
-        if not keep.any():
+        if not (point_open | jet_open).any():
             return h_u, h_v, jet
-        if not keep.all():
-            idx, point_open, jet_open, su, sv = (
-                a[keep] for a in (idx, point_open, jet_open, su, sv)
-            )
-            prev, px, prev_m = (tuple(e[keep] for e in grp) for grp in (prev, px, prev_m))
-            increments = [a[keep] for a in increments]
-            m_increments = [a[keep] for a in m_increments]
-    kind, incs = ("", increments) if point_open[0] else ("linear ", m_increments)
+    k = np.flatnonzero(point_open | jet_open)[0]
+    kind, incs = ("", increments) if point_open[k] else ("linear ", m_increments)
     raise NonConvergenceError(
         "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
-        ConvergenceDiagnostics([float(a[0]) for a in incs], q.n_max),
+        ConvergenceDiagnostics([float(a[k]) for a in incs], q.n_max),
     )
 
 

@@ -169,6 +169,41 @@ def test_non_integral_map_spec_exits_2(tmp_path, capsys, spec, replaces):
     assert not (tmp_path / "exponent.csv").exists()
 
 
+SWEEP_AND_POINT_CFG = """
+[sweep]
+T_values = 0
+generator_word = 1
+center = 0.25, 0.25
+
+[holonomy]
+point = 0.3, 0.7
+"""
+
+
+@pytest.mark.parametrize(
+    "command, line, bad, key",
+    [
+        ("sweep", "generator_word = 1", "generator_word = 1, 0", "sweep.generator_word"),
+        ("sweep", "generator_word = 1", "generator_word = a", "sweep.generator_word"),
+        ("criterion", "p_word = 0", "p_word = a", "criterion.p_word"),
+        ("holonomy", "point = 0.3, 0.7", "point = 0.3", "holonomy.point"),
+        ("sweep", "center = 0.25, 0.25", "center = 0.25", "sweep.center"),
+        ("holonomy", "point = 0.3, 0.7", "point = 0.3, 0.7, 0.9", "holonomy.point"),
+        ("holonomy", "point = 0.3, 0.7", "point = inf, 0.7", "holonomy.point"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line, bad, key):
+    # these exited 1 with a ValueError or IndexError traceback, or (the
+    # three-number point) exited 0 and dropped the third entry
+    cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
+    assert bad in cfg
+    rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     # rotation fibers: pinching fails, so the twisting stage is a domain error
     cfg = TWISTED_CRITERION_CFG.replace("g0 = toral:2,1,1,1", "g0 = toral:0,-1,1,0")

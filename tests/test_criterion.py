@@ -210,11 +210,18 @@ def test_degenerate_loop_is_identity():
 
 
 def test_loop_rejects_non_homoclinic_input():
+    # the error names the nearest index where z (or shift(z, i)) leaves p
     system = cat_system()
     p = sl.PeriodicPoint((0,))
     bad = sl.periodic_point(system.space, (1,))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"local unstable set \(index 0\)"):
         sl.build_holonomy_loop(system, p, bad, 2)
+    past = sl.BaseSequence(system.space, lambda j: int(j < 0))
+    with pytest.raises(ConfigurationError, match=r"local unstable set \(index -1\)"):
+        sl.build_holonomy_loop(system, p, past, 2)
+    z = sl.homoclinic_point(system.space, p, 1, 1)  # shift(z, 1) reads the 1 at index 0
+    with pytest.raises(ConfigurationError, match=r"local stable set \(index 0\)"):
+        sl.build_holonomy_loop(system, p, z, 1)
 
 
 def test_loop_area_defect_holder_family():

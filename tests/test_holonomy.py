@@ -361,3 +361,29 @@ def test_holonomy_jets_report_non_convergence_as_one_point(n_max):
         _jets(system, q, pts)
     assert str(many.value) == str(one.value)
     assert many.value.diagnostics == one.value.diagnostics
+
+
+@pytest.mark.parametrize(
+    "make_system, k, tol, n_max, stops, fails",
+    [
+        (holder_system, 8, 1e-8, 8, 9, 1),  # the matrix of point 1 is open at n_max
+        (twisted_cat_system, 2, 1e-16, 3, 0, 2),  # the image of point 2 is open
+    ],
+)
+def test_holonomy_jets_name_the_first_open_point(make_system, k, tol, n_max, stops, fails):
+    # the first point stops before n_max; the error is the one-point
+    # truncation's of the first point still open there
+    system = make_system()
+    x, y = stable_pair(system, 29, k)
+    q = sl.HolonomyQuery("stable", x, y, tol=tol, n_max=n_max)
+    pts = [sl.random_fiber_point(29, j, stream=2) for j in (stops, fails, fails + 1)]
+    _, diag = sl.stable_holonomy_point(system, q, pts[0])
+    _, _, m_diag = stable_holonomy_jet(system, q, pts[0])
+    assert max(diag.stopped_at, m_diag.stopped_at) < n_max
+    with pytest.raises(NonConvergenceError) as one:
+        stable_holonomy_jet(system, q, pts[1])
+    with pytest.raises(NonConvergenceError) as many:
+        _jets(system, q, pts)
+    assert "within n_max=%d" % n_max in str(one.value)
+    assert str(many.value) == str(one.value)
+    assert many.value.diagnostics == one.value.diagnostics
