@@ -56,27 +56,19 @@ def write_csv(path, header, rows):
         raise
 
 
-def _run_options(cfg, target):
-    """The [run] keys that cfg sets and target takes, typed like target's defaults.
+def _run_options(cfg, target, *skip):
+    """The [run] keys that cfg sets and target takes, less skip, typed by ``RUN_KEYS``.
 
     Keys the config leaves out are not passed, so target's defaults apply.
+    Bunching skips grid, which there means the fibre grid, not the pinching grid.
     """
-    get = {int: cfg.get_int, float: cfg.get_float}
-    return {
-        k: get[type(param.default)]("run", k)
-        for k, param in inspect.signature(target).parameters.items()
-        if cfg.has("run", k)
-    }
+    params = inspect.signature(target).parameters
+    return {k: cfg.get_run(k) for k in params if cfg.has("run", k) and k not in skip}
 
 
 def cmd_exponent(cfg, out_dir):
     system = build_system(cfg)
-    est = integrated_exponent(
-        system,
-        cfg.get_int("run", "n_orbits", 100),
-        cfg.get_int("run", "n_steps", 1000),
-        cfg.get_int("run", "seed", required=True),
-    )
+    est = integrated_exponent(system, **_run_options(cfg, integrated_exponent))
     write_csv(
         os.path.join(out_dir, "exponent.csv"),
         ["seed", "n_orbits", "n_steps", "lambda_plus_mean", "lambda_plus_stderr", "det_defect_max"],
@@ -88,11 +80,7 @@ def cmd_exponent(cfg, out_dir):
 
 def cmd_bunching(cfg, out_dir):
     system = build_system(cfg)
-    report = fiber_bunching_margin(
-        system,
-        cfg.get_float("run", "beta", 1.0),
-        seed=cfg.get_int("run", "seed", required=True),
-    )
+    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin, "grid"))
     write_csv(
         os.path.join(out_dir, "bunching.csv"),
         ["beta", "worst_margin", "satisfied"],
@@ -119,16 +107,14 @@ def _holonomy_pair(system, seed, direction):
 
 def cmd_holonomy(cfg, out_dir):
     system = build_system(cfg)
-    seed = cfg.get_int("run", "seed", required=True)
     direction = cfg.raw("holonomy", "direction", "stable")
     if direction not in ("stable", "unstable"):
         raise ConfigurationError("[holonomy].direction must be stable or unstable")
-    x, y = _holonomy_pair(system, seed, direction)
+    x, y = _holonomy_pair(system, cfg.get_run("seed"), direction)
     q = HolonomyQuery(direction, x, y, **_run_options(cfg, HolonomyQuery))
     point = cfg.get_point("holonomy", "point", default=[0.3, 0.7])
     _, diag = stable_holonomy_point(system, q, point)
-    beta = cfg.get_float("run", "beta", 1.0)
-    report = fiber_bunching_margin(system, beta, seed=seed)
+    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin, "grid"))
     theta = report.worst_margin
     d = q.pair_distance
     scale = d ** system.holder_alpha if d > 0 else 1.0
@@ -176,21 +162,13 @@ def cmd_sweep(cfg, out_dir):
     word = cfg.get_word("sweep", "generator_word")
     if system.is_locally_constant and word not in system.family.table:
         raise ConfigurationError("sweep.generator_word %r names no generator" % (word,))
+    radius = cfg.get_float("sweep", "radius", 0.2)
+    if not 0.0 < radius <= 0.25:  # the range LocalizedTwist takes
+        raise ConfigurationError("sweep.radius must lie in (0, 1/4], got %r" % radius)
     rows = perturbation_sweep(
-        system,
-        word,
-        center,
-        cfg.get_float("sweep", "radius", 0.2),
-        t_values,
-        p,
-        z,
-        i,
-        seed=cfg.get_int("run", "seed", required=True),
-        grid=cfg.get_int("run", "grid", 32),
-        n_steps=cfg.get_int("run", "n_steps", 500),
-        n_orbits=cfg.get_int("run", "n_orbits", 100),
-        exponent_steps=cfg.get_int("run", "n_steps", 500) * 4,
+        system, word, center, radius, t_values, p, z, i,
         twisting_params=TwistingParams(**_run_options(cfg, TwistingParams)),
+        **_run_options(cfg, perturbation_sweep),
     )
     write_csv(
         os.path.join(out_dir, "sweep.csv"),

@@ -14,23 +14,26 @@ from .base_shift import BaseMeasure, PeriodicPoint, ShiftSpace, homoclinic_point
 from .errors import ConfigurationError
 from .skew import HolderFamily, LocallyConstantFamily, SkewSystem, admissible_words
 
+# Every [run] key, its type and its least value (counts >= 1, floats > 0 and
+# finite, seed any integer).  The commands pass each key a config sets to the
+# library parameter of that name, so the library owns every default.
+_COUNT, _POSITIVE = (int, 1), (float, 0.0)
+RUN_KEYS = {
+    "seed": (int, None),
+    "n_orbits": _COUNT, "n_steps": _COUNT, "n_max": _COUNT, "grid": _COUNT,
+    "j_max": _COUNT, "n_K": _COUNT, "frame_depth": _COUNT,
+    "tol": _POSITIVE, "beta": _POSITIVE, "delta_pinch": _POSITIVE,
+    "epsilon_twist": _POSITIVE, "fraction_required": _POSITIVE, "eps_K": _POSITIVE,
+}
+
 _ALLOWED_KEYS = {
     "base": {"type", "d", "probs", "P", "metric_base", "transitions"},
     "fiber": None,  # g0..gN, validated by pattern
     "skew": {"family", "depth", "assign", "K0", "eps", "alpha", "window"},
-    "run": {
-        "seed", "n_orbits", "n_steps", "tol", "n_max", "grid",
-        "beta", "delta_pinch", "epsilon_twist", "fraction_required",
-        "eps_K", "j_max", "n_K", "frame_depth",
-    },
+    "run": RUN_KEYS,
     "criterion": {"p_word", "z_symbol", "z_index", "i"},
     "sweep": {"T_values", "generator_word", "center", "radius"},
     "holonomy": {"direction", "point"},
-}
-
-_REQUIRED = {
-    "base": ("type", "d"),
-    "run": ("seed",),
 }
 
 
@@ -67,6 +70,10 @@ class ExperimentConfig:
             return int(v)
         except ValueError:
             raise ConfigurationError("%s.%s must be an integer, got %r" % (section, key, v))
+
+    def get_run(self, key):
+        """The [run] value of key, typed by RUN_KEYS, or None when unset."""
+        return (self.get_int if RUN_KEYS[key][0] is int else self.get_float)("run", key)
 
     def get_list(self, section, key, conv=float, default=None, required=False):
         v = self.raw(section, key, None, required)
@@ -135,10 +142,6 @@ def parse_config(text):
             )
         cfg.sections[section][key] = value
         cfg.lines[(section, key)] = lineno
-    for section, keys in _REQUIRED.items():
-        for key in keys:
-            if not cfg.has(section, key):
-                raise ConfigurationError("%s.%s required" % (section, key))
     _validate(cfg)
     return cfg
 
@@ -160,10 +163,13 @@ def _validate(cfg):
         P = cfg.get_list("base", "P", float, required=True)
         if len(P) != d * d:
             raise ConfigurationError("[base].P must list %d entries row-major" % (d * d))
-    for key in ("tol", "delta_pinch", "epsilon_twist", "fraction_required", "eps_K"):
-        v = cfg.get_float("run", key)
-        if v is not None and v <= 0:
-            raise ConfigurationError("[run].%s must be positive" % key)
+    cfg.raw("run", "seed", required=True)
+    for key in cfg.sections["run"]:
+        v, (typ, least) = cfg.get_run(key), RUN_KEYS[key]
+        if typ is int and least is not None and not v >= least:
+            raise ConfigurationError("run.%s must be >= %d, got %d" % (key, least, v))
+        if typ is float and not (v > least and math.isfinite(v)):
+            raise ConfigurationError("run.%s must be positive and finite, got %r" % (key, v))
 
 
 def serialize_config(cfg):

@@ -55,6 +55,9 @@ class HolonomyLoop(fm.FiberMap):
         return u, v, fm.mat_mul(hs, m)
 
     def apply(self, t):
+        """The array pass on one point, many times slower per point than a
+        batch: callers with many points use ``apply_many``.
+        """
         u, v, m = self.apply_many(np.array([t[0]]), np.array([t[1]]))
         return (float(u[0]), float(v[0])), tuple(float(e[0]) for e in m)
 
@@ -373,16 +376,22 @@ def perturbation_sweep(
     grid=32,
     n_steps=500,
     n_orbits=100,
-    exponent_steps=2000,
+    exponent_steps=None,
     twisting_params=TwistingParams(),
 ):
-    """Run the pinching/twisting/exponent pipeline for each twist angle."""
+    """Run the pinching/twisting/exponent pipeline for each twist angle.
+
+    The exponent takes exponent_steps (default 4 n_steps) steps per orbit.  A
+    row that fails records its error, but a ``ConfigurationError`` is about the
+    arguments, not about one T, so it propagates.
+    """
+    exponent_steps = 4 * n_steps if exponent_steps is None else exponent_steps
     rows = []
     for idx, T in enumerate(T_values):
         row = SweepRow(T=float(T))
         try:
             g_sys = perturbed_system(sys, generator_word, twist_center, twist_radius, T)
-            pin = check_pinching(g_sys, p, grid=grid, n_steps=n_steps)
+            pin = check_pinching(g_sys, p, grid, n_steps, twisting_params.delta_pinch)
             row.pinching_flag = pin.positive
             row.pinching_integral = pin.integral
             loop = build_holonomy_loop(g_sys, p, z, i)
@@ -394,6 +403,8 @@ def perturbation_sweep(
             )
             row.L_estimate = est.mean
             row.L_stderr = est.stderr
+        except ConfigurationError:
+            raise
         except SkewlabError as exc:
             row.error = str(exc)
         rows.append(row)

@@ -134,15 +134,8 @@ class FiberMap:
         raise NotImplementedError
 
     def apply_many(self, u, v):
-        """``apply`` at every point (u[i], v[i]): arrays u', v' and (a, b, c, d).
-
-        This default calls ``apply`` point by point; it is the reference
-        that every kind's array form equals bit for bit.
-        """
-        out = [self.apply(t) for t in zip(u.tolist(), v.tolist())]
-        images = np.array([t for t, _ in out], dtype=float).reshape(-1, 2)
-        derivs = np.array([d for _, d in out], dtype=float).reshape(-1, 4)
-        return images[:, 0].copy(), images[:, 1].copy(), tuple(derivs.T.copy())
+        """``apply`` at every point (u[i], v[i]): arrays u', v' and (a, b, c, d)."""
+        raise NotImplementedError
 
     def inverse(self):
         raise NotImplementedError

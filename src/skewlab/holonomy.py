@@ -89,14 +89,14 @@ class HolonomyQuery:
         return distance(self.x, self.y)
 
 
-def fiber_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
+def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, grid=16, seed=0):
     """Evaluate both fiber-bunching inequalities over sampled points.
 
     The margin at a base point is (sup_t ||Df(t)|| / sup_t m(Df(t))) *
     lambda^beta, and the analogue for the inverted generator; the report
     carries the worst margin over all samples.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError("beta must be positive")
     lam = sys.space.metric_base
     base_points = generator_base_points(sys, n_base, seed, 23)

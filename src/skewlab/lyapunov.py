@@ -64,7 +64,7 @@ def pointwise_exponent(sys, x, t, n):
     return -res.log_norm / abs(n)
 
 
-def integrated_exponent(sys, n_orbits, n_steps, seed):
+def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     """Monte Carlo mean of the pointwise exponent over the product measure."""
     if n_orbits < 1 or n_steps < 1:
         raise ConfigurationError("n_orbits and n_steps must be >= 1")
@@ -180,7 +180,11 @@ def oseledets_frames(sys, p, u, v, depth=200, delta_pinch=DELTA_PINCH, gap_steps
 
 
 def oseledets_frame(sys, p, t, depth=200, delta_pinch=DELTA_PINCH, gap_steps=400):
-    """Estimated Oseledets directions of the return cocycle at one fiber point."""
+    """Estimated Oseledets directions of the return cocycle at one fiber point.
+
+    It runs the array pass on one point, many times slower per point than a
+    batch: callers with many points use ``oseledets_frames``.
+    """
     u, v = (np.array([c], dtype=float) for c in t)
     return oseledets_frames(sys, p, u, v, depth, delta_pinch, gap_steps)[0]
 

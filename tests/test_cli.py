@@ -1,10 +1,14 @@
 """The skewlab command line: commands, CSV outputs, exit codes."""
 
+import ast
 import csv
+import inspect
 
 import pytest
 
+import skewlab.cli as cli
 from skewlab.cli import main
+from skewlab.config import RUN_KEYS
 
 IDENTITY_CFG = """
 [base]
@@ -190,11 +194,27 @@ point = 0.3, 0.7
         ("sweep", "center = 0.25, 0.25", "center = 0.25", "sweep.center"),
         ("holonomy", "point = 0.3, 0.7", "point = 0.3, 0.7, 0.9", "holonomy.point"),
         ("holonomy", "point = 0.3, 0.7", "point = inf, 0.7", "holonomy.point"),
+        ("criterion", "n_steps = 300", "n_steps = 0", "run.n_steps"),
+        ("criterion", "grid = 16", "grid = 0", "run.grid"),
+        ("criterion", "seed = 3", "seed = 3\nj_max = 0", "run.j_max"),
+        ("criterion", "seed = 3", "seed = 3\nepsilon_twist = nan", "run.epsilon_twist"),
+        ("criterion", "seed = 3", "seed = 3\nn_K = 0", "run.n_K"),
+        ("criterion", "seed = 3", "seed = 3\nframe_depth = 0", "run.frame_depth"),
+        ("criterion", "seed = 3", "seed = 3\neps_K = inf", "run.eps_K"),
+        ("bunching", "seed = 3", "seed = 3\nbeta = nan", "run.beta"),
+        ("holonomy", "seed = 3", "seed = 3\ntol = nan", "run.tol"),
+        ("holonomy", "seed = 3", "seed = 3\nn_max = 0", "run.n_max"),
+        ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = -0.2", "sweep.radius"),
+        ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = nan", "sweep.radius"),
+        ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = 0", "sweep.radius"),
+        ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = 0.3", "sweep.radius"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line, bad, key):
-    # these exited 1 with a ValueError or IndexError traceback, or (the
-    # three-number point) exited 0 and dropped the third entry
+    # these exited 1 with a ValueError or IndexError traceback, or exited 0:
+    # the three-number point dropped its third entry, a zero grid gave a nan
+    # integral, a nan beta a satisfied bunching, a bad radius a row error;
+    # the zero [run] counts and nan floats read as a domain error or a verdict
     cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
     assert bad in cfg
     rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
@@ -226,3 +246,37 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", _write(tmp_path, IDENTITY_CFG)])
+
+
+def _run_targets():
+    """The targets the commands hand their [run] keys to: every ``_run_options(cfg, X)``."""
+    tree = ast.parse(inspect.getsource(cli))
+    return {
+        getattr(cli, node.args[1].id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run_options"
+        and isinstance(node.args[1], ast.Name)
+    }
+
+
+def test_every_run_key_reaches_a_command_target():
+    params = set()
+    for target in _run_targets():
+        params |= set(inspect.signature(target).parameters)
+    assert set(RUN_KEYS) <= params
+
+
+def test_cli_reads_no_run_key_with_a_default():
+    # the library owns every [run] default; the CLI passes only the keys set
+    tree = ast.parse(inspect.getsource(cli))
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "get_run" or any(
+            isinstance(a, ast.Constant) and a.value == "run" for a in node.args))
+    ]
+    assert reads  # cfg.get_run("seed") for the holonomy pair
+    for node in reads:
+        n_args = 1 if node.func.attr == "get_run" else 2
+        assert len(node.args) <= n_args and not node.keywords, ast.unparse(node)
+    assert "param.default" not in inspect.getsource(cli)

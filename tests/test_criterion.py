@@ -494,6 +494,45 @@ def test_perturbation_sweep_t_zero_matches_unperturbed():
     assert row.L_estimate > 0.9
 
 
+def test_perturbation_sweep_pinching_uses_delta_pinch():
+    # the pinching check ignored delta_pinch: every row read pinching_flag
+    # true at integral 0.962 while its twisting said "pinching failed"
+    system = cat_system()
+    p, z, i = loop_inputs(system)
+    rows = sl.perturbation_sweep(
+        system, 1, (0.25, 0.25), 0.2, [0.0, 0.5], p, z, i,
+        seed=3, grid=4, n_steps=50, n_orbits=4,
+        twisting_params=dataclasses.replace(FAST_TWIST, delta_pinch=5.0),
+    )
+    assert [r.pinching_flag for r in rows] == [False, False]
+    assert all(abs(r.pinching_integral - LOG_CAT) < 2e-2 for r in rows)
+    assert all("pinching failed" in r.error for r in rows)
+
+
+def test_perturbation_sweep_exponent_steps_default_to_four_n_steps(monkeypatch):
+    calls = []
+
+    def fake_exponent(sys, n_orbits, n_steps, seed):
+        calls.append(n_steps)
+        return sl.ExponentEstimate(0.0, 0.0, n_orbits, n_steps, 0.0, seed)
+
+    monkeypatch.setattr(criterion, "integrated_exponent", fake_exponent)
+    system = cat_system()
+    p, z, i = loop_inputs(system)
+    sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.2, [0.0], p, z, i, grid=4, n_steps=30,
+                          twisting_params=FAST_TWIST)
+    assert calls == [120]
+
+
+def test_perturbation_sweep_configuration_error_propagates():
+    # a bad twist radius is about the arguments, not about one T: no row records it
+    system = cat_system()
+    p, z, i = loop_inputs(system)
+    with pytest.raises(ConfigurationError, match="twist radius"):
+        sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.3, [0.5], p, z, i,
+                              grid=4, n_steps=10, twisting_params=FAST_TWIST)
+
+
 def test_perturbation_sweep_row_error_does_not_abort():
     system = rotation_system()
     p, z, i = loop_inputs(system)

@@ -49,8 +49,9 @@ def test_bunching_cat_sixteenths():
 
 
 def test_bunching_beta_validation():
-    with pytest.raises(ConfigurationError):
-        sl.fiber_bunching_margin(cat_system(), beta=0.0)
+    for beta in (0.0, float("nan")):  # nan gave worst_margin 0, satisfied
+        with pytest.raises(ConfigurationError):
+            sl.fiber_bunching_margin(cat_system(), beta=beta)
 
 
 def test_bunching_rejects_empty_samples():
