@@ -16,8 +16,10 @@ cumulative weight of their last positive-weight symbol to 1.0, so no
 uniform below 1 can pick a symbol past it.
 
 ``BaseSequence.symbols`` reads a window of indices as a numpy array: a
-Bernoulli tape draws it with one counter-RNG call, a Markov tape slices its
-blocks, and any other lookup is asked one index at a time.
+Bernoulli tape slices its cached blocks when it holds every block of the
+window, and otherwise draws the window with one counter-RNG call and caches
+nothing; a Markov tape slices its blocks, walking the missing ones; any
+other lookup is asked one index at a time.
 """
 
 import itertools
@@ -278,10 +280,24 @@ class _BernoulliTape:
         if block is None:
             if len(self.blocks) >= _MAX_BLOCKS:
                 self.blocks.clear()
-            block = self.blocks[b] = self.window(b * _BLOCK, (b + 1) * _BLOCK).tolist()
+            block = self.blocks[b] = self._draw(b * _BLOCK, (b + 1) * _BLOCK).tolist()
         return block[j - b * _BLOCK]
 
     def window(self, start, stop):
+        """Sliced from the cached blocks when all are held, else drawn uncached.
+
+        The scan stops at the first missing block, so a fresh tape pays one
+        dict lookup before its draw.
+        """
+        out = []
+        for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+            block = self.blocks.get(b)
+            if block is None:
+                return self._draw(start, stop)
+            out += block[max(start - b * _BLOCK, 0):stop - b * _BLOCK]
+        return np.array(out, dtype=np.intp)
+
+    def _draw(self, start, stop):
         u = counter_uniforms(self.seed, self.stream_id, start, max(start, stop))
         return np.searchsorted(self.cum, u, side="right")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fiber_maps as fm
 from .base_shift import sample_sequence
-from .errors import ConfigurationError, SkewlabError
+from .errors import ConfigurationError, SkewlabError, check_counts, check_positive
 from .holonomy import HolonomyQuery, stable_holonomy_jets
 from .lyapunov import (
     DELTA_PINCH,
@@ -90,6 +90,15 @@ class TwistingParams:
     frame_depth: int = 150
     delta_pinch: float = DELTA_PINCH
 
+    def __post_init__(self):
+        check_counts(n_K=self.n_K, j_max=self.j_max, frame_depth=self.frame_depth)
+        check_positive(
+            epsilon_twist=self.epsilon_twist,
+            fraction_required=self.fraction_required,
+            eps_K=self.eps_K,
+            delta_pinch=self.delta_pinch,
+        )
+
 
 @dataclass
 class TwistingReport:
@@ -153,6 +162,8 @@ def build_holonomy_loop(sys, p, z, i):
 
 def check_pinching(sys, p, grid=64, n_steps=1000, delta_pinch=DELTA_PINCH):
     """Average return-map exponent over the periodic fiber, with NUH bookkeeping."""
+    check_counts(grid=grid, n_steps=n_steps)
+    check_positive(delta_pinch=delta_pinch)
     values = return_map_exponent_grid(sys, p, grid, n_steps)
     integral = float(values.mean())
     return PinchingReport(

@@ -26,3 +26,17 @@ class NonConvergenceError(SkewlabError):
 
 class CertificateViolationError(SkewlabError):
     """A declared regularity bound was violated by a sampled witness."""
+
+
+def check_counts(**counts):
+    """Raise ConfigurationError naming the first count that is not >= 1."""
+    for name, v in counts.items():
+        if not v >= 1:
+            raise ConfigurationError("%s must be >= 1, got %r" % (name, v))
+
+
+def check_positive(**values):
+    """Raise ConfigurationError naming the first value that is not > 0 (nan fails)."""
+    for name, v in values.items():
+        if not v > 0:
+            raise ConfigurationError("%s must be > 0, got %r" % (name, v))

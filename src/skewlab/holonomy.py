@@ -33,7 +33,7 @@ import numpy as np
 
 from . import fiber_maps as fm
 from .base_shift import distance
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, check_counts, check_positive
 from .skew import generator_base_points, orbit_maps
 
 @dataclass
@@ -75,14 +75,18 @@ class HolonomyQuery:
     def __post_init__(self):
         if self.direction not in ("stable", "unstable"):
             raise ConfigurationError("direction must be 'stable' or 'unstable'")
-        # nearest index first: 0, 1, ... (stable) or 0, -1, ... (unstable)
-        sign = 1 if self.direction == "stable" else -1
-        for j in range(0, sign * (self.x.space.metric_horizon + 1), sign):
-            if self.x.symbol(j) != self.y.symbol(j):
-                raise ConfigurationError(
-                    "query pair is not on the same local %s set (index %d)"
-                    % (self.direction, j)
-                )
+        check_positive(tol=self.tol)
+        check_counts(n_max=self.n_max)
+        # indices 0..h (stable) or -h..0 (unstable); the error names the one nearest 0
+        stable = self.direction == "stable"
+        h = self.x.space.metric_horizon
+        lo, hi = (0, h + 1) if stable else (-h, 1)
+        differ = np.flatnonzero(self.x.symbols(lo, hi) != self.y.symbols(lo, hi))
+        if len(differ):
+            raise ConfigurationError(
+                "query pair is not on the same local %s set (index %d)"
+                % (self.direction, lo + differ[0 if stable else -1])
+            )
 
     @cached_property
     def pair_distance(self):

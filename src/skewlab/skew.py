@@ -14,6 +14,7 @@ or the standard-map parameter) and applies a whole step from the keys.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,9 @@ class LocallyConstantFamily:
 
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions whose words start at syms[0], ..."""
-        d, pairs = self.depth, self._pairs
+        words = zip(*(syms[i:i + n] for i in range(self.depth)))
         try:
-            return [pairs[tuple(syms[i:i + d])] for i in range(n)]
+            return list(map(self._pairs.__getitem__, words))
         except KeyError as exc:
             raise ConfigurationError("no generator for word %r" % (exc.args[0],))
 
@@ -222,17 +223,20 @@ def orbit_maps(sys, x, backward=False, n=None):
     f^{-m}_x; s is the shift.  The walk stops after n steps; with n None
     it runs on, reading symbols in windows that double (up to a cap) with
     the steps consumed.  Either way a walk of m steps reads O(m) symbols
-    and holds O(min(m, cap)) maps.
+    and holds O(min(m, cap)) maps.  Each window is one ``x.symbols`` call:
+    a Bernoulli sequence slices it from its cached blocks when it holds
+    them all, and otherwise draws it with one counter-RNG call; a Markov
+    sequence slices its blocks.
     """
     window_maps = sys.family.window_maps
     lo, hi = sys.family.reach
-    symbol = x.symbol
+    symbols = x.symbols
     k, size = 0, 1
     while n is None or k < n:
         if n is not None:
             size = min(n - k, _MAX_CHUNK)
         first = -k - size if backward else k  # lowest base position of the chunk
-        pairs = window_maps(list(map(symbol, range(first + lo, first + size + hi))), size)
+        pairs = window_maps(symbols(first + lo, first + size + hi).tolist(), size)
         if backward:
             for f, f_inv in reversed(pairs):
                 yield f_inv, f
@@ -299,7 +303,7 @@ def iterate_cocycle(sys, x, t, n):
 
     Negative n follows the backward orbit with inverted generators.
     """
-    maps = (f for f, _ in orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
+    maps = map(operator.itemgetter(0), orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
     t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
     return CocycleResult(t, log_norm, tail, int(n), det_defect)
 

@@ -9,6 +9,7 @@ import skewlab.fiber_maps as fm
 from skewlab.holonomy import stable_holonomy_jet
 from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
+from skewlab.skew import CocycleResult, accumulate_cocycle
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -69,6 +70,55 @@ def holder_system(metric_base=1.0 / 16.0, eps=0.05, K0=0.5, alpha=1.0):
     space = sl.ShiftSpace(2, metric_base=metric_base)
     family = sl.HolderFamily(K0=K0, eps=eps, alpha=alpha, space=space)
     return sl.SkewSystem(space, bernoulli2(), family)
+
+
+def depth4_system():
+    """Depth-4 family over the full 2-shift: four generators spread over the 16 words."""
+    twist = fm.LocalizedTwist((0.3, 0.6), 0.2, 0.7)
+    maps = [
+        cat_map(),
+        fm.ToralAutomorphism(SHEAR_UP),
+        fm.Composite([fm.ToralAutomorphism(SHEAR_LO), twist]),
+        fm.Composite([cat_map(), twist]),
+    ]
+    space = sl.ShiftSpace(2)
+    words = sl.admissible_words(space, 4)
+    table = {w: maps[(3 * i + w[0]) % len(maps)] for i, w in enumerate(words)}
+    return sl.SkewSystem(space, bernoulli2(), sl.LocallyConstantFamily(4, table))
+
+
+def scalar_parameter(family, x):
+    """The Holder parameter summed one symbol lookup at a time."""
+    c = family.coeffs
+    s = c[x.symbol(0)]
+    w = 1.0
+    for j in range(1, family.window + 1):
+        w *= family.gamma
+        s += w * (c[x.symbol(j)] + c[x.symbol(-j)])
+    return family.K0 + family.eps * s
+
+
+def scalar_iterate_cocycle(sys, x, t, n):
+    """``iterate_cocycle`` reading x.symbol(j) one index at a time.
+
+    The map at shift^k x comes from ``family.table`` (locally constant) or
+    is ``StandardMap(scalar_parameter(...))`` (Holder); backward steps
+    apply the inverses of the maps at shift^-1 x, shift^-2 x, ...
+    """
+    family = sys.family
+
+    def map_at(k):
+        y = x.shift(k)
+        if isinstance(family, sl.LocallyConstantFamily):
+            return family.table[tuple(y.symbol(j) for j in range(family.depth))]
+        return fm.StandardMap(scalar_parameter(family, y))
+
+    if n >= 0:
+        maps = [map_at(k) for k in range(n)]
+    else:
+        maps = [map_at(-k - 1).inverse() for k in range(-n)]
+    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
+    return CocycleResult(t, log_norm, tail, n, det_defect)
 
 
 # one system per array-path case: LC maps, a twist, zero gap, a Markov base, sin/cos

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewlab as sl
+from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape
 from skewlab.errors import BracketUndefinedError, ConfigurationError
 
 from _common import bernoulli2, stream_with_hash
@@ -290,8 +291,26 @@ def _window_sequences():
         y for y in (sl.sample_sequence(space3, bern, 4, k) for k in range(2, 50))
         if y.symbol(0) == x.symbol(0)
     )
+
+    def warmed(blocks):
+        """The Bernoulli sequence after a symbol read in each of the blocks, in order."""
+        warm = sl.sample_sequence(space3, bern, 4, 1)
+        for k in blocks:
+            warm.symbol(k * _BLOCK)
+
+        def make():
+            x = sl.sample_sequence(space3, bern, 4, 1)
+            x._lookup.blocks.update(warm._lookup.blocks)
+            return x
+
+        return make
+
     return {
         "bernoulli": lambda: sl.sample_sequence(space3, bern, 4, 1),
+        # blocks -2..1 held
+        "bernoulli-warmed": warmed(range(-2, 2)),
+        # the read of block 62 drops blocks -2..61, then -1 and 0 come back
+        "bernoulli-evicted": warmed([*range(-2, _MAX_BLOCKS - 1), -1, 0]),
         "markov": lambda: sl.sample_sequence(golden, markov, 6, 2),
         "periodic": lambda: sl.periodic_point(space3, (0, 1, 1, 2, 0)),
         "bracket": lambda: sl.bracket(x, partner),
@@ -305,14 +324,28 @@ def test_symbols_window_matches_symbol_lookups(name):
     make = _window_sequences()[name]
     windows = [
         (-130, -60), (-64, 64), (-1, 1), (63, 129), (0, 0), (5, 3), (-200, 200),
-        (127, 128), (-65, -63), (-128, -64), (4000, 4100),
+        (127, 128), (-65, -63), (-128, -64), (4000, 4100), (3970, 4000), (3970, 4100),
     ]
     reused = make()
+    if name == "bernoulli-evicted":
+        assert set(reused._lookup.blocks) == {_MAX_BLOCKS - 2, -1, 0}
     for a, b in windows:
         want = [make().symbol(j) for j in range(a, b)]
         for x in (make(), reused):
+            tape = x._lookup
+            held = set(tape.blocks) if isinstance(tape, _BernoulliTape) else None
             got = x.symbols(a, b)
             assert got.dtype.kind == "i" and got.tolist() == want, (a, b)
+            if held is not None:  # a Bernoulli window caches nothing
+                assert set(tape.blocks) == held, (a, b)
+
+
+def test_bernoulli_window_slices_held_blocks_without_drawing(monkeypatch):
+    x = _window_sequences()["bernoulli-warmed"]()
+    want = [x.symbol(j) for j in range(-128, 128)]
+    monkeypatch.setattr(sl.base_shift, "counter_uniforms", None)  # any draw raises
+    assert x.symbols(-128, 128).tolist() == want
+    assert x.symbols(-70, 3).tolist() == want[58:131]
 
 
 def test_bernoulli_symbols_stay_in_range_when_weights_sum_below_one():

@@ -247,6 +247,34 @@ def test_check_pinching_identity_and_rotation():
     assert not rep.positive
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(grid=0), dict(n_steps=0), dict(delta_pinch=NAN), dict(delta_pinch=-1.0)]
+)
+def test_check_pinching_rejects_bad_values(bad):
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.check_pinching(twisted_cat_system(), sl.PeriodicPoint((0,)), **bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(n_K=0), dict(j_max=0), dict(frame_depth=0), dict(epsilon_twist=NAN),
+        dict(epsilon_twist=0.0), dict(fraction_required=NAN), dict(eps_K=-1.0),
+        dict(delta_pinch=NAN),
+    ],
+)
+def test_twisting_params_reject_bad_values(bad):
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.TwistingParams(**bad)
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        dataclasses.replace(FAST_TWIST, **bad)
+
+
 def test_check_twisting_cat_loop_is_not_twisting():
     # both generators the cat map: the loop is A^2, which fixes A's
     # eigendirections, so transported pairs land back on the target pair

@@ -117,6 +117,41 @@ def test_query_validation():
         sl.HolonomyQuery("sideways", x, y)
 
 
+@pytest.mark.parametrize("horizon", [128, 50])
+@pytest.mark.parametrize(
+    "flipped", [(3, 40), (-2, -90), (0, 7), (1, -1), "edge", "past-edge"]
+)
+def test_query_error_names_the_nearest_differing_index(horizon, flipped):
+    space = sl.ShiftSpace(2, metric_horizon=horizon)
+    flipped = {"edge": (horizon, -horizon), "past-edge": (horizon + 1, -horizon - 1)}.get(
+        flipped, flipped
+    )
+    x = sl.sample_sequence(space, bernoulli2(), 31, 0)
+    xs = x.symbol
+    y = sl.BaseSequence(space, lambda j: 1 - xs(j) if j in flipped else xs(j))
+    for direction, sign in (("stable", 1), ("unstable", -1)):
+        want = None  # the per-index scan, nearest index first
+        for j in range(0, sign * (horizon + 1), sign):
+            if x.symbol(j) != y.symbol(j):
+                want = j
+                break
+        if want is None:
+            sl.HolonomyQuery(direction, x, y)
+        else:
+            with pytest.raises(ConfigurationError, match=r"\(index %d\)$" % want):
+                sl.HolonomyQuery(direction, x, y)
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(tol=float("nan")), dict(tol=-1.0), dict(tol=0.0), dict(n_max=0)]
+)
+def test_query_rejects_bad_tolerance_and_cap(bad):
+    x, y = stable_pair(twisted_cat_system(), 1, 0)
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.HolonomyQuery("stable", x, y, **bad)
+
+
 def test_locally_constant_holonomies_are_identity():
     system = twisted_cat_system()
     t = (0.3, 0.7)

@@ -21,10 +21,13 @@ from _common import (
     bernoulli2,
     cat_map,
     cat_system,
+    depth4_system,
     golden_mean_system,
     holder_system,
     identity_map,
     lc_system,
+    scalar_iterate_cocycle,
+    scalar_parameter,
     twisted_cat_system,
 )
 
@@ -71,6 +74,30 @@ def test_iterate_cocycle_n_zero():
     res = sl.iterate_cocycle(system, x, (0.3, 0.7), 0)
     assert res.end_point == (0.3, 0.7)
     assert res.log_norm == 0.0
+
+
+@pytest.mark.parametrize("chunk", [skew._MAX_CHUNK, 7])
+@pytest.mark.parametrize(
+    "make_system",
+    [twisted_cat_system, golden_mean_system, depth4_system, holder_system],
+    ids=["twisted-cat", "golden-mean", "lc-depth4", "holder"],
+)
+def test_iterate_cocycle_matches_per_symbol_walk(make_system, chunk, monkeypatch):
+    """Window reads meet the maps a walk reading one symbol at a time meets."""
+    monkeypatch.setattr(skew, "_MAX_CHUNK", chunk)
+    system = make_system()
+    t = (0.3, 0.7)
+    shared = sl.sample_sequence(system.space, system.measure, 29, 0)
+    for n in (1, 64, -1, 300, -300, 700):
+        x = sl.sample_sequence(system.space, system.measure, 29, 1 + abs(n))
+        fresh = sl.iterate_cocycle(system, x, t, n)
+        want = scalar_iterate_cocycle(system, x, t, n)  # warms x's cached blocks
+        assert fresh == want, n
+        assert sl.iterate_cocycle(system, x, t, n) == want, n
+        # shared is warmed only as far as earlier walks reached: partly cached windows
+        assert sl.iterate_cocycle(system, shared, t, n) == scalar_iterate_cocycle(
+            system, shared, t, n
+        ), n
 
 
 def test_iterate_cocycle_cat_exponent():
@@ -253,32 +280,21 @@ def test_holder_estimate_certificate_holds():
     assert 0.0 < h_hat <= system.family.holder_constant()
 
 
-def _scalar_parameter(family, x):
-    """The Holder parameter summed one symbol lookup at a time."""
-    c = family.coeffs
-    s = c[x.symbol(0)]
-    w = 1.0
-    for j in range(1, family.window + 1):
-        w *= family.gamma
-        s += w * (c[x.symbol(j)] + c[x.symbol(-j)])
-    return family.K0 + family.eps * s
-
-
 def test_orbit_maps_holder_parameters_match_scalar_sum():
     system = holder_system(metric_base=0.5, eps=0.3)
     family = system.family
     x = sl.sample_sequence(system.space, system.measure, 17, 0)
     n = 2100
     for k, (f, f_inv) in enumerate(itertools.islice(orbit_maps(system, x), n)):
-        K = _scalar_parameter(family, x.shift(k))
+        K = scalar_parameter(family, x.shift(k))
         assert f.kind == "stdmap" and f_inv.kind == "stdmap_inv"
         assert f.K == K and f_inv.K == K
     backward = orbit_maps(system, x, backward=True)
     for k, (g, g_inv) in enumerate(itertools.islice(backward, n)):
-        K = _scalar_parameter(family, x.shift(-k - 1))
+        K = scalar_parameter(family, x.shift(-k - 1))
         assert g.kind == "stdmap_inv" and g_inv.kind == "stdmap"
         assert g.K == K and g_inv.K == K
-    assert family.parameter(x) == _scalar_parameter(family, x)
+    assert family.parameter(x) == scalar_parameter(family, x)
 
 
 def _golden_mean_depth2_system():
