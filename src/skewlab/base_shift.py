@@ -18,8 +18,10 @@ uniform below 1 can pick a symbol past it.
 ``BaseSequence.symbols`` reads a window of indices as a numpy array: a
 Bernoulli tape slices its cached blocks when it holds every block of the
 window, and otherwise draws the window with one counter-RNG call and caches
-nothing; a Markov tape slices its blocks, walking the missing ones; any
-other lookup is asked one index at a time.
+nothing; a Markov tape slices its blocks, walking the missing ones;
+periodic and homoclinic points index their word with the window's
+indices; any other lookup (a bracket, a hand-made sequence) is asked one
+index at a time.
 """
 
 import itertools
@@ -150,13 +152,42 @@ class PeriodicPoint:
         return periodic_point(space, self.word)
 
 
+class _Periodic:
+    """Symbol j is word[j mod len(word)]; windows index the word as an array."""
+
+    __slots__ = ("word", "_array")
+
+    def __init__(self, word):
+        self.word, self._array = word, np.array(word, dtype=np.intp)
+
+    def __call__(self, j):
+        return self.word[j % len(self.word)]
+
+    def window(self, start, stop):
+        return self._array[np.arange(start, stop) % len(self.word)]
+
+
 def periodic_point(space, word):
     """The bi-infinite periodic repetition of ``word``."""
     word = space.check_word(word, cyclic=True)
     if not word:
         raise ConfigurationError("empty periodic word")
-    kappa = len(word)
-    return BaseSequence(space, lambda j: word[j % kappa])
+    return BaseSequence(space, _Periodic(word))
+
+
+class _Homoclinic:
+    """Symbol j is ``inserted`` at j == index and ``fixed`` elsewhere."""
+
+    __slots__ = ("fixed", "inserted", "index")
+
+    def __init__(self, fixed, inserted, index):
+        self.fixed, self.inserted, self.index = fixed, inserted, index
+
+    def __call__(self, j):
+        return self.inserted if j == self.index else self.fixed
+
+    def window(self, start, stop):
+        return np.where(np.arange(start, stop) == self.index, self.inserted, self.fixed)
 
 
 def homoclinic_point(space, p, insert_symbol, insert_index=1):
@@ -169,8 +200,7 @@ def homoclinic_point(space, p, insert_symbol, insert_index=1):
         raise ConfigurationError("inserted symbol must differ from the fixed symbol")
     if not (space.admissible(i, l) and space.admissible(l, i)):
         raise ConfigurationError("transitions %d <-> %d are inadmissible" % (i, l))
-    k = int(insert_index)
-    return BaseSequence(space, lambda j: l if j == k else i)
+    return BaseSequence(space, _Homoclinic(i, l, int(insert_index)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Points are plain (u, v) tuples with coordinates in [0, 1); 2x2 matrices are
 (a, b, c, d) tuples in row-major order.  ``apply`` maps one point; every map
 kind also has ``apply_many(u, v)``, which maps arrays of coordinates and
-returns the image coordinates and the four derivative entries as arrays,
-equal bit for bit to ``apply`` at each point.
+returns the image coordinates as arrays and the four derivative entries,
+equal bit for bit to ``apply`` at each point.  The entries are arrays, or
+floats where the derivative is the same at every point (toral maps and
+their compositions): they broadcast against the points, and a product of
+such derivatives stays four floats.
 
 The batch rule that keeps them equal: numpy does only + - * / %, sqrt and
 comparisons, which round exactly as the scalar float operations do.  Sin,
@@ -80,7 +83,13 @@ def mat_norms(a, b, c, d):
 
 
 def elementwise(fn, *arrays):
-    """A ``math`` function applied one element at a time, as a float array."""
+    """A ``math`` function applied one element at a time, as a float array.
+
+    Scalar arguments, such as the entries of a constant derivative, give
+    the float ``fn(*arrays)``.
+    """
+    if not isinstance(arrays[0], np.ndarray):
+        return fn(*arrays)
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
@@ -134,7 +143,11 @@ class FiberMap:
         raise NotImplementedError
 
     def apply_many(self, u, v):
-        """``apply`` at every point (u[i], v[i]): arrays u', v' and (a, b, c, d)."""
+        """``apply`` at every point (u[i], v[i]): arrays u', v' and (a, b, c, d).
+
+        Each derivative entry is an array of the points' shape, or a float
+        when the derivative does not depend on the point.
+        """
         raise NotImplementedError
 
     def inverse(self):
@@ -164,9 +177,7 @@ class ToralAutomorphism(FiberMap):
 
     def apply_many(self, u, v):
         a, b, c, d = self.matrix
-        return (a * u + b * v) % 1.0, (c * u + d * v) % 1.0, tuple(
-            np.full(u.shape, e) for e in self.matrix
-        )
+        return (a * u + b * v) % 1.0, (c * u + d * v) % 1.0, self.matrix
 
     def inverse(self):
         a, b, c, d = self.matrix
@@ -347,7 +358,8 @@ def sample_points(grid, n_random, seed, stream_id):
 def max_det_defect(f, u, v):
     """Max of |det Df(t) - 1| over the points (u[i], v[i]); 0.0 for none."""
     _, _, (a, b, c, d) = f.apply_many(u, v)
-    return float(np.abs(a * d - b * c - 1.0).max(initial=0.0))
+    defect = np.broadcast_to(abs(a * d - b * c - 1.0), u.shape)
+    return float(defect.max(initial=0.0))
 
 
 def area_preservation_defect(f, n_samples=1000, seed=0):

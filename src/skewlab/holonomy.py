@@ -204,7 +204,9 @@ def stable_holonomy_jets(sys, q, u, v):
     meets the same maps.  Each point keeps its own increments and freezes
     its image and its matrix at its own stops, as ``_truncate`` does, so
     every entry equals the one-point truncation bit for bit; frozen points
-    keep their place in the arrays until the last point stops.  Raises
+    keep their place in the arrays until the last point stops.  Constant
+    derivatives keep the matrix, its increments and its det drift in
+    floats, shared by every point.  Raises
     ``NonConvergenceError`` when any open point trips the det guard or
     stays open at n_max, with the diagnostics of the first such point.
     """
@@ -235,12 +237,12 @@ def stable_holonomy_jets(sys, q, u, v):
             k = bad[0]
             raise NonConvergenceError(
                 "linear holonomy truncation lost precision at n=%d: "
-                "det - 1 = %.3g" % (n, drift[k]),
-                ConvergenceDiagnostics([float(a[k]) for a in m_increments], n),
+                "det - 1 = %.3g" % (n, _entry(drift, k)),
+                ConvergenceDiagnostics([_entry(a, k) for a in m_increments], n),
             )
         stop = jet_open & _stop_ok(sys, m_increments, q.tol)
         for out, e in zip(jet, m):
-            out[stop] = e[stop]
+            np.copyto(out, e, where=stop)
         jet_open &= ~stop
         increments.append(fm.elementwise(math.hypot, *fm.torus_delta((cu, cv), prev)))
         prev = cu, cv
@@ -253,8 +255,13 @@ def stable_holonomy_jets(sys, q, u, v):
     kind, incs = ("", increments) if point_open[k] else ("linear ", m_increments)
     raise NonConvergenceError(
         "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
-        ConvergenceDiagnostics([float(a[k]) for a in incs], q.n_max),
+        ConvergenceDiagnostics([_entry(a, k) for a in incs], q.n_max),
     )
+
+
+def _entry(a, k):
+    """Entry k of a per-point value: an array, or a float shared by every point."""
+    return float(a[k] if np.ndim(a) else a)
 
 
 def stable_holonomy_point(sys, q, t):

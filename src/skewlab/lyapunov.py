@@ -103,7 +103,8 @@ def _mean_log_norms(g, u, v, n_steps):
 
     All points step together through ``g.apply_many``; the log norm is
     ``accumulate_cocycle``'s, in array form, so each value equals the
-    single-point result bit for bit.
+    single-point result bit for bit.  A constant derivative keeps the
+    product in floats, which are broadcast to the points at the end.
     """
     pp, qq, rr, ss = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
@@ -115,7 +116,7 @@ def _mean_log_norms(g, u, v, n_steps):
             log_acc = log_acc + fm.elementwise(math.log, nb)
             pp, qq, rr, ss = pp / nb, qq / nb, rr / nb, ss / nb
     log_norm = log_acc + fm.elementwise(math.log, fm.mat_norms(pp, qq, rr, ss))
-    return log_norm / n_steps
+    return np.broadcast_to(log_norm / n_steps, u.shape).copy()
 
 
 def return_map_exponent_grid(sys, p, grid=64, n_steps=1000):
@@ -134,7 +135,8 @@ def _limit_angles(f, f_inv, u, v, depth):
     """Angles of Df^k(f^{-k}(t)) applied to a generic vector, for k = depth, 2 depth.
 
     One backward walk of 2 depth steps serves both k; each push starts at
-    the far end of its walk and normalises the vector at every step.
+    the far end of its walk and normalises the vector at every step.  The
+    vector stays two floats while the derivatives are constant.
     """
     derivs = []
     for _ in range(2 * depth):
@@ -142,10 +144,11 @@ def _limit_angles(f, f_inv, u, v, depth):
         derivs.append(f.apply_many(u, v)[2])
     angles = []
     for k in (depth, 2 * depth):
-        e = tuple(np.full(u.shape, c) for c in GENERIC_DIRECTION)
+        e = GENERIC_DIRECTION
         for d in reversed(derivs[:k]):
             e = fm.mat_vec_unit(d, e)
-        angles.append(fm.elementwise(math.atan2, e[1], e[0]) % math.pi)
+        angle = fm.elementwise(math.atan2, e[1], e[0]) % math.pi
+        angles.append(np.broadcast_to(angle, u.shape))
     return angles
 
 

@@ -251,7 +251,8 @@ def orbit_batch(sys, xs, u, v, n):
 
     Step k yields the fiber points after it and the derivatives of its maps,
     as arrays (u, v, (a, b, c, d)) with one entry per orbit, equal bit for
-    bit to walking each orbit with ``orbit_maps`` and ``apply``.  Symbols
+    bit to walking each orbit with ``orbit_maps`` and ``apply``; a step
+    whose orbits all meet one constant-derivative map yields its floats.  Symbols
     and family keys are read in chunks of at most _MAX_CHUNK steps and
     _MAX_BATCH_CELLS orbit-steps, so memory stays bounded for any n and
     any number of orbits.

@@ -313,6 +313,11 @@ def _window_sequences():
         "bernoulli-evicted": warmed([*range(-2, _MAX_BLOCKS - 1), -1, 0]),
         "markov": lambda: sl.sample_sequence(golden, markov, 6, 2),
         "periodic": lambda: sl.periodic_point(space3, (0, 1, 1, 2, 0)),
+        "periodic-shifted": lambda: sl.periodic_point(space3, (0, 1, 1, 2, 0)).shift(-7),
+        "homoclinic": lambda: sl.homoclinic_point(space3, sl.PeriodicPoint((2,)), 0),
+        "homoclinic-shifted": lambda: sl.homoclinic_point(
+            space3, sl.PeriodicPoint((1,)), 2, -64
+        ).shift(3),
         "bracket": lambda: sl.bracket(x, partner),
         "bernoulli-shifted": lambda: sl.sample_sequence(space3, bern, 4, 1).shift(-70),
         "markov-shifted": lambda: sl.sample_sequence(golden, markov, 6, 2).shift(37),
@@ -325,6 +330,7 @@ def test_symbols_window_matches_symbol_lookups(name):
     windows = [
         (-130, -60), (-64, 64), (-1, 1), (63, 129), (0, 0), (5, 3), (-200, 200),
         (127, 128), (-65, -63), (-128, -64), (4000, 4100), (3970, 4000), (3970, 4100),
+        (1, 2), (-67, -66), (2, 1), (-3, 17),
     ]
     reused = make()
     if name == "bernoulli-evicted":
@@ -346,6 +352,18 @@ def test_bernoulli_window_slices_held_blocks_without_drawing(monkeypatch):
     monkeypatch.setattr(sl.base_shift, "counter_uniforms", None)  # any draw raises
     assert x.symbols(-128, 128).tolist() == want
     assert x.symbols(-70, 3).tolist() == want[58:131]
+
+
+def test_periodic_and_homoclinic_windows_read_no_single_symbol(monkeypatch):
+    space = sl.ShiftSpace(3)
+    xs = [
+        sl.periodic_point(space, (0, 1, 1, 2, 0)),
+        sl.homoclinic_point(space, sl.PeriodicPoint((2,)), 0, -3),
+    ]
+    want = [[x.symbol(j) for j in range(-20, 20)] for x in xs]
+    for lookup in (sl.base_shift._Periodic, sl.base_shift._Homoclinic):
+        monkeypatch.setattr(lookup, "__call__", None)  # any one-index read raises
+    assert [x.symbols(-20, 20).tolist() for x in xs] == want
 
 
 def test_bernoulli_symbols_stay_in_range_when_weights_sum_below_one():

@@ -137,6 +137,17 @@ def test_loop_apply_many_matches_reference_loop(make_system):
     assert 0 < sum(moved) < len(pts)
 
 
+def test_loop_of_constant_maps_returns_arrays():
+    # every map of the cat system is toral: the holonomy jets and the
+    # excursion multiply floats, and the loop still returns one H per point
+    system = cat_system()
+    loop = sl.build_holonomy_loop(system, *loop_inputs(system))
+    pts = _loop_test_points()
+    hu, hv, H = loop.apply_many(*(np.array(c) for c in zip(*pts)))
+    assert [e.shape for e in (hu, hv, *H)] == [(len(pts),)] * 6
+    assert _apply_many(loop, pts) == [scalar_loop_apply(loop, t) for t in pts]
+
+
 def test_loop_apply_many_raises_when_one_point_fails():
     system = holder_system()
     p, z, i = loop_inputs(system)

@@ -52,9 +52,11 @@ def _assert_apply_many_matches(f, pts):
     got_u, got_v, got_d = f.apply_many(u, v)
     want = [[t[0] for t, _ in out], [t[1] for t, _ in out]]
     want += [[d[k] for _, d in out] for k in range(4)]
-    # bit patterns, so that 0.0 and -0.0 differ too
+    # image coordinates are arrays; a derivative entry may be a float shared
+    # by every point.  Bit patterns, so that 0.0 and -0.0 differ too
+    assert got_u.shape == got_v.shape == (len(pts),)
+    got_d = [np.broadcast_to(d, (len(pts),)) for d in got_d]
     for got, w in zip((got_u, got_v, *got_d), want):
-        assert got.shape == (len(pts),)
         assert got.tobytes() == np.array(w, dtype=float).tobytes()
 
 
@@ -72,6 +74,43 @@ def test_apply_many_matches_apply_on_twist_support_boundaries(f):
     pts = _boundary_points(MAP_KINDS[3]) + _boundary_points(EDGE_TWIST)
     pts += random_points(500, seed=4)
     _assert_apply_many_matches(f, pts)
+
+
+def test_toral_apply_many_returns_its_matrix_as_floats():
+    u, v = fm.grid_points(3)
+    shear = fm.ToralAutomorphism((1, 1, 0, 1))
+    for f in (cat_map(), cat_map().inverse(), fm.Composite([cat_map(), shear])):
+        fu, fv, d = f.apply_many(u, v)
+        assert fu.shape == fv.shape == u.shape
+        assert [type(e) for e in d] == [float] * 4
+    assert cat_map().apply_many(u, v)[2] == cat_map().matrix == (2.0, 1.0, 1.0, 1.0)
+
+
+class _Stretch(fm.FiberMap):
+    """The identity on points with the constant derivative (2, 0, 0, 1): det 2."""
+
+    def apply(self, t):
+        return t, (2.0, 0.0, 0.0, 1.0)
+
+    def apply_many(self, u, v):
+        return u, v, (2.0, 0.0, 0.0, 1.0)
+
+
+def test_max_det_defect_broadcasts_a_constant_derivative():
+    empty = np.empty(0)
+    assert fm.max_det_defect(cat_map(), empty, empty) == 0.0
+    assert fm.max_det_defect(_Stretch(), empty, empty) == 0.0
+    assert fm.max_det_defect(_Stretch(), *fm.grid_points(2)) == 1.0
+
+
+def test_elementwise_on_scalars_is_the_math_function():
+    for fn, args in (
+        (math.hypot, (3.0, 4.0)),
+        (math.atan2, (-0.5, 0.25)),
+        (math.log, (np.float64(2.5),)),
+    ):
+        got = fm.elementwise(fn, *args)
+        assert got == fn(*args) and type(got) is float
 
 
 def test_twist_boundary_points_straddle_the_support():

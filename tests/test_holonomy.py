@@ -399,6 +399,36 @@ def test_holonomy_jets_report_non_convergence_as_one_point(n_max):
     assert many.value.diagnostics == one.value.diagnostics
 
 
+class _SelfInverseStretch(fm.FiberMap):
+    """The identity on points with the constant derivative (2, 0, 0, 1), posing
+    as its own inverse, so that every linear truncation has det Dh = 4."""
+
+    def apply(self, t):
+        return t, (2.0, 0.0, 0.0, 1.0)
+
+    def apply_many(self, u, v):
+        return u, v, (2.0, 0.0, 0.0, 1.0)
+
+    def inverse(self):
+        return self
+
+
+def test_holonomy_jets_report_constant_det_drift_as_one_point():
+    # a constant derivative keeps the drift and the increments in floats
+    f = _SelfInverseStretch()
+    system = sl.SkewSystem(
+        sl.ShiftSpace(2), bernoulli2(), sl.LocallyConstantFamily(1, {0: f, 1: f})
+    )
+    q = sl.HolonomyQuery("stable", *stable_pair(system, 29, 8))
+    pts = [sl.random_fiber_point(29, j, stream=2) for j in range(5)]
+    with pytest.raises(NonConvergenceError, match="det - 1 = 3") as one:
+        stable_holonomy_jet(system, q, pts[0])
+    with pytest.raises(NonConvergenceError) as many:
+        _jets(system, q, pts)
+    assert str(many.value) == str(one.value)
+    assert many.value.diagnostics == one.value.diagnostics
+
+
 @pytest.mark.parametrize(
     "make_system, k, tol, n_max, stops, fails",
     [

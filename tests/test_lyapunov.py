@@ -14,6 +14,7 @@ from skewlab.lyapunov import (
     OseledetsFrame,
     oseledets_frames,
     projective_gap,
+    return_map_exponent_grid,
 )
 from skewlab.skew import accumulate_cocycle
 
@@ -222,6 +223,20 @@ def test_oseledets_frames_match_scalar_reference(make_system):
             assert all(f.gap < DELTA_PINCH for f in got)
         one = sl.oseledets_frame(system, p, points[-1], depth=30, gap_steps=60)
         assert one == want[-1]
+
+
+@pytest.mark.parametrize("word", [(0,), (0, 1)])  # a toral map, a composite of two
+def test_toral_return_map_gives_one_value_per_point(word):
+    system = cat_system()
+    p = sl.PeriodicPoint(word)
+    u, v = fm.sample_points(3, 4, 7, 0)
+    assert [type(e) for e in sl.return_map(system, p).apply_many(u, v)[2]] == [float] * 4
+    frames = oseledets_frames(system, p, u, v, depth=30, gap_steps=60)
+    assert len(frames) == len(u) and all(f.converged for f in frames)
+    assert [type(c) for c in (frames[0].gap, frames[0].e_u, frames[0].e_s)] == [float] * 3
+    assert len({(f.e_u, f.e_s, f.gap) for f in frames}) == 1  # the cocycle is constant
+    grid = return_map_exponent_grid(system, p, 3, 50)
+    assert grid.shape == (3, 3) and grid.flags.writeable
 
 
 def test_furstenberg_oracle_properties():

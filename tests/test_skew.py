@@ -329,7 +329,7 @@ def test_orbit_maps_locally_constant_are_table_entries():
 
 
 @pytest.mark.parametrize(
-    "make_system", [_golden_mean_depth2_system, holder_system, twisted_cat_system]
+    "make_system", [_golden_mean_depth2_system, holder_system, twisted_cat_system, cat_system]
 )
 def test_orbit_batch_matches_orbit_maps(make_system, monkeypatch):
     monkeypatch.setattr(skew, "_MAX_CHUNK", 7)  # several chunks, one partial
@@ -346,8 +346,19 @@ def test_orbit_batch_matches_orbit_maps(make_system, monkeypatch):
         for k, (f, _) in enumerate(orbit_maps(system, x, n=n)):
             t, d = f.apply(t)
             bu, bv, bd = steps[k]
+            bd = [np.broadcast_to(e, u.shape) for e in bd]
             got = np.array([bu[i], bv[i], *(e[i] for e in bd)])
             assert got.tobytes() == np.array([*t, *d]).tobytes(), (i, k)
+
+
+def test_orbit_batch_keeps_a_shared_constant_derivative_as_floats():
+    # steps 0 and 2 meet the cat map on every orbit, steps 1 and 3 also A o twist
+    system = twisted_cat_system()
+    x, y = (sl.periodic_point(system.space, w) for w in ((0,), (0, 1)))
+    u, v = fm.grid_points(2)
+    steps = list(orbit_batch(system, [x, x, y, x], u, v, 4))
+    assert [type(d[0]) for _, _, d in steps] == [float, np.ndarray] * 2
+    assert steps[0][2] == steps[2][2] == cat_map().matrix
 
 
 def test_backward_holder_orbits_retain_no_memory():
