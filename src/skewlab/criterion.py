@@ -162,7 +162,6 @@ def build_holonomy_loop(sys, p, z, i):
 
 def check_pinching(sys, p, grid=64, n_steps=1000, delta_pinch=DELTA_PINCH):
     """Average return-map exponent over the periodic fiber, with NUH bookkeeping."""
-    check_counts(grid=grid, n_steps=n_steps)
     check_positive(delta_pinch=delta_pinch)
     values = return_map_exponent_grid(sys, p, grid, n_steps)
     integral = float(values.mean())
@@ -331,6 +330,9 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     maximum defect over a fiber grid.  Near-zero scores are consistent
     with an invariant su-structure (isometric systems).
     """
+    check_counts(bins=bins, n_iter=n_iter, n_points=n_points)
+    if not burn_in >= 0:
+        raise ConfigurationError("burn_in must be >= 0, got %r" % (burn_in,))
     if n_iter <= burn_in:
         raise ConfigurationError(
             "su_state_probe needs n_iter > burn_in (got %d <= %d)" % (n_iter, burn_in)

@@ -4,11 +4,14 @@ Monte Carlo orbits are addressed by counter-based streams derived from
 (seed, orbit_index), so estimates are a pure function of the seed.  The
 return map g of a periodic point runs on arrays: the pinching grid and
 the Oseledets frames step all their fiber points at once through
-``g.apply_many``, equal bit for bit to one point at a time.  An
-independent projective transfer-operator discretization provides the
-cross-check oracle for random matrix products.
+``g.apply_many``, equal bit for bit to one point at a time.  Once g's
+derivative comes back as floats, it is the same matrix at every point
+(a toral return map), and the points stop walking: every later step
+reuses that matrix.  An independent projective transfer-operator
+discretization provides the cross-check oracle for random matrix products.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +20,7 @@ import numpy as np
 from . import fiber_maps as fm
 from . import skew
 from .base_shift import sample_sequence
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_counts, check_positive
 from .rng import derive_seed
 from .skew import iterate_cocycle, orbit_maps, random_fiber_point
 
@@ -66,8 +69,7 @@ def pointwise_exponent(sys, x, t, n):
 
 def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     """Monte Carlo mean of the pointwise exponent over the product measure."""
-    if n_orbits < 1 or n_steps < 1:
-        raise ConfigurationError("n_orbits and n_steps must be >= 1")
+    check_counts(n_orbits=n_orbits, n_steps=n_steps)
     base_seed = derive_seed(seed, 1)
     fiber_seed = derive_seed(seed, 2)
     values = np.empty(n_orbits)
@@ -98,18 +100,39 @@ def return_map(sys, p):
     return fm.Composite(factors)
 
 
+def _derivatives(f, u, v, n, f_inv=None):
+    """Df along n steps from the points (u, v), one derivative per step.
+
+    The points walk forward through f, or, given f_inv, back through the
+    preimages f^{-1}(t), f^{-2}(t), ..., with Df taken at each.  Once the
+    four entries come back as floats, Df is the same at every point
+    (``FiberMap.apply_many``), so the walk stops and the remaining steps
+    yield those floats.
+    """
+    for k in range(n):
+        if f_inv is None:
+            u, v, d = f.apply_many(u, v)
+        else:
+            u, v, _ = f_inv.apply_many(u, v)
+            d = f.apply_many(u, v)[2]
+        yield d
+        if not any(isinstance(e, np.ndarray) for e in d):
+            yield from itertools.repeat(d, n - 1 - k)
+            return
+
+
 def _mean_log_norms(g, u, v, n_steps):
     """(1/n) log ||Dg^n(t)|| at every point t = (u[i], v[i]), for n = n_steps.
 
     All points step together through ``g.apply_many``; the log norm is
     ``accumulate_cocycle``'s, in array form, so each value equals the
-    single-point result bit for bit.  A constant derivative keeps the
-    product in floats, which are broadcast to the points at the end.
+    single-point result bit for bit.  A constant derivative stops the walk
+    and keeps the product in floats, which are broadcast to the points at
+    the end.
     """
     pp, qq, rr, ss = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
-    for k in range(1, n_steps + 1):
-        u, v, (a, b, c, d) = g.apply_many(u, v)
+    for k, (a, b, c, d) in enumerate(_derivatives(g, u, v, n_steps), 1):
         pp, qq, rr, ss = a * pp + b * rr, a * qq + b * ss, c * pp + d * rr, c * qq + d * ss
         if k % skew.RENORM_EVERY == 0:
             nb = fm.mat_norms(pp, qq, rr, ss)
@@ -121,6 +144,7 @@ def _mean_log_norms(g, u, v, n_steps):
 
 def return_map_exponent_grid(sys, p, grid=64, n_steps=1000):
     """Pointwise exponents of the return cocycle on a fiber grid."""
+    check_counts(grid=grid, n_steps=n_steps)
     g = return_map(sys, p)
     return _mean_log_norms(g, *fm.grid_points(grid), n_steps).reshape(grid, grid)
 
@@ -135,13 +159,11 @@ def _limit_angles(f, f_inv, u, v, depth):
     """Angles of Df^k(f^{-k}(t)) applied to a generic vector, for k = depth, 2 depth.
 
     One backward walk of 2 depth steps serves both k; each push starts at
-    the far end of its walk and normalises the vector at every step.  The
-    vector stays two floats while the derivatives are constant.
+    the far end of its walk and normalises the vector at every step.  When
+    the derivatives are constant the points stop walking, and the vector
+    stays two floats.
     """
-    derivs = []
-    for _ in range(2 * depth):
-        u, v, _ = f_inv.apply_many(u, v)
-        derivs.append(f.apply_many(u, v)[2])
+    derivs = list(_derivatives(f, u, v, 2 * depth, f_inv))
     angles = []
     for k in (depth, 2 * depth):
         e = GENERIC_DIRECTION
@@ -161,6 +183,8 @@ def oseledets_frames(sys, p, u, v, depth=200, delta_pinch=DELTA_PINCH, gap_steps
     to 1e-4 and are more than 1e-6 apart.  All points go through g in one
     array pass, so each frame equals the single-point computation bit for bit.
     """
+    check_counts(depth=depth, gap_steps=gap_steps)
+    check_positive(delta_pinch=delta_pinch)
     g = return_map(sys, p)
     gaps = _mean_log_norms(g, u, v, gap_steps)
     frames = [OseledetsFrame(0.0, 0.0, gap, False, depth) for gap in gaps.tolist()]
@@ -185,8 +209,9 @@ def oseledets_frames(sys, p, u, v, depth=200, delta_pinch=DELTA_PINCH, gap_steps
 def oseledets_frame(sys, p, t, depth=200, delta_pinch=DELTA_PINCH, gap_steps=400):
     """Estimated Oseledets directions of the return cocycle at one fiber point.
 
-    It runs the array pass on one point, many times slower per point than a
-    batch: callers with many points use ``oseledets_frames``.
+    It runs the array pass on one point.  When the return map depends on
+    the point, that is many times slower per point than a batch: callers
+    with many points use ``oseledets_frames``.
     """
     u, v = (np.array([c], dtype=float) for c in t)
     return oseledets_frames(sys, p, u, v, depth, delta_pinch, gap_steps)[0]

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -119,6 +120,18 @@ def scalar_iterate_cocycle(sys, x, t, n):
         maps = [map_at(-k - 1).inverse() for k in range(-n)]
     t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
     return CocycleResult(t, log_norm, tail, n, det_defect)
+
+
+def scalar_exponent_grid(sys, p, grid, n_steps):
+    """``return_map_exponent_grid`` one fiber point at a time."""
+    g = sl.return_map(sys, p)
+    out = np.empty((grid, grid))
+    for i in range(grid):
+        for j in range(grid):
+            t = ((i + 0.5) / grid, (j + 0.5) / grid)
+            maps = itertools.repeat(g, n_steps)
+            out[i, j] = accumulate_cocycle(maps, t)[1] / n_steps
+    return out
 
 
 # one system per array-path case: LC maps, a twist, zero gap, a Markov base, sin/cos

@@ -1,7 +1,6 @@
 """Pinching/twisting detectors, holonomy loop, probes, and sweeps."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -14,9 +13,9 @@ import skewlab.holonomy as holonomy
 import skewlab.skew as skew
 from skewlab.criterion import SweepRow
 from skewlab.errors import ConfigurationError, NonConvergenceError, SkewlabError
-from skewlab.lyapunov import oseledets_frame, return_map, return_map_exponent_grid
+from skewlab.lyapunov import oseledets_frame, return_map_exponent_grid
 from skewlab.rng import derive_seed
-from skewlab.skew import accumulate_cocycle, orbit_maps
+from skewlab.skew import orbit_maps
 
 from _common import (
     BATCH_IDS,
@@ -31,6 +30,7 @@ from _common import (
     loop_inputs,
     rotation_system,
     scalar_check_twisting,
+    scalar_exponent_grid,
     scalar_loop_apply,
     twisted_cat_system,
 )
@@ -337,6 +337,22 @@ def test_su_state_probe_rejects_empty_histograms(n_iter, burn_in):
         sl.su_state_probe(system, p, loop, n_iter=n_iter, burn_in=burn_in)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(bins=0), dict(bins=-3), dict(n_iter=0), dict(n_points=0), dict(n_points=-1),
+        dict(burn_in=-5), dict(burn_in=NAN),
+    ],
+)
+def test_su_state_probe_rejects_bad_values(bad):
+    (name,) = bad
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.su_state_probe(system, p, loop, **bad)
+
+
 # --- scalar references: one orbit and one fiber point at a time --------------
 
 
@@ -393,17 +409,6 @@ def _scalar_twisting_sample(sys, loop, params):
             if frame.converged and len(K) < params.n_K:
                 K.append((t, frame))
     return K
-
-
-def _scalar_exponent_grid(sys, p, grid, n_steps):
-    g = return_map(sys, p)
-    out = np.empty((grid, grid))
-    for i in range(grid):
-        for j in range(grid):
-            t = ((i + 0.5) / grid, (j + 0.5) / grid)
-            maps = itertools.repeat(g, n_steps)
-            out[i, j] = accumulate_cocycle(maps, t)[1] / n_steps
-    return out
 
 
 @pytest.mark.parametrize("make_system", BATCH_SYSTEMS, ids=BATCH_IDS)
@@ -494,11 +499,11 @@ def test_pinching_grid_matches_scalar_reference(make_system, monkeypatch):
         for renorm_every in (16, 5):
             monkeypatch.setattr(skew, "RENORM_EVERY", renorm_every)
             got = return_map_exponent_grid(system, p, 5, 37)
-            want = _scalar_exponent_grid(system, p, 5, 37)
+            want = scalar_exponent_grid(system, p, 5, 37)
             assert got.tobytes() == want.tobytes()
         monkeypatch.undo()
         report = sl.check_pinching(system, p, grid=6, n_steps=50)
-        values = _scalar_exponent_grid(system, p, 6, 50)
+        values = scalar_exponent_grid(system, p, 6, 50)
         assert report.integral == float(values.mean())
         assert report.nuh_fraction == float((values > criterion.DELTA_PINCH).mean())
 

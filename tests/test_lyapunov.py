@@ -7,6 +7,7 @@ import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
+import skewlab.lyapunov as lyapunov
 from skewlab.errors import ConfigurationError
 from skewlab.lyapunov import (
     DELTA_PINCH,
@@ -28,6 +29,8 @@ from _common import (
     identity_map,
     lc_system,
     rotation_system,
+    scalar_exponent_grid,
+    twisted_cat_system,
 )
 
 
@@ -237,6 +240,91 @@ def test_toral_return_map_gives_one_value_per_point(word):
     assert len({(f.e_u, f.e_s, f.gap) for f in frames}) == 1  # the cocycle is constant
     grid = return_map_exponent_grid(system, p, 3, 50)
     assert grid.shape == (3, 3) and grid.flags.writeable
+
+
+class _CountingMap(fm.FiberMap):
+    """A fiber map that logs each ``apply_many`` call; its inverse logs to the same list."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def apply(self, t):
+        return self.inner.apply(t)
+
+    def apply_many(self, u, v):
+        self.calls.append(len(u))
+        return self.inner.apply_many(u, v)
+
+    def inverse(self):
+        return _CountingMap(self.inner.inverse(), self.calls)
+
+
+@pytest.mark.parametrize(
+    "make_system, word, walks",
+    [
+        (cat_system, (0, 1), False),  # a composite of toral maps
+        (twisted_cat_system, (0,), False),  # the twist is off the orbit: the cat map
+        (twisted_cat_system, (0, 1), True),  # the twist is on the orbit
+    ],
+    ids=["cat-composite", "twisted-cat-off-orbit", "twisted-cat-on-orbit"],
+)
+def test_constant_return_map_stops_walking_points(make_system, word, walks, monkeypatch):
+    system = make_system()
+    p = sl.PeriodicPoint(word)
+    calls = []
+    monkeypatch.setattr(
+        lyapunov, "return_map", lambda s, q: _CountingMap(sl.return_map(s, q), calls)
+    )
+    u, v = fm.sample_points(3, 4, 7, 0)
+    points = list(zip(u.tolist(), v.tolist()))
+    pinching_calls, frame_calls = [], []
+    for n_steps, depth in ((40, 20), (80, 40)):
+        calls.clear()
+        report = sl.check_pinching(system, p, grid=4, n_steps=n_steps)
+        pinching_calls.append(len(calls))
+        values = scalar_exponent_grid(system, p, 4, n_steps)
+        assert report.integral == float(values.mean())
+        assert report.nuh_fraction == float((values > DELTA_PINCH).mean())
+        calls.clear()
+        frames = oseledets_frames(system, p, u, v, depth=depth, gap_steps=n_steps)
+        frame_calls.append(len(calls))
+        assert frames == [_scalar_frame(system, p, t, depth, gap_steps=n_steps) for t in points]
+        one = sl.oseledets_frame(system, p, points[0], depth=depth, gap_steps=n_steps)
+        assert one == frames[0]
+    assert (pinching_calls[1] > pinching_calls[0]) is walks
+    assert (frame_calls[1] > frame_calls[0]) is walks
+    if not walks:  # one call for the gap and two for each of e_u and e_s
+        assert frame_calls[0] == 5 * pinching_calls[0]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(depth=0), dict(gap_steps=0), dict(delta_pinch=NAN), dict(delta_pinch=-1.0)]
+)
+def test_oseledets_frames_reject_bad_values(bad):
+    (name,) = bad
+    system = twisted_cat_system()
+    u, v = fm.grid_points(2)
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        oseledets_frames(system, sl.PeriodicPoint((0,)), u, v, **bad)
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.oseledets_frame(system, sl.PeriodicPoint((0,)), (0.3, 0.7), **bad)
+
+
+@pytest.mark.parametrize("bad", [dict(grid=0), dict(n_steps=0), dict(n_steps=-2)])
+def test_exponent_grid_rejects_bad_counts(bad):
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        return_map_exponent_grid(twisted_cat_system(), sl.PeriodicPoint((0,)), **bad)
+
+
+@pytest.mark.parametrize("bad", [dict(n_orbits=0), dict(n_steps=0)])
+def test_integrated_exponent_names_the_bad_count(bad):
+    (name,) = bad
+    with pytest.raises(ConfigurationError, match="^%s must be" % name):
+        sl.integrated_exponent(cat_system(), **bad)
 
 
 def test_furstenberg_oracle_properties():
