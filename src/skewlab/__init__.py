@@ -19,7 +19,6 @@ from .base_shift import (
     homoclinic_point,
     periodic_point,
     sample_sequence,
-    shift,
 )
 from .config import (
     ExperimentConfig,
@@ -49,14 +48,12 @@ from .errors import (
     SkewlabError,
 )
 from .fiber_maps import (
-    BumpProfile,
     Composite,
     FiberMap,
     LocalizedTwist,
     StandardMap,
     ToralAutomorphism,
     area_preservation_defect,
-    compose,
 )
 from .holonomy import (
     BunchingReport,

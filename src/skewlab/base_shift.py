@@ -113,10 +113,6 @@ class BaseSequence:
         return BaseSequence(self.space, self._lookup, self.offset + k)
 
 
-def shift(x, k=1):
-    return x.shift(k)
-
-
 def distance(x, y):
     """Shift metric: metric_base**(two-sided agreement radius)."""
     if x.space.alphabet_size != y.space.alphabet_size:
@@ -194,8 +190,8 @@ def homoclinic_point(space, p, insert_symbol, insert_index=1):
     """Homoclinic point of a fixed point: one inserted symbol, ``p`` elsewhere."""
     if p.period != 1:
         raise ConfigurationError("homoclinic construction needs a fixed point")
-    i = p.word[0]
-    l = int(insert_symbol)
+    (i,) = space.check_word(p.word, cyclic=True)
+    (l,) = space.check_word((insert_symbol,))
     if l == i:
         raise ConfigurationError("inserted symbol must differ from the fixed symbol")
     if not (space.admissible(i, l) and space.admissible(l, i)):
@@ -215,23 +211,23 @@ class BaseMeasure:
     def __post_init__(self):
         if self.kind == "bernoulli":
             p = np.asarray(self.probs, dtype=float)
-            if p.ndim != 1 or (p <= 0).any():
-                raise ConfigurationError("bernoulli weights must be positive")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ConfigurationError("bernoulli weights must sum to 1")
+            if p.ndim != 1 or not (p > 0).all():
+                raise ConfigurationError("bernoulli probs must be positive")
+            if not abs(p.sum() - 1.0) <= 1e-12:
+                raise ConfigurationError("bernoulli probs must sum to 1")
             object.__setattr__(self, "probs", tuple(p.tolist()))
         elif self.kind == "markov":
             P = np.asarray(self.P, dtype=float)
             d = P.shape[0]
-            if P.shape != (d, d) or (P < 0).any():
-                raise ConfigurationError("markov matrix must be square, nonnegative")
-            if np.abs(P.sum(axis=1) - 1.0).max() > 1e-12:
-                raise ConfigurationError("markov rows must sum to 1")
+            if P.shape != (d, d) or not (P >= 0).all():
+                raise ConfigurationError("markov matrix P must be square, nonnegative")
+            if not np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12:
+                raise ConfigurationError("markov rows of P must sum to 1")
             if self.pi is None:
                 pi = _stationary_vector(P)
             else:
                 pi = np.asarray(self.pi, dtype=float)
-            if np.abs(pi @ P - pi).max() > 1e-12 or (pi <= 0).any():
+            if not (np.abs(pi @ P - pi).max() <= 1e-12 and (pi > 0).all()):
                 raise ConfigurationError("pi is not a positive stationary vector")
             object.__setattr__(self, "P", tuple(map(tuple, P.tolist())))
             object.__setattr__(self, "pi", tuple(pi.tolist()))
@@ -415,8 +411,8 @@ def sample_sequence(space, measure, seed, stream_id=0):
     return BaseSequence(space, tape(measure, seed, stream_id))
 
 
-def cylinder_measure(measure, word, start_index=0):
-    """Exact probability of the cylinder fixing ``word`` from ``start_index``."""
+def cylinder_measure(measure, word):
+    """Exact probability of the cylinder fixing ``word``, at any start (shift-invariance)."""
     word = tuple(int(s) for s in word)
     if not word:
         return 1.0

@@ -10,6 +10,7 @@ significant digits so reruns are byte-comparable.
 
 import argparse
 import inspect
+import math
 import os
 import sys as _sys
 import tempfile
@@ -27,8 +28,6 @@ from .errors import ConfigurationError, SkewlabError
 from .holonomy import HolonomyQuery, fiber_bunching_margin, stable_holonomy_point
 from .lyapunov import integrated_exponent
 from .rng import derive_seed
-
-COMMANDS = ("exponent", "bunching", "holonomy", "criterion", "sweep")
 
 
 def _fmt(v):
@@ -158,6 +157,8 @@ def cmd_sweep(cfg, out_dir):
     system = build_system(cfg)
     p, z, i = criterion_inputs(cfg, system)
     t_values = cfg.get_list("sweep", "T_values", float, required=True)
+    if not all(map(math.isfinite, t_values)):
+        raise ConfigurationError("sweep.T_values must be finite, got %r" % (t_values,))
     center = cfg.get_point("sweep", "center", default=[0.25, 0.25])
     word = cfg.get_word("sweep", "generator_word")
     if system.is_locally_constant and word not in system.family.table:
@@ -194,7 +195,7 @@ _DISPATCH = {
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="skewlab")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)

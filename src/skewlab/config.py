@@ -155,7 +155,7 @@ def _validate(cfg):
         probs = cfg.get_list("base", "probs", float, required=True)
         if len(probs) != d:
             raise ConfigurationError("[base].probs must list %d weights" % d)
-        if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        if not (all(p > 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
             raise ConfigurationError(
                 "[base].probs must be positive and sum to 1"
             )

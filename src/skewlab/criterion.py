@@ -43,7 +43,7 @@ class HolonomyLoop(fm.FiberMap):
     sys: object  # SkewSystem
     p: object  # PeriodicPoint
     q_u: HolonomyQuery  # unstable pair (p, z)
-    q_s: HolonomyQuery  # stable pair (shift(z, i), p)
+    q_s: HolonomyQuery  # stable pair (z.shift(i), p)
     excursion: list  # fiber maps along z for steps 0..i-1
 
     def apply_many(self, u, v):
@@ -80,7 +80,7 @@ class PinchingReport:
     n_steps: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistingParams:
     n_K: int = 200
     j_max: int = 64
@@ -148,7 +148,7 @@ def projective_distance(u, v):
 def build_holonomy_loop(sys, p, z, i):
     """Assemble h = h^s o f^i_z o h^u and its linear part from holonomies.
 
-    The queries raise ``ConfigurationError`` unless z and shift(z, i) lie on
+    The queries raise ``ConfigurationError`` unless z and z.shift(i) lie on
     the local unstable and stable sets of p.
     """
     p_seq = p.point(sys.space)
@@ -389,16 +389,14 @@ def perturbation_sweep(
     grid=32,
     n_steps=500,
     n_orbits=100,
-    exponent_steps=None,
     twisting_params=TwistingParams(),
 ):
     """Run the pinching/twisting/exponent pipeline for each twist angle.
 
-    The exponent takes exponent_steps (default 4 n_steps) steps per orbit.  A
-    row that fails records its error, but a ``ConfigurationError`` is about the
-    arguments, not about one T, so it propagates.
+    The exponent takes 4 n_steps steps per orbit.  A row that fails records
+    its error, but a ``ConfigurationError`` is about the arguments, not
+    about one T, so it propagates.
     """
-    exponent_steps = 4 * n_steps if exponent_steps is None else exponent_steps
     rows = []
     for idx, T in enumerate(T_values):
         row = SweepRow(T=float(T))
@@ -412,7 +410,7 @@ def perturbation_sweep(
             row.twisting_flag = tw.twisting
             row.twisting_min_separation_median = tw.min_separation_median
             est = integrated_exponent(
-                g_sys, n_orbits, exponent_steps, derive_seed(seed, idx)
+                g_sys, n_orbits, 4 * n_steps, derive_seed(seed, idx)
             )
             row.L_estimate = est.mean
             row.L_stderr = est.stderr

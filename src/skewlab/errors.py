@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SkewlabError(Exception):
     """Base class for all package errors."""
@@ -40,3 +42,10 @@ def check_positive(**values):
     for name, v in values.items():
         if not v > 0:
             raise ConfigurationError("%s must be > 0, got %r" % (name, v))
+
+
+def check_finite(**values):
+    """Raise ConfigurationError naming the first value that is not finite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ConfigurationError("%s must be finite, got %r" % (name, v))

@@ -17,11 +17,10 @@ last bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .rng import counter_uniform, counter_uniforms
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
@@ -104,34 +103,27 @@ def mat_sub_norm(m, n):
     return mat_norm((m[0] - n[0], m[1] - n[1], m[2] - n[2], m[3] - n[3]))
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Smooth step: 1 on [0, plateau_end], 0 beyond support_end."""
+BUMP_PLATEAU = 1.0 / 3.0  # the bump is 1 on [0, BUMP_PLATEAU]
+BUMP_SUPPORT = 2.0 / 3.0  # and 0 from BUMP_SUPPORT on
 
-    plateau_end: float = 1.0 / 3.0
-    support_end: float = 2.0 / 3.0
 
-    def __post_init__(self):
-        if not 0.0 < self.plateau_end < self.support_end < 1.0:
-            raise ConfigurationError("need 0 < plateau_end < support_end < 1")
-
-    def value_and_slope(self, s):
-        """rho(s) and rho'(s); the transition is the standard exp(-1/u) step."""
-        a, b = self.plateau_end, self.support_end
-        if s <= a:
-            return 1.0, 0.0
-        if s >= b:
-            return 0.0, 0.0
-        w = b - a
-        u = (s - a) / w
-        fu = math.exp(-1.0 / u)
-        fv = math.exp(-1.0 / (1.0 - u))
-        denom = fu + fv
-        q = fu / denom
-        dfu = fu / (u * u)
-        dfv = fv / ((1.0 - u) * (1.0 - u))
-        dq = (dfu * fv + fu * dfv) / (denom * denom)
-        return 1.0 - q, -dq / w
+def bump(s):
+    """rho(s) and rho'(s) of the twist's smooth step: the exp(-1/u) step between the constants."""
+    a, b = BUMP_PLATEAU, BUMP_SUPPORT
+    if s <= a:
+        return 1.0, 0.0
+    if s >= b:
+        return 0.0, 0.0
+    w = b - a
+    u = (s - a) / w
+    fu = math.exp(-1.0 / u)
+    fv = math.exp(-1.0 / (1.0 - u))
+    denom = fu + fv
+    q = fu / denom
+    dfu = fu / (u * u)
+    dfv = fv / ((1.0 - u) * (1.0 - u))
+    dq = (dfu * fv + fu * dfv) / (denom * denom)
+    return 1.0 - q, -dq / w
 
 
 class FiberMap:
@@ -241,30 +233,30 @@ class _StandardMapInverse(FiberMap):
 
 
 class LocalizedTwist(FiberMap):
-    """Rotation by angle * rho(dist/radius) about ``center``.
+    """Rotation by angle * rho(dist/radius) about ``center``, rho = ``bump``.
 
     In polar coordinates about the center the map is (s, theta) ->
     (s, theta + angle * rho(s)); it is the bit-exact identity outside the
-    disc of radius support_end * radius.
+    disc of radius BUMP_SUPPORT * radius.
     """
 
     kind = "twist"
 
-    def __init__(self, center, radius, angle, profile=BumpProfile()):
+    def __init__(self, center, radius, angle):
         if not 0.0 < radius <= 0.25:
             raise ConfigurationError("twist radius must lie in (0, 1/4]")
+        check_finite(angle=angle, center_u=center[0], center_v=center[1])
         self.center = (center[0] % 1.0, center[1] % 1.0)
         self.radius = float(radius)
         self.angle = float(angle)
-        self.profile = profile
 
     def apply(self, t):
         y1, y2 = torus_delta(t, self.center)
         r = math.hypot(y1, y2)
         s = r / self.radius
-        if s >= self.profile.support_end:
+        if s >= BUMP_SUPPORT:
             return t, IDENTITY
-        rho, drho = self.profile.value_and_slope(s)
+        rho, drho = bump(s)
         phi = self.angle * rho
         cp, sp = math.cos(phi), math.sin(phi)
         z1 = cp * y1 - sp * y2
@@ -288,7 +280,7 @@ class LocalizedTwist(FiberMap):
         covers its rounding, so ``apply`` makes the exact support test.
         """
         y1, y2 = torus_delta((u, v), self.center)
-        reach = self.profile.support_end * self.radius
+        reach = BUMP_SUPPORT * self.radius
         near = np.flatnonzero(y1 * y1 + y2 * y2 <= reach * reach * (1.0 + 1e-9))
         out_u, out_v = u.copy(), v.copy()
         a, d = np.ones(u.shape), np.ones(u.shape)
@@ -298,7 +290,7 @@ class LocalizedTwist(FiberMap):
         return out_u, out_v, (a, b, c, d)
 
     def inverse(self):
-        return LocalizedTwist(self.center, self.radius, -self.angle, self.profile)
+        return LocalizedTwist(self.center, self.radius, -self.angle)
 
 
 class Composite(FiberMap):
@@ -328,10 +320,6 @@ class Composite(FiberMap):
 
     def inverse(self):
         return Composite([f.inverse() for f in reversed(self.factors)])
-
-
-def compose(*factors):
-    return Composite(factors)
 
 
 def random_point(seed, stream_id, index):

@@ -287,13 +287,13 @@ def unstable_holonomy_point(sys, q, t):
     return stable_holonomy_point(sys, q, t)
 
 
-def holonomy_cocycle_check(sys, q, t, envelope_constant=None):
+def holonomy_cocycle_check(sys, q, t):
     """Defect of the equivariance axiom plus any Holder-bound excess.
 
     The equivariance defect compares h^s over shifted pairs with the
-    conjugated holonomy for j in {1, 2, 3}.  When an envelope constant is
-    supplied (or fitted from the increments), the excess of
-    d(h(t), t) <= L d(x, y)^alpha adds to the defect.
+    conjugated holonomy for j in {1, 2, 3}.  When an envelope constant L can
+    be fitted from the first increments of h(t) (c / (1 - theta) / d(x, y)^alpha),
+    the excess of d(h(t), t) <= L d(x, y)^alpha adds to the defect.
     """
     sign = -1 if q.direction == "unstable" else 1
     h_t, diag = stable_holonomy_point(sys, q, t)
@@ -309,13 +309,11 @@ def holonomy_cocycle_check(sys, q, t, envelope_constant=None):
         direct, _ = stable_holonomy_point(sys, qj, point)
         defect = max(defect, fm.torus_distance(direct, image))
     d = q.pair_distance
-    if envelope_constant is None:
-        head = [v for v in diag.increments[:3] if v > 0.0]
-        theta = diag.fitted_theta
-        if head and 0.0 < theta < 1.0 and d > 0.0:
-            c = max(v / theta ** n for n, v in enumerate(head))
-            envelope_constant = c / (1.0 - theta) / d ** sys.holder_alpha
-    if envelope_constant is not None and d > 0.0:
+    head = [v for v in diag.increments[:3] if v > 0.0]
+    theta = diag.fitted_theta
+    if head and 0.0 < theta < 1.0 and d > 0.0:
+        c = max(v / theta ** n for n, v in enumerate(head))
+        envelope_constant = c / (1.0 - theta) / d ** sys.holder_alpha
         excess = fm.torus_distance(h_t, t) - envelope_constant * d ** sys.holder_alpha
         if excess > 0.0:
             defect += excess

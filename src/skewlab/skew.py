@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fiber_maps as fm
 from .base_shift import BaseSequence, distance, sample_sequence
-from .errors import CertificateViolationError, ConfigurationError
+from .errors import CertificateViolationError, ConfigurationError, check_finite
 from .rng import derive_seed
 
 
@@ -109,19 +109,25 @@ class HolderFamily:
     """f_x = StandardMap(K0 + eps * s(x)) with s a weighted symbol sum.
 
     s(x) = sum_{|j| <= window} coeffs[x_j] * gamma^|j|, gamma = lambda^alpha,
-    which makes x -> f_x alpha-Holder with an explicit constant.
+    with the coefficients 2i/(d - 1) - 1 evenly spaced over [-1, 1]; this
+    makes x -> f_x alpha-Holder with an explicit constant.
     """
 
-    def __init__(self, K0, eps, alpha, space, window=16, coeffs=None):
+    def __init__(self, K0, eps, alpha, space, window=16):
+        check_finite(K0=K0, eps=eps)
+        if not float(window).is_integer() or window < 0:
+            raise ConfigurationError("window must be an integer >= 0, got %r" % (window,))
         self.K0 = float(K0)
         self.eps = float(eps)
         self.alpha = float(alpha)
         self.window = int(window)
         d = space.alphabet_size
-        if coeffs is None:
-            coeffs = tuple(2.0 * i / (d - 1) - 1.0 for i in range(d))
-        self.coeffs = tuple(float(c) for c in coeffs)
+        self.coeffs = tuple(2.0 * i / (d - 1) - 1.0 for i in range(d))
         self.gamma = space.metric_base ** self.alpha
+        if not 0.0 < self.gamma < 1.0:  # holder_constant divides by 1 - gamma
+            raise ConfigurationError(
+                "alpha must put metric_base**alpha in (0, 1), got alpha=%r" % (alpha,)
+            )
         self.reach = (-self.window, self.window)
 
     def window_keys(self, syms, n):
@@ -154,10 +160,10 @@ class HolderFamily:
 
     def holder_constant(self):
         """Certified bound on d_C1(f_x, f_y) / d(x, y)^alpha."""
-        c_max = max(abs(c) for c in self.coeffs)
-        # standard-map C1 gap per unit of K: 1/2pi displacement, sqrt(2) derivative
+        # standard-map C1 gap per unit of K: 1/2pi displacement, sqrt(2) derivative;
+        # the coefficients are at most 1 in absolute value
         per_k = 1.0 / fm.TWO_PI + math.sqrt(2.0)
-        return self.eps * per_k * 4.0 * c_max / (1.0 - self.gamma)
+        return self.eps * per_k * 4.0 / (1.0 - self.gamma)
 
 
 @dataclass(frozen=True)
@@ -191,9 +197,6 @@ class SkewSystem:
 
     def inverse_fiber_map_at(self, x):
         return next(orbit_maps(self, x, n=1))[1]
-
-    def admissible_words(self, length):
-        return admissible_words(self.space, length)
 
     def with_generator(self, word, new_map):
         """Copy of the system with one locally constant table entry replaced."""
@@ -333,7 +336,7 @@ def generator_base_points(sys, n, seed, stream):
     if sys.is_locally_constant:
         return [
             BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
-            for w in sys.admissible_words(sys.family.depth)
+            for w in admissible_words(sys.space, sys.family.depth)
         ]
     return [
         sample_sequence(sys.space, sys.measure, derive_seed(seed, stream), i)

@@ -74,8 +74,8 @@ def test_stable_pair_contraction(space):
 
 def test_shift_basics(space):
     x = sl.periodic_point(space, (0, 1))
-    assert sl.shift(x, 0).word(0, 4) == x.word(0, 4)
-    assert sl.shift(x, 1).word(0, 2) == (1, 0)
+    assert x.shift(0).word(0, 4) == x.word(0, 4)
+    assert x.shift(1).word(0, 2) == (1, 0)
     assert x.shift(3).shift(-1).word(-2, 2) == x.shift(2).word(-2, 2)
     s = sl.sample_sequence(space, bernoulli2(), 99, 0)
     assert s.shift(5).symbol(0) == s.symbol(5)
@@ -132,6 +132,14 @@ def test_homoclinic_point(space):
         sl.homoclinic_point(space, p, 0, 1)
     with pytest.raises(ConfigurationError):
         sl.homoclinic_point(space, sl.PeriodicPoint((0, 1)), 1, 1)
+    # symbols past the alphabet built a point that failed later, in an IndexError
+    with pytest.raises(ConfigurationError, match="symbol 5 out of range"):
+        sl.homoclinic_point(space, sl.PeriodicPoint((5,)), 1, 1)
+    with pytest.raises(ConfigurationError, match="symbol 5 out of range"):
+        sl.homoclinic_point(space, sl.PeriodicPoint((0,)), 5, 1)
+    sft = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
+    with pytest.raises(ConfigurationError, match="cyclically"):
+        sl.homoclinic_point(sft, sl.PeriodicPoint((1,)), 0, 1)  # 1 -> 1 inadmissible
 
 
 def test_sample_sequence_bernoulli_frequency(space):
@@ -417,6 +425,17 @@ def test_measure_validation():
         bernoulli2().validate_support(sft)  # bernoulli needs the full shift
     with pytest.raises(ConfigurationError):
         sl.BaseMeasure("markov", P=((0.9, 0.1), (0.5, 0.5))).validate_support(sft)
+    # nan passed every weight and row check: a bernoulli measure sampled
+    # with it, and a markov one failed in numpy's eigensolver
+    nan = float("nan")
+    with pytest.raises(ConfigurationError, match="probs"):
+        sl.BaseMeasure("bernoulli", probs=(nan, 0.5))
+    with pytest.raises(ConfigurationError, match="P must"):
+        sl.BaseMeasure("markov", P=((nan, 0.5), (1.0, 0.0)))
+    with pytest.raises(ConfigurationError, match="rows of P"):
+        sl.BaseMeasure("markov", P=((0.5, float("inf")), (1.0, 0.0)))
+    with pytest.raises(ConfigurationError, match="pi"):
+        sl.BaseMeasure("markov", P=((0.5, 0.5), (0.5, 0.5)), pi=(nan, nan))
 
 
 def test_markov_stationary_vector_computed():

@@ -208,13 +208,31 @@ point = 0.3, 0.7
         ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = nan", "sweep.radius"),
         ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = 0", "sweep.radius"),
         ("sweep", "center = 0.25, 0.25", "center = 0.25, 0.25\nradius = 0.3", "sweep.radius"),
+        ("exponent", "probs = 0.5, 0.5", "probs = nan, 0.5", "[base].probs"),
+        ("exponent", "type = bernoulli\nd = 2\nprobs = 0.5, 0.5",
+         "type = markov\nd = 2\nP = nan, 0.5, 1, 0\ntransitions = 1, 1, 1, 0", "matrix P"),
+        ("exponent", "assign = 0, 2", "family = holder\nK0 = nan", "K0"),
+        ("exponent", "assign = 0, 2", "family = holder\neps = inf", "eps"),
+        ("exponent", "assign = 0, 2", "family = holder\nalpha = -1", "alpha"),
+        ("exponent", "assign = 0, 2", "family = holder\nalpha = 0", "alpha"),
+        ("exponent", "assign = 0, 2", "family = holder\nwindow = -3", "window"),
+        ("bunching", "assign = 0, 2", "family = holder\nwindow = -3", "window"),
+        ("bunching", "assign = 0, 2", "family = holder\nK0 = nan", "K0"),
+        ("holonomy", "assign = 0, 2", "family = holder\nK0 = nan", "K0"),
+        ("criterion", "p_word = 0", "p_word = 5", "symbol 5 out of range"),
+        ("criterion", "z_symbol = 1", "z_symbol = 5", "symbol 5 out of range"),
+        ("sweep", "T_values = 0", "T_values = inf", "sweep.T_values"),
+        ("sweep", "T_values = 0", "T_values = nan", "sweep.T_values"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line, bad, key):
     # these exited 1 with a ValueError or IndexError traceback, or exited 0:
     # the three-number point dropped its third entry, a zero grid gave a nan
     # integral, a nan beta a satisfied bunching, a bad radius a row error;
-    # the zero [run] counts and nan floats read as a domain error or a verdict
+    # the zero [run] counts and nan floats read as a domain error or a verdict;
+    # nan base weights, non-finite or non-positive Holder values, a negative
+    # window and non-finite twist angles exited 0, 1 or with a traceback, as
+    # did symbols out of the alphabet
     cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
     assert bad in cfg
     rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])

@@ -221,7 +221,7 @@ def test_degenerate_loop_is_identity():
 
 
 def test_loop_rejects_non_homoclinic_input():
-    # the error names the nearest index where z (or shift(z, i)) leaves p
+    # the error names the nearest index where z (or z.shift(i)) leaves p
     system = cat_system()
     p = sl.PeriodicPoint((0,))
     bad = sl.periodic_point(system.space, (1,))
@@ -230,7 +230,7 @@ def test_loop_rejects_non_homoclinic_input():
     past = sl.BaseSequence(system.space, lambda j: int(j < 0))
     with pytest.raises(ConfigurationError, match=r"local unstable set \(index -1\)"):
         sl.build_holonomy_loop(system, p, past, 2)
-    z = sl.homoclinic_point(system.space, p, 1, 1)  # shift(z, 1) reads the 1 at index 0
+    z = sl.homoclinic_point(system.space, p, 1, 1)  # z.shift(1) reads the 1 at index 0
     with pytest.raises(ConfigurationError, match=r"local stable set \(index 0\)"):
         sl.build_holonomy_loop(system, p, z, 1)
 
@@ -284,6 +284,15 @@ def test_twisting_params_reject_bad_values(bad):
         sl.TwistingParams(**bad)
     with pytest.raises(ConfigurationError, match="^%s must be" % name):
         dataclasses.replace(FAST_TWIST, **bad)
+
+
+def test_twisting_params_are_frozen():
+    # assigning a field skipped the checks: n_K = 0 after construction
+    # brought back "pinching failed, twisting is not applicable"
+    params = sl.TwistingParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.n_K = 0
+    assert params.n_K == 200
 
 
 def test_check_twisting_cat_loop_is_not_twisting():
@@ -474,8 +483,7 @@ def test_check_twisting_distance_blocks_match_one_block(monkeypatch):
 def test_perturbation_sweep_matches_scalar_transport(monkeypatch):
     system = cat_system()
     p, z, i = loop_inputs(system)
-    kw = dict(seed=3, grid=8, n_steps=100, n_orbits=4, exponent_steps=100,
-              twisting_params=FAST_TWIST)
+    kw = dict(seed=3, grid=8, n_steps=100, n_orbits=4, twisting_params=FAST_TWIST)
     rows = sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.2, [0.0, 0.5], p, z, i, **kw)
     monkeypatch.setattr(criterion, "check_twisting", scalar_check_twisting)
     assert rows == sl.perturbation_sweep(
@@ -526,7 +534,7 @@ def test_perturbation_sweep_t_zero_matches_unperturbed():
     p, z, i = loop_inputs(system)
     rows = sl.perturbation_sweep(
         system, 1, (0.25, 0.25), 0.2, [0.0], p, z, i,
-        seed=3, grid=8, n_steps=200, n_orbits=10, exponent_steps=400,
+        seed=3, grid=8, n_steps=200, n_orbits=10,
         twisting_params=FAST_TWIST,
     )
     assert len(rows) == 1
@@ -575,6 +583,11 @@ def test_perturbation_sweep_configuration_error_propagates():
     with pytest.raises(ConfigurationError, match="twist radius"):
         sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.3, [0.5], p, z, i,
                               grid=4, n_steps=10, twisting_params=FAST_TWIST)
+    # a nan angle was a row error ("did not converge"), an inf one a ValueError
+    for T in (NAN, float("inf")):
+        with pytest.raises(ConfigurationError, match="^angle must be finite"):
+            sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.2, [T], p, z, i,
+                                  grid=4, n_steps=10, twisting_params=FAST_TWIST)
 
 
 def test_perturbation_sweep_row_error_does_not_abort():
@@ -582,7 +595,7 @@ def test_perturbation_sweep_row_error_does_not_abort():
     p, z, i = loop_inputs(system)
     rows = sl.perturbation_sweep(
         system, 1, (0.25, 0.25), 0.2, [0.0, 0.1], p, z, i,
-        seed=3, grid=4, n_steps=50, n_orbits=4, exponent_steps=100,
+        seed=3, grid=4, n_steps=50, n_orbits=4,
         twisting_params=FAST_TWIST,
     )
     assert len(rows) == 2

@@ -18,9 +18,10 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    # run from an empty directory, so a demo that writes a file leaves it there
+    # run from an empty directory, so a demo that writes a file leaves it there;
+    # -W error fails a demo on any warning, as filterwarnings does the suite
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

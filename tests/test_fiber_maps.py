@@ -34,7 +34,7 @@ BATCH_KINDS = MAP_KINDS + [f.inverse() for f in MAP_KINDS] + [
 
 def _boundary_points(tw, n_angles=24):
     """Points on and a few ulps either side of the twist's support circle."""
-    reach = tw.profile.support_end * tw.radius
+    reach = fm.BUMP_SUPPORT * tw.radius
     pts = []
     for k in range(n_angles):
         theta = 2.0 * math.pi * k / n_angles
@@ -224,7 +224,7 @@ def test_derivative_matches_finite_differences(f):
 
 def test_composite_identity_pair():
     f = fm.StandardMap(1.5)
-    c = fm.compose(f, f.inverse())
+    c = fm.Composite([f, f.inverse()])
     for t in random_points(100):
         img, d = c.apply(t)
         assert fm.torus_distance(img, t) < 1e-10
@@ -233,7 +233,7 @@ def test_composite_identity_pair():
 
 def test_composite_chain_rule():
     f, g = cat_map(), fm.StandardMap(0.7)
-    c = fm.compose(f, g)
+    c = fm.Composite([f, g])
     for t in random_points(50):
         mid, dg = g.apply(t)
         img, df = f.apply(mid)
@@ -291,25 +291,29 @@ def test_twist_radius_validation():
         fm.LocalizedTwist((0.5, 0.5), 0.3, 0.5)
     with pytest.raises(ConfigurationError):
         fm.LocalizedTwist((0.5, 0.5), 0.0, 0.5)
+    # a non-finite angle or centre built a map that sent the disc to nan
+    nan, inf = float("nan"), float("inf")
+    for center, angle, name in [((0.5, 0.5), nan, "angle"), ((0.5, 0.5), inf, "angle"),
+                                ((inf, 0.5), 0.5, "center_u"), ((0.5, nan), 0.5, "center_v")]:
+        with pytest.raises(ConfigurationError, match="^%s must be finite" % name):
+            fm.LocalizedTwist(center, 0.2, angle)
 
 
 def test_bump_profile_shape():
-    p = fm.BumpProfile()
-    assert p.value_and_slope(0.0) == (1.0, 0.0)
-    assert p.value_and_slope(1.0 / 3.0) == (1.0, 0.0)
-    assert p.value_and_slope(2.0 / 3.0) == (0.0, 0.0)
-    assert p.value_and_slope(0.9) == (0.0, 0.0)
-    vals = [p.value_and_slope(s)[0] for s in np.linspace(0.34, 0.66, 50)]
+    assert fm.bump(0.0) == (1.0, 0.0)
+    assert fm.bump(1.0 / 3.0) == (1.0, 0.0)
+    assert fm.bump(2.0 / 3.0) == (0.0, 0.0)
+    assert fm.bump(0.9) == (0.0, 0.0)
+    vals = [fm.bump(s)[0] for s in np.linspace(0.34, 0.66, 50)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
 @given(st.floats(min_value=0.35, max_value=0.65))
 def test_bump_profile_slope_matches_finite_difference(s):
-    p = fm.BumpProfile()
     h = 1e-7
-    v, slope = p.value_and_slope(s)
-    fd = (p.value_and_slope(s + h)[0] - p.value_and_slope(s - h)[0]) / (2 * h)
+    v, slope = fm.bump(s)
+    fd = (fm.bump(s + h)[0] - fm.bump(s - h)[0]) / (2 * h)
     assert abs(slope - fd) < 1e-4 * max(1.0, abs(slope))
 
 

@@ -8,8 +8,10 @@ import pytest
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError, NonConvergenceError
+import skewlab.holonomy as holonomy
 from skewlab.holonomy import (
     BunchingReport,
+    ConvergenceDiagnostics,
     stable_holonomy_jet,
     stable_holonomy_jets,
     strong_stable_contraction_rate,
@@ -72,7 +74,7 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
     if sys.is_locally_constant:
         base_points = [
             sl.BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
-            for w in sys.admissible_words(sys.family.depth)
+            for w in sl.admissible_words(sys.space, sys.family.depth)
         ]
     else:
         base_points = [
@@ -212,6 +214,42 @@ def test_holonomy_cocycle_check_defects():
     x, y = stable_pair(system, 7, 0)
     q = sl.HolonomyQuery("stable", x, y, tol=1e-9)
     assert sl.holonomy_cocycle_check(system, q, (0.2, 0.4)) < 1e-8
+
+
+def test_holonomy_cocycle_check_adds_the_envelope_excess(monkeypatch):
+    # diagnostics decaying from 1e-6 fit an envelope far below d(h(t), t),
+    # so the check must add the excess to the equivariance defect
+    system = holder_system()
+    x, y = stable_pair(system, 7, 0)
+    q = sl.HolonomyQuery("stable", x, y, tol=1e-9)
+    t = (0.2, 0.4)
+    h_t, _ = sl.stable_holonomy_point(system, q, t)
+    equivariance = 0.0
+    point, image = t, h_t
+    for j in (1, 2, 3):
+        point = system.fiber_map_at(x.shift(j - 1)).apply(point)[0]
+        image = system.fiber_map_at(y.shift(j - 1)).apply(image)[0]
+        qj = sl.HolonomyQuery("stable", x.shift(j), y.shift(j), tol=1e-9)
+        direct, _ = sl.stable_holonomy_point(system, qj, point)
+        equivariance = max(equivariance, fm.torus_distance(direct, image))
+    assert sl.holonomy_cocycle_check(system, q, t) == pytest.approx(equivariance, abs=1e-15)
+
+    small = ConvergenceDiagnostics([1e-6, 1e-7, 1e-8], 3)
+    real = holonomy.stable_holonomy_point
+    calls = []
+
+    def first_with_small_diagnostics(sys, query, s):
+        image, diag = real(sys, query, s)
+        calls.append(s)
+        return image, small if len(calls) == 1 else diag
+
+    monkeypatch.setattr(holonomy, "stable_holonomy_point", first_with_small_diagnostics)
+    theta = small.fitted_theta
+    c = max(v / theta ** n for n, v in enumerate(small.increments))
+    excess = fm.torus_distance(h_t, t) - c / (1.0 - theta)
+    assert excess > 1e-4
+    got = sl.holonomy_cocycle_check(system, q, t)
+    assert got == pytest.approx(equivariance + excess, rel=1e-12)
 
 
 def test_contraction_rate_locally_constant_is_zero():

@@ -56,6 +56,32 @@ def test_holder_family_zero_weight_is_constant():
     assert system.family.parameter(x) == system.family.parameter(y) == 0.5
 
 
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        (dict(K0=float("nan")), "K0"), (dict(eps=float("inf")), "eps"),
+        (dict(alpha=-1.0), "alpha"), (dict(alpha=0.0), "alpha"),
+        (dict(alpha=float("nan")), "alpha"), (dict(alpha=1e-300), "alpha"),
+        (dict(window=-3), "window"), (dict(window=2.5), "window"),
+        (dict(window=float("nan")), "window"),
+    ],
+)
+def test_holder_family_rejects_bad_values(bad, name):
+    # these built a family with nan parameters, a reach of (3, -3), or a
+    # holder_constant dividing by zero
+    args = dict(K0=0.5, eps=0.05, alpha=1.0, window=16)
+    with pytest.raises(ConfigurationError, match="^%s must" % name):
+        sl.HolderFamily(space=sl.ShiftSpace(2), **{**args, **bad})
+
+
+def test_holder_family_window_zero_reads_one_symbol():
+    family = sl.HolderFamily(0.5, 0.05, 1.0, sl.ShiftSpace(2), window=0)
+    assert family.reach == (0, 0)
+    x = sl.periodic_point(sl.ShiftSpace(2), (1, 0))
+    assert family.parameter(x) == 0.5 + 0.05 * 1.0
+    assert family.parameter(x.shift(1)) == 0.5 - 0.05 * 1.0
+
+
 def test_missing_table_entry_errors():
     space = sl.ShiftSpace(2)
     family = sl.LocallyConstantFamily(1, {0: cat_map()})
