@@ -155,13 +155,15 @@ def cmd_criterion(cfg, out_dir):
 
 def cmd_sweep(cfg, out_dir):
     system = build_system(cfg)
+    if not system.is_locally_constant:
+        raise ConfigurationError("[skew].family must be locally constant to twist a generator")
     p, z, i = criterion_inputs(cfg, system)
     t_values = cfg.get_list("sweep", "T_values", float, required=True)
     if not all(map(math.isfinite, t_values)):
         raise ConfigurationError("sweep.T_values must be finite, got %r" % (t_values,))
     center = cfg.get_point("sweep", "center", default=[0.25, 0.25])
     word = cfg.get_word("sweep", "generator_word")
-    if system.is_locally_constant and word not in system.family.table:
+    if word not in system.family.table:
         raise ConfigurationError("sweep.generator_word %r names no generator" % (word,))
     radius = cfg.get_float("sweep", "radius", 0.2)
     if not 0.0 < radius <= 0.25:  # the range LocalizedTwist takes

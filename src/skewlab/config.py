@@ -297,6 +297,11 @@ def criterion_inputs(cfg, system):
     """Periodic point, homoclinic point, and transition time for the loop."""
     p = PeriodicPoint(cfg.get_word("criterion", "p_word"))
     z_symbol = cfg.get_int("criterion", "z_symbol", required=True)
+    for key, word in (("p_word", p.word), ("z_symbol", (z_symbol,))):
+        try:
+            system.space.check_word(word)
+        except ConfigurationError as exc:
+            raise ConfigurationError("criterion.%s: %s" % (key, exc))
     z_index = cfg.get_int("criterion", "z_index", 1)
     i = cfg.get_int("criterion", "i", z_index + 1)
     z = homoclinic_point(system.space, p, z_symbol, z_index)

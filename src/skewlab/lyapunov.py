@@ -1,7 +1,13 @@
 """Lyapunov exponent estimation along the fiber direction.
 
 Monte Carlo orbits are addressed by counter-based streams derived from
-(seed, orbit_index), so estimates are a pure function of the seed.  The
+(seed, orbit_index), so estimates are a pure function of the seed.  When
+every generator of a locally constant family has a constant derivative
+(toral maps and their compositions), the fiber cocycle is a random product
+of those matrices, the same at every fiber point: ``integrated_exponent``
+then multiplies the matrices along each base orbit (``skew.table_cocycle``)
+in the point walk's order and with its renormalization, so the estimate is
+equal to the point walk's bit for bit, and no fiber point is drawn.  The
 return map g of a periodic point runs on arrays: the pinching grid and
 the Oseledets frames step all their fiber points at once through
 ``g.apply_many``, equal bit for bit to one point at a time.  Once g's
@@ -68,18 +74,25 @@ def pointwise_exponent(sys, x, t, n):
 
 
 def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
-    """Monte Carlo mean of the pointwise exponent over the product measure."""
+    """Monte Carlo mean of the pointwise exponent over the product measure.
+
+    Each orbit walks a Lebesgue-sampled fiber point, or takes
+    ``skew.table_cocycle``'s equal values when the family has a derivative table.
+    """
     check_counts(n_orbits=n_orbits, n_steps=n_steps)
     base_seed = derive_seed(seed, 1)
     fiber_seed = derive_seed(seed, 2)
+    constant = sys.is_locally_constant and sys.family.derivatives is not None
     values = np.empty(n_orbits)
     defects = np.empty(n_orbits)
     for i in range(n_orbits):
         x = sample_sequence(sys.space, sys.measure, base_seed, i)
-        t = random_fiber_point(fiber_seed, i)
-        res = iterate_cocycle(sys, x, t, n_steps)
-        values[i] = res.log_norm / n_steps
-        defects[i] = res.det_defect
+        if constant:
+            log_norm, defects[i] = skew.table_cocycle(sys, x, n_steps)
+        else:
+            res = iterate_cocycle(sys, x, random_fiber_point(fiber_seed, i), n_steps)
+            log_norm, defects[i] = res.log_norm, res.det_defect
+        values[i] = log_norm / n_steps
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
     return ExponentEstimate(

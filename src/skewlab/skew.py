@@ -7,9 +7,11 @@ parameter by a geometrically weighted symbol sum, giving a genuinely
 base-dependent family with an explicit Holder certificate.  Every walk
 along a base orbit goes through ``orbit_maps``, which reads the symbols
 once per window and asks the family for all the window's maps at once.
-``orbit_batch`` walks many orbits forward together on arrays: the family
-turns a symbol window into one key per orbit and step (a generator index,
-or the standard-map parameter) and applies a whole step from the keys.
+``orbit_keys`` has the family turn many orbits' symbol windows into one key
+per orbit and step (a generator index, or the standard-map parameter).
+``orbit_batch`` walks those orbits forward together on arrays, applying a
+whole step from the keys; ``table_cocycle`` multiplies a key's derivative
+matrix per step when every generator's derivative is constant.
 """
 
 import itertools
@@ -58,6 +60,12 @@ class LocallyConstantFamily:
         self._keys = np.full(self._radix ** self.depth, -1, dtype=np.int32)
         for word, f in self.table.items():
             self._keys[self._code(np.array(word), 1)] = index[id(f)]
+        # index -> derivative matrix when every generator's is constant
+        # (``FiberMap.apply_many`` gives floats), else None
+        empty = np.empty(0)
+        derivs = [tuple(f.apply_many(empty, empty)[2]) for f in self._maps]
+        constant = not any(isinstance(e, np.ndarray) for d in derivs for e in d)
+        self.derivatives = derivs if constant else None
 
     def _code(self, syms, n):
         code = syms[..., 0:n]
@@ -249,16 +257,13 @@ def orbit_maps(sys, x, backward=False, n=None):
         size = min(2 * size, _MAX_CHUNK)
 
 
-def orbit_batch(sys, xs, u, v, n):
-    """Walk the orbits of (xs[i], (u[i], v[i])) forward together for n steps.
+def orbit_keys(sys, xs, n):
+    """The family's keys along the orbits of xs for their first n steps, chunk by chunk.
 
-    Step k yields the fiber points after it and the derivatives of its maps,
-    as arrays (u, v, (a, b, c, d)) with one entry per orbit, equal bit for
-    bit to walking each orbit with ``orbit_maps`` and ``apply``; a step
-    whose orbits all meet one constant-derivative map yields its floats.  Symbols
-    and family keys are read in chunks of at most _MAX_CHUNK steps and
-    _MAX_BATCH_CELLS orbit-steps, so memory stays bounded for any n and
-    any number of orbits.
+    Each chunk is an array with one row per orbit and one column per step,
+    read from one ``x.symbols`` window per orbit.  Chunks hold at most
+    _MAX_CHUNK steps and _MAX_BATCH_CELLS orbit-steps, so memory stays
+    bounded for any n and any number of orbits.
     """
     family = sys.family
     lo, hi = family.reach
@@ -268,8 +273,22 @@ def orbit_batch(sys, xs, u, v, n):
         syms = np.empty((len(xs), size + hi - lo), dtype=np.int32)
         for row, x in zip(syms, xs):
             row[:] = x.symbols(k + lo, k + size + hi)
-        for step_keys in family.window_keys(syms, size).T:
-            u, v, d = family.apply_many(step_keys, u, v)
+        yield family.window_keys(syms, size)
+
+
+def orbit_batch(sys, xs, u, v, n):
+    """Walk the orbits of (xs[i], (u[i], v[i])) forward together for n steps.
+
+    Step k yields the fiber points after it and the derivatives of its maps,
+    as arrays (u, v, (a, b, c, d)) with one entry per orbit, equal bit for
+    bit to walking each orbit with ``orbit_maps`` and ``apply``; a step
+    whose orbits all meet one constant-derivative map yields its floats.
+    The keys come from ``orbit_keys``, so memory stays bounded.
+    """
+    apply_many = sys.family.apply_many
+    for keys in orbit_keys(sys, xs, n):
+        for step_keys in keys.T:
+            u, v, d = apply_many(step_keys, u, v)
             yield u, v, d
 
 
@@ -300,6 +319,35 @@ def accumulate_cocycle(maps, t):
     log_norm = log_acc + math.log(tail_norm)
     tail = (p / tail_norm, q / tail_norm, r / tail_norm, s / tail_norm)
     return t, log_norm, tail, det_defect
+
+
+def table_cocycle(sys, x, n):
+    """Log norm and det defect of ``iterate_cocycle(sys, x, t, n)``, n >= 1, at any t.
+
+    For a locally constant family whose generators all have constant
+    derivatives (``family.derivatives``): the walk reads the orbit's
+    generator indices and multiplies their matrices, moving no fiber point.
+    The product order, the renormalization and the defect are
+    ``accumulate_cocycle``'s, so both values are equal bit for bit.
+    """
+    table = sys.family.derivatives
+    p, q, r, s = fm.IDENTITY  # running product, row-major
+    log_acc = 0.0
+    met = set()
+    k = 0
+    for keys in orbit_keys(sys, [x], n):
+        keys = keys[0].tolist()
+        met.update(keys)
+        for k, (a, b, c, d) in enumerate(map(table.__getitem__, keys), k + 1):
+            p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            if k % RENORM_EVERY == 0:
+                nb = fm.mat_norm((p, q, r, s))
+                log_acc += math.log(nb)
+                p, q, r, s = p / nb, q / nb, r / nb, s / nb
+    log_norm = log_acc + math.log(fm.mat_norm((p, q, r, s)))
+    # accumulate_cocycle's running maximum, taken over the generators met
+    defects = (abs(a * d - b * c - 1.0) for a, b, c, d in map(table.__getitem__, met))
+    return log_norm, max(0.0, *defects)
 
 
 def iterate_cocycle(sys, x, t, n):

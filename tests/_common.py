@@ -54,13 +54,38 @@ def twisted_cat_system(T=0.5, center=(0.25, 0.25), radius=0.2):
     return lc_system(cat_map(), fm.Composite([cat_map(), twist]))
 
 
+def golden_mean_base(d=2):
+    """Shift space and Markov measure on d symbols where d - 1 never follows itself.
+
+    d = 2 is the golden-mean shift; each row of P spreads evenly over the
+    symbols allowed next.
+    """
+    allowed = [[not (a == b == d - 1) for b in range(d)] for a in range(d)]
+    P = [[float(ok) / sum(row) for ok in row] for row in allowed]
+    return sl.ShiftSpace(d, transitions=allowed), sl.BaseMeasure("markov", P=P)
+
+
 def golden_mean_system(T=0.7):
     """Depth-1 family (A, A o twist) over the golden-mean Markov shift."""
-    space = sl.ShiftSpace(2, transitions=((True, True), (True, False)))
-    measure = sl.BaseMeasure("markov", P=((0.5, 0.5), (1.0, 0.0)))
     twisted = fm.Composite([cat_map(), fm.LocalizedTwist((0.3, 0.6), 0.2, T)])
     family = sl.LocallyConstantFamily(1, {0: cat_map(), 1: twisted})
-    return sl.SkewSystem(space, measure, family)
+    return sl.SkewSystem(*golden_mean_base(), family)
+
+
+class Stretch(fm.FiberMap):
+    """The identity on points with the constant derivative (factor, 0, 0, 1)."""
+
+    def __init__(self, factor=2.0):
+        self.deriv = (factor, 0.0, 0.0, 1.0)
+
+    def apply(self, t):
+        return t, self.deriv
+
+    def apply_many(self, u, v):
+        return u, v, self.deriv
+
+    def inverse(self):
+        return Stretch(1.0 / self.deriv[0])
 
 
 def rotation_system():
@@ -120,6 +145,29 @@ def scalar_iterate_cocycle(sys, x, t, n):
         maps = [map_at(-k - 1).inverse() for k in range(-n)]
     t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
     return CocycleResult(t, log_norm, tail, n, det_defect)
+
+
+def scalar_integrated_exponent(sys, n_orbits, n_steps, seed):
+    """``integrated_exponent`` walking a sampled fiber point along every orbit."""
+    base_seed = sl.derive_seed(seed, 1)
+    fiber_seed = sl.derive_seed(seed, 2)
+    values = np.empty(n_orbits)
+    defects = np.empty(n_orbits)
+    for i in range(n_orbits):
+        x = sl.sample_sequence(sys.space, sys.measure, base_seed, i)
+        t = sl.random_fiber_point(fiber_seed, i)
+        res = sl.iterate_cocycle(sys, x, t, n_steps)
+        values[i] = res.log_norm / n_steps
+        defects[i] = res.det_defect
+    stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
+    return sl.ExponentEstimate(
+        mean=float(values.mean()),
+        stderr=stderr,
+        n_orbits=n_orbits,
+        n_steps=n_steps,
+        det_defect_max=float(defects.max()),
+        seed=seed,
+    )
 
 
 def scalar_exponent_grid(sys, p, grid, n_steps):

@@ -221,6 +221,9 @@ point = 0.3, 0.7
         ("holonomy", "assign = 0, 2", "family = holder\nK0 = nan", "K0"),
         ("criterion", "p_word = 0", "p_word = 5", "symbol 5 out of range"),
         ("criterion", "z_symbol = 1", "z_symbol = 5", "symbol 5 out of range"),
+        ("criterion", "p_word = 0", "p_word = 5", "criterion.p_word"),
+        ("criterion", "z_symbol = 1", "z_symbol = 5", "criterion.z_symbol"),
+        ("sweep", "assign = 0, 2", "family = holder", "[skew].family"),
         ("sweep", "T_values = 0", "T_values = inf", "sweep.T_values"),
         ("sweep", "T_values = 0", "T_values = nan", "sweep.T_values"),
     ],
@@ -232,7 +235,9 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line
     # the zero [run] counts and nan floats read as a domain error or a verdict;
     # nan base weights, non-finite or non-positive Holder values, a negative
     # window and non-finite twist angles exited 0, 1 or with a traceback, as
-    # did symbols out of the alphabet
+    # did symbols out of the alphabet, whose error then named the symbol but
+    # not the key; a sweep of a Holder family wrote a row error at T = 0 and
+    # raised AttributeError at any other T
     cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
     assert bad in cfg
     rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])

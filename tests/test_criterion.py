@@ -588,6 +588,12 @@ def test_perturbation_sweep_configuration_error_propagates():
         with pytest.raises(ConfigurationError, match="^angle must be finite"):
             sl.perturbation_sweep(system, 1, (0.25, 0.25), 0.2, [T], p, z, i,
                                   grid=4, n_steps=10, twisting_params=FAST_TWIST)
+    # a Holder family has no generator to twist: T = 0 ran it unperturbed,
+    # any other T raised AttributeError
+    for T in (0.0, 0.5):
+        with pytest.raises(ConfigurationError, match="locally constant"):
+            sl.perturbation_sweep(holder_system(), 1, (0.25, 0.25), 0.2, [T], p, z, i,
+                                  grid=4, n_steps=10, twisting_params=FAST_TWIST)
 
 
 def test_perturbation_sweep_row_error_does_not_abort():

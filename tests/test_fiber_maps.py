@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
 
-from _common import CAT, cat_map
+from _common import CAT, Stretch, cat_map
 
 
 def random_points(n, seed=0):
@@ -86,21 +86,11 @@ def test_toral_apply_many_returns_its_matrix_as_floats():
     assert cat_map().apply_many(u, v)[2] == cat_map().matrix == (2.0, 1.0, 1.0, 1.0)
 
 
-class _Stretch(fm.FiberMap):
-    """The identity on points with the constant derivative (2, 0, 0, 1): det 2."""
-
-    def apply(self, t):
-        return t, (2.0, 0.0, 0.0, 1.0)
-
-    def apply_many(self, u, v):
-        return u, v, (2.0, 0.0, 0.0, 1.0)
-
-
 def test_max_det_defect_broadcasts_a_constant_derivative():
     empty = np.empty(0)
     assert fm.max_det_defect(cat_map(), empty, empty) == 0.0
-    assert fm.max_det_defect(_Stretch(), empty, empty) == 0.0
-    assert fm.max_det_defect(_Stretch(), *fm.grid_points(2)) == 1.0
+    assert fm.max_det_defect(Stretch(), empty, empty) == 0.0
+    assert fm.max_det_defect(Stretch(), *fm.grid_points(2)) == 1.0
 
 
 def test_elementwise_on_scalars_is_the_math_function():

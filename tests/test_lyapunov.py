@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
@@ -25,11 +26,17 @@ from _common import (
     LOG_CAT,
     SHEAR_LO,
     SHEAR_UP,
+    Stretch,
+    bernoulli2,
+    cat_map,
     cat_system,
+    golden_mean_base,
+    holder_system,
     identity_map,
     lc_system,
     rotation_system,
     scalar_exponent_grid,
+    scalar_integrated_exponent,
     twisted_cat_system,
 )
 
@@ -98,6 +105,90 @@ def test_integrated_exponent_worker_independence():
     a = sl.integrated_exponent(system, 16, 200, seed=9)
     b = sl.integrated_exponent(system, 16, 200, seed=9)
     assert a == b
+
+
+def _shears():
+    return fm.ToralAutomorphism(SHEAR_UP), fm.ToralAutomorphism(SHEAR_LO)
+
+
+def _golden_mean_shears():
+    up, lo = _shears()
+    return sl.SkewSystem(*golden_mean_base(), sl.LocallyConstantFamily(1, {0: up, 1: lo}))
+
+
+def _depth2_system(space, measure):
+    """Depth-2 table of composites of the shears and the cat map."""
+    up, lo = _shears()
+    maps = [
+        fm.Composite([up, lo]),
+        fm.Composite([cat_map(), up]),
+        lo,
+        fm.Composite([lo, cat_map(), up]),
+    ]
+    words = sl.admissible_words(space, 2)
+    table = {w: maps[i % len(maps)] for i, w in enumerate(words)}
+    return sl.SkewSystem(space, measure, sl.LocallyConstantFamily(2, table))
+
+
+EXPONENT_SYSTEMS = {  # name -> (system, walks fiber points)
+    "shear": (lambda: lc_system(*_shears()), False),
+    "golden-mean": (_golden_mean_shears, False),
+    "depth2-bernoulli": (lambda: _depth2_system(sl.ShiftSpace(2), bernoulli2()), False),
+    "depth2-golden-mean": (lambda: _depth2_system(*golden_mean_base()), False),
+    "identity": (lambda: lc_system(identity_map(), identity_map()), False),
+    "stretch": (lambda: lc_system(cat_map(), Stretch()), False),  # det defect 1
+    "twisted-cat": (twisted_cat_system, True),
+    "holder": (holder_system, True),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 17, 4100])  # 4100 crosses a 4096-step chunk
+@pytest.mark.parametrize("name", list(EXPONENT_SYSTEMS))
+def test_integrated_exponent_matches_point_walk(name, n_steps, monkeypatch):
+    # constant derivatives multiply the table's matrices and walk no fiber
+    # point; a derivative that depends on the point keeps the point walk
+    make_system, walks = EXPONENT_SYSTEMS[name]
+    system = make_system()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return sl.iterate_cocycle(*args)
+
+    monkeypatch.setattr(lyapunov, "iterate_cocycle", counted)
+    est = sl.integrated_exponent(system, 3, n_steps, seed=4)
+    assert calls == ([n_steps] * 3 if walks else [])
+    assert est == scalar_integrated_exponent(system, 3, n_steps, 4)
+
+
+def _shear_product(word):
+    maps = [fm.ToralAutomorphism((SHEAR_UP, SHEAR_LO)[s]) for s in word]
+    return maps[0] if len(maps) == 1 else fm.Composite(maps)
+
+
+@st.composite
+def _shear_tables(draw):
+    """A locally constant system of shear products, depth 1-2 over 2-3 symbols."""
+    d = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 2))
+    space, measure = (
+        golden_mean_base(d)
+        if draw(st.booleans())
+        else (sl.ShiftSpace(d), sl.BaseMeasure("bernoulli", probs=[1.0 / d] * d))
+    )
+    products = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(_shear_product)
+    table = {w: draw(products) for w in sl.admissible_words(space, depth)}
+    return sl.SkewSystem(space, measure, sl.LocallyConstantFamily(depth, table))
+
+
+@seed(16)
+@settings(max_examples=100, deadline=None)
+@given(_shear_tables(), st.integers(1, 4), st.integers(1, 70), st.integers(0, 2 ** 32))
+def test_table_product_matches_point_walk_on_random_shear_tables(system, n_orbits, n_steps, s):
+    assert system.family.derivatives is not None
+    assert sl.integrated_exponent(system, n_orbits, n_steps, s) == scalar_integrated_exponent(
+        system, n_orbits, n_steps, s
+    )
 
 
 def test_forward_backward_symmetry():
