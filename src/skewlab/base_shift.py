@@ -104,10 +104,6 @@ class BaseSequence:
             return window(lo, hi)
         return np.array([self._lookup(j) for j in range(lo, hi)], dtype=np.intp)
 
-    def word(self, start, stop):
-        """Symbols at indices start..stop-1 as a tuple."""
-        return tuple(self.symbol(j) for j in range(start, stop))
-
     def shift(self, k=1):
         """The image under the shift map iterated k times (k may be negative)."""
         return BaseSequence(self.space, self._lookup, self.offset + k)

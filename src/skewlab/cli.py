@@ -55,14 +55,13 @@ def write_csv(path, header, rows):
         raise
 
 
-def _run_options(cfg, target, *skip):
-    """The [run] keys that cfg sets and target takes, less skip, typed by ``RUN_KEYS``.
+def _run_options(cfg, target):
+    """The [run] keys that cfg sets and target takes, typed by ``RUN_KEYS``.
 
     Keys the config leaves out are not passed, so target's defaults apply.
-    Bunching skips grid, which there means the fibre grid, not the pinching grid.
     """
     params = inspect.signature(target).parameters
-    return {k: cfg.get_run(k) for k in params if cfg.has("run", k) and k not in skip}
+    return {k: cfg.get_run(k) for k in params if cfg.has("run", k)}
 
 
 def cmd_exponent(cfg, out_dir):
@@ -79,7 +78,7 @@ def cmd_exponent(cfg, out_dir):
 
 def cmd_bunching(cfg, out_dir):
     system = build_system(cfg)
-    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin, "grid"))
+    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin))
     write_csv(
         os.path.join(out_dir, "bunching.csv"),
         ["beta", "worst_margin", "satisfied"],
@@ -113,7 +112,7 @@ def cmd_holonomy(cfg, out_dir):
     q = HolonomyQuery(direction, x, y, **_run_options(cfg, HolonomyQuery))
     point = cfg.get_point("holonomy", "point", default=[0.3, 0.7])
     _, diag = stable_holonomy_point(system, q, point)
-    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin, "grid"))
+    report = fiber_bunching_margin(system, **_run_options(cfg, fiber_bunching_margin))
     theta = report.worst_margin
     d = q.pair_distance
     scale = d ** system.holder_alpha if d > 0 else 1.0
@@ -159,8 +158,8 @@ def cmd_sweep(cfg, out_dir):
         raise ConfigurationError("[skew].family must be locally constant to twist a generator")
     p, z, i = criterion_inputs(cfg, system)
     t_values = cfg.get_list("sweep", "T_values", float, required=True)
-    if not all(map(math.isfinite, t_values)):
-        raise ConfigurationError("sweep.T_values must be finite, got %r" % (t_values,))
+    if not t_values or not all(map(math.isfinite, t_values)):
+        raise ConfigurationError("sweep.T_values must list finite numbers, got %r" % (t_values,))
     center = cfg.get_point("sweep", "center", default=[0.25, 0.25])
     word = cfg.get_word("sweep", "generator_word")
     if word not in system.family.table:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from . import fiber_maps as fm
 from .base_shift import BaseMeasure, PeriodicPoint, ShiftSpace, homoclinic_point
 from .errors import ConfigurationError
+from .holonomy import HolonomyQuery
 from .skew import HolderFamily, LocallyConstantFamily, SkewSystem, admissible_words
 
 # Every [run] key, its type and its least value (counts >= 1, floats > 0 and
@@ -294,15 +295,18 @@ def build_system(cfg):
 
 
 def criterion_inputs(cfg, system):
-    """Periodic point, homoclinic point, and transition time for the loop."""
+    """Periodic point, homoclinic point and transition time; bad values' errors name the key."""
     p = PeriodicPoint(cfg.get_word("criterion", "p_word"))
     z_symbol = cfg.get_int("criterion", "z_symbol", required=True)
-    for key, word in (("p_word", p.word), ("z_symbol", (z_symbol,))):
-        try:
-            system.space.check_word(word)
-        except ConfigurationError as exc:
-            raise ConfigurationError("criterion.%s: %s" % (key, exc))
     z_index = cfg.get_int("criterion", "z_index", 1)
     i = cfg.get_int("criterion", "i", z_index + 1)
-    z = homoclinic_point(system.space, p, z_symbol, z_index)
+    key = "p_word"
+    try:
+        p_seq = p.point(system.space)
+        key = "z_symbol" if p.period == 1 else "p_word"  # homoclinic_point needs period 1
+        z = homoclinic_point(system.space, p, z_symbol, z_index)
+        for key, pair in (("z_index", ("unstable", p_seq, z)), ("i", ("stable", z.shift(i), p_seq))):
+            HolonomyQuery(*pair)  # the two queries build_holonomy_loop makes
+    except ConfigurationError as exc:
+        raise ConfigurationError("criterion.%s: %s" % (key, exc))
     return p, z, i

@@ -296,29 +296,19 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     ]
     u, v = np.repeat(u, _PROBE_WORDS), np.repeat(v, _PROBE_WORDS)
     e0, e1 = (np.full(len(xs), c) for c in GENERIC_DIRECTION)
-    first_bin = np.repeat(np.arange(len(seeds)) * bins, _PROBE_WORDS)
-    counts = np.zeros(len(seeds) * bins)
+    rows = np.repeat(np.arange(len(seeds)), _PROBE_WORDS)
+    counts = np.zeros((len(seeds), bins))
     for k, (_, _, d) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
         e0, e1 = fm.mat_vec_unit(d, (e0, e1))
         if k >= burn_in:
-            angle = fm.elementwise(math.atan2, e1, e0) % math.pi
-            bin_ = np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)
-            np.add.at(counts, first_bin + bin_, 1.0)
-    hists = counts.reshape(len(seeds), bins)
-    return hists / hists.sum(axis=1, keepdims=True)
+            np.add.at(counts, (rows, _angle_bins(e0, e1, bins)), 1.0)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
-def _push_histogram(hist, m):
-    bins = len(hist)
-    out = np.zeros(bins)
-    for b in range(bins):
-        if hist[b] == 0.0:
-            continue
-        a = (b + 0.5) * math.pi / bins
-        w = fm.mat_vec(m, (math.cos(a), math.sin(a)))
-        a2 = math.atan2(w[1], w[0]) % math.pi
-        out[min(int(a2 / math.pi * bins), bins - 1)] += hist[b]
-    return out
+def _angle_bins(x, y, bins):
+    """The bin of each direction (x[k], y[k]) among bins equal arcs of [0, pi)."""
+    angle = fm.elementwise(math.atan2, y, x) % math.pi
+    return np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)
 
 
 def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn_in=100):
@@ -346,11 +336,14 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     hists = _direction_histograms(
         sys, np.concatenate([u, hu]), np.concatenate([v, hv]), seeds, bins, n_iter, burn_in
     )
-    worst = 0.0
-    for k, m in enumerate(zip(*(e.tolist() for e in H))):
-        pushed = _push_histogram(hists[k], m)
-        worst = max(worst, 0.5 * float(np.abs(pushed - hists[n + k]).sum()))
-    return worst
+    # push the histogram at t through H(t): bin b's mass moves to H(t)'s image of its centre
+    centres = (np.arange(bins) + 0.5) * math.pi / bins
+    c = (fm.elementwise(math.cos, centres), fm.elementwise(math.sin, centres))
+    w0, w1 = fm.mat_vec([e[:, None] for e in H], c)
+    pushed = np.zeros((n, bins))
+    to = _angle_bins(w0.ravel(), w1.ravel(), bins).reshape(n, bins)
+    np.add.at(pushed, (np.arange(n)[:, None], to), hists[:n])
+    return 0.5 * float(np.abs(pushed - hists[n:]).sum(axis=1).max())
 
 
 def perturbed_system(sys, generator_word, twist_center, twist_radius, T):

@@ -93,18 +93,18 @@ class HolonomyQuery:
         return distance(self.x, self.y)
 
 
-def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, grid=16, seed=0):
-    """Evaluate both fiber-bunching inequalities over sampled points.
+def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
+    """Evaluate both fiber-bunching inequalities at n_base base points.
 
     The margin at a base point is (sup_t ||Df(t)|| / sup_t m(Df(t))) *
-    lambda^beta, and the analogue for the inverted generator; the report
-    carries the worst margin over all samples.
+    lambda^beta over a fiber_grid x fiber_grid grid and n_fiber random t,
+    and the analogue for the inverted generator; the report carries the worst.
     """
     if not beta > 0:
         raise ConfigurationError("beta must be positive")
     lam = sys.space.metric_base
     base_points = generator_base_points(sys, n_base, seed, 23)
-    u, v = fm.sample_points(grid, n_fiber, seed, 1003)  # random_fiber_point(seed, i, stream=3)
+    u, v = fm.sample_points(fiber_grid, n_fiber, seed, 1003)  # random_fiber_point(seed, i, stream=3)
     if not base_points or len(u) == 0:
         raise ConfigurationError("fiber_bunching_margin sampled no base or fiber point")
     worst = 0.0

@@ -104,12 +104,9 @@ class LocallyConstantFamily:
         deriv = tuple(np.empty(u.shape) for _ in range(4))
         for k, f in enumerate(self._maps):
             sel = np.flatnonzero(keys == k)
-            if len(sel) == len(keys):
-                return f.apply_many(u, v)
-            if len(sel):
-                out_u[sel], out_v[sel], d = f.apply_many(u[sel], v[sel])
-                for dst, src in zip(deriv, d):
-                    dst[sel] = src
+            out_u[sel], out_v[sel], d = f.apply_many(u[sel], v[sel])
+            for dst, src in zip(deriv, d):
+                dst[sel] = src
         return out_u, out_v, deriv
 
 
@@ -281,9 +278,8 @@ def orbit_batch(sys, xs, u, v, n):
 
     Step k yields the fiber points after it and the derivatives of its maps,
     as arrays (u, v, (a, b, c, d)) with one entry per orbit, equal bit for
-    bit to walking each orbit with ``orbit_maps`` and ``apply``; a step
-    whose orbits all meet one constant-derivative map yields its floats.
-    The keys come from ``orbit_keys``, so memory stays bounded.
+    bit to walking each orbit with ``orbit_maps`` and ``apply``.  The keys
+    come from ``orbit_keys``, so memory stays bounded.
     """
     apply_many = sys.family.apply_many
     for keys in orbit_keys(sys, xs, n):

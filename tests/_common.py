@@ -33,6 +33,11 @@ def identity_map():
     return fm.ToralAutomorphism(IDENT)
 
 
+def word(x, start, stop):
+    """The symbols of the sequence x at indices start..stop-1, as a tuple."""
+    return tuple(x.symbols(start, stop).tolist())
+
+
 def bernoulli2():
     return sl.BaseMeasure("bernoulli", probs=(0.5, 0.5))
 

@@ -12,7 +12,7 @@ import skewlab as sl
 from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape
 from skewlab.errors import BracketUndefinedError, ConfigurationError
 
-from _common import bernoulli2, stream_with_hash
+from _common import bernoulli2, stream_with_hash, word
 
 
 def seq_from(space, past, future):
@@ -74,9 +74,9 @@ def test_stable_pair_contraction(space):
 
 def test_shift_basics(space):
     x = sl.periodic_point(space, (0, 1))
-    assert x.shift(0).word(0, 4) == x.word(0, 4)
-    assert x.shift(1).word(0, 2) == (1, 0)
-    assert x.shift(3).shift(-1).word(-2, 2) == x.shift(2).word(-2, 2)
+    assert word(x.shift(0), 0, 4) == word(x, 0, 4)
+    assert word(x.shift(1), 0, 2) == (1, 0)
+    assert word(x.shift(3).shift(-1), -2, 2) == word(x.shift(2), -2, 2)
     s = sl.sample_sequence(space, bernoulli2(), 99, 0)
     assert s.shift(5).symbol(0) == s.symbol(5)
 
@@ -94,7 +94,7 @@ def test_bracket_splice(space):
 def test_bracket_identity_and_error(space):
     x = sl.periodic_point(space, (0, 1))
     z = sl.bracket(x, x)
-    assert z.word(-5, 5) == x.word(-5, 5)
+    assert word(z, -5, 5) == word(x, -5, 5)
     y = sl.periodic_point(space, (1, 0))
     with pytest.raises(BracketUndefinedError):
         sl.bracket(x, y)
@@ -102,11 +102,11 @@ def test_bracket_identity_and_error(space):
 
 def test_periodic_point(space):
     p = sl.periodic_point(space, (0,))
-    assert p.word(-3, 3) == (0,) * 6
+    assert word(p, -3, 3) == (0,) * 6
     q = sl.periodic_point(space, (0, 1))
-    assert q.shift(2).word(-4, 4) == q.word(-4, 4)
+    assert word(q.shift(2), -4, 4) == word(q, -4, 4)
     s3 = sl.ShiftSpace(3)
-    assert sl.periodic_point(s3, (0, 1, 2)).word(0, 3) == (0, 1, 2)
+    assert word(sl.periodic_point(s3, (0, 1, 2)), 0, 3) == (0, 1, 2)
     with pytest.raises(ConfigurationError):
         sl.periodic_point(space, ())
 

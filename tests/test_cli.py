@@ -184,6 +184,22 @@ point = 0.3, 0.7
 """
 
 
+@pytest.mark.parametrize("command", ["bunching", "holonomy"])
+def test_run_grid_leaves_the_bunching_fiber_grid_alone(tmp_path, capsys, command):
+    # [run] grid is the pinching grid; bunching's fibre grid is its own
+    # fiber_grid parameter, which no config key sets.  On this system a
+    # 5 x 5 fibre grid gives a different margin from the default 16 x 16.
+    cfg = TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG
+    outputs = []
+    for name, text in (("plain", cfg.replace("grid = 16\n", "")),
+                       ("grid", cfg.replace("grid = 16", "grid = 5"))):
+        out = tmp_path / name
+        assert main([command, "--config", _write(tmp_path, text, name + ".cfg"),
+                     "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, (out / (command + ".csv")).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "command, line, bad, key",
     [
@@ -226,6 +242,18 @@ point = 0.3, 0.7
         ("sweep", "assign = 0, 2", "family = holder", "[skew].family"),
         ("sweep", "T_values = 0", "T_values = inf", "sweep.T_values"),
         ("sweep", "T_values = 0", "T_values = nan", "sweep.T_values"),
+        ("sweep", "T_values = 0", "T_values = ", "sweep.T_values"),
+        *(
+            (command, line, bad, key)
+            for command in ("criterion", "sweep")
+            for line, bad, key in (
+                ("p_word = 0", "p_word = 0,1", "criterion.p_word"),
+                ("z_symbol = 1", "z_symbol = 0", "criterion.z_symbol"),
+                ("z_index = 1", "z_index = 0", "criterion.z_index"),
+                ("z_index = 1", "z_index = -2", "criterion.z_index"),
+                ("i = 2", "i = 1", "criterion.i"),
+            )
+        ),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line, bad, key):
@@ -237,7 +265,10 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line
     # window and non-finite twist angles exited 0, 1 or with a traceback, as
     # did symbols out of the alphabet, whose error then named the symbol but
     # not the key; a sweep of a Holder family wrote a row error at T = 0 and
-    # raised AttributeError at any other T
+    # raised AttributeError at any other T; an empty T_values list wrote a
+    # header-only sweep.csv and exited 0; a p_word, z_symbol, z_index or i
+    # that cannot build the holonomy loop gave the library's error without
+    # the key
     cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
     assert bad in cfg
     rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import skewlab as sl
 import skewlab.criterion as criterion
@@ -383,6 +384,24 @@ def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
     return hist / hist.sum()
 
 
+def _scalar_push_histogram(hist, m):
+    """The image of a direction histogram under the matrix m, one bin at a time.
+
+    Each nonempty bin's mass moves to the bin of m applied to the direction
+    of the bin's centre.
+    """
+    bins = len(hist)
+    out = np.zeros(bins)
+    for b in range(bins):
+        if hist[b] == 0.0:
+            continue
+        a = (b + 0.5) * math.pi / bins
+        w = fm.mat_vec(m, (math.cos(a), math.sin(a)))
+        a2 = math.atan2(w[1], w[0]) % math.pi
+        out[min(int(a2 / math.pi * bins), bins - 1)] += hist[b]
+    return out
+
+
 def _scalar_su_state_probe(sys, loop, bins, n_iter, n_points, seed, burn_in):
     side = max(2, int(math.ceil(math.sqrt(n_points))))
     worst = 0.0
@@ -391,7 +410,7 @@ def _scalar_su_state_probe(sys, loop, bins, n_iter, n_points, seed, burn_in):
         m_t = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
         ht, H = loop.apply(t)
         m_ht = _direction_histogram(sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k))
-        pushed = criterion._push_histogram(m_t, H)
+        pushed = _scalar_push_histogram(m_t, H)
         worst = max(worst, 0.5 * float(np.abs(pushed - m_ht).sum()))
     return worst
 
@@ -425,15 +444,51 @@ def test_su_state_probe_matches_scalar_reference(make_system):
     system = make_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    kw = dict(bins=32, n_iter=60, n_points=4, seed=3, burn_in=10)
-    score = sl.su_state_probe(system, p, loop, **kw)
-    assert score == _scalar_su_state_probe(system, loop, **kw)
+    for kw in (
+        dict(bins=32, n_iter=60, n_points=4, seed=3, burn_in=10),
+        # one bin holds every direction; seven bins leave some empty
+        dict(bins=1, n_iter=40, n_points=9, seed=5, burn_in=10),
+        dict(bins=7, n_iter=40, n_points=9, seed=5, burn_in=10),
+    ):
+        score = sl.su_state_probe(system, p, loop, **kw)
+        assert score == _scalar_su_state_probe(system, loop, **kw), kw
     starts = [(0.125, 0.375), (0.9, 0.05), (0.3, 0.6)]
     seeds = [derive_seed(5, k) for k in range(len(starts))]
     u, v = (np.array(c) for c in zip(*starts))
     hists = criterion._direction_histograms(system, u, v, seeds, 16, 50, 5)
     for h, t, s in zip(hists, starts, seeds):
         assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s).tobytes()
+
+
+_BELOW_PI = math.nextafter(math.pi, 0.0)
+
+
+@st.composite
+def _bins_and_directions(draw):
+    """A bin count and directions: any vectors, exact bin edges both ways up,
+    the direction one ulp below pi, and the negative axis from both sides."""
+    bins = draw(st.integers(1, 300))
+    edge = st.builds(
+        lambda k, s: (s * math.cos(k * math.pi / bins), s * math.sin(k * math.pi / bins)),
+        st.integers(0, bins), st.sampled_from([1.0, -1.0]),
+    )
+    special = st.sampled_from([
+        (math.cos(_BELOW_PI), math.sin(_BELOW_PI)), (-1.0, 0.0), (-1.0, -0.0),
+        (-1.0, 5e-324), (-1.0, -5e-324), (1.0, -5e-324), (0.0, 1.0), (0.0, -1.0),
+    ])
+    finite = st.floats(-4.0, 4.0, allow_nan=False)
+    vector = st.tuples(finite, finite)
+    return bins, draw(st.lists(st.one_of(vector, edge, special), min_size=1, max_size=40))
+
+
+@seed(17)
+@settings(max_examples=300, deadline=None)
+@given(_bins_and_directions())
+def test_angle_bins_match_the_scalar_rule(case):
+    bins, directions = case
+    x, y = (np.array(c) for c in zip(*directions))
+    want = [min(int((math.atan2(b, a) % math.pi) / math.pi * bins), bins - 1) for a, b in directions]
+    assert criterion._angle_bins(x, y, bins).tolist() == want
 
 
 @pytest.mark.parametrize("T", [0.5, 0.0])

@@ -27,6 +27,7 @@ from _common import (
     stable_pair,
     twisted_cat_system,
     unstable_pair,
+    word,
 )
 
 CAT_RATIO = ((3.0 + math.sqrt(5.0)) / 2.0) ** 2  # ||A|| / m(A) for the cat map
@@ -63,13 +64,13 @@ def test_bunching_rejects_empty_samples():
         sl.fiber_bunching_margin(holder_system(), beta=1.0, n_base=0)
     for system in (holder_system(), cat_system()):
         with pytest.raises(ConfigurationError):
-            sl.fiber_bunching_margin(system, beta=1.0, grid=0, n_fiber=0)
+            sl.fiber_bunching_margin(system, beta=1.0, fiber_grid=0, n_fiber=0)
     # a locally constant family evaluates every generator whatever n_base is
     report = sl.fiber_bunching_margin(cat_system(metric_base=0.5), beta=1.0, n_base=0)
     assert report.worst_margin == pytest.approx(CAT_RATIO * 0.5, rel=1e-9)
 
 
-def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
+def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
     """fiber_bunching_margin one fiber point at a time (the reference)."""
     if sys.is_locally_constant:
         base_points = [
@@ -81,7 +82,8 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
             sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 23), i)
             for i in range(n_base)
         ]
-    pts = [((i + 0.5) / grid, (j + 0.5) / grid) for i in range(grid) for j in range(grid)]
+    side = fiber_grid
+    pts = [((i + 0.5) / side, (j + 0.5) / side) for i in range(side) for j in range(side)]
     pts.extend(sl.random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
     worst = 0.0
     for x in base_points:
@@ -104,7 +106,7 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, grid=16, seed=0):
 )
 def test_bunching_margin_matches_scalar_reference(make_system):
     system = make_system()
-    for beta, kw in ((1.0, {}), (0.7, dict(n_base=7, n_fiber=31, grid=5, seed=4))):
+    for beta, kw in ((1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))):
         report = sl.fiber_bunching_margin(system, beta, **kw)
         assert report == _scalar_bunching_margin(system, beta, **kw)
 
@@ -300,9 +302,9 @@ def test_locally_constant_depth4_unstable_holonomy_is_exact():
     t = (0.7, 0.7)
     exact = t
     for k in range(3):
-        exact = table[x.word(-k - 1, 3 - k)].inverse()(exact)
+        exact = table[word(x, -k - 1, 3 - k)].inverse()(exact)
     for k in range(2, -1, -1):
-        exact = table[y.word(-k - 1, 3 - k)](exact)
+        exact = table[word(y, -k - 1, 3 - k)](exact)
     assert fm.torus_distance(exact, t) > 0.05
     img, diag = sl.unstable_holonomy_point(system, sl.HolonomyQuery("unstable", x, y), t)
     assert diag.increments[0] == 0.0
