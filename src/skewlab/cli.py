@@ -94,11 +94,12 @@ def cmd_bunching(cfg, out_dir):
 def _holonomy_pair(system, seed, direction):
     """A sampled sequence and a partner on its local stable/unstable set."""
     x = sample_sequence(system.space, system.measure, derive_seed(seed, 71), 0)
-    side = range(1, 9) if direction == "stable" else range(-8, 0)
+    # stable pairs share the future of x and take their past from w; unstable
+    # pairs the reverse: w must differ from x within 8 indices on the side it gives
+    side = range(-8, 0) if direction == "stable" else range(1, 9)
     for stream in range(1, 64):
         w = sample_sequence(system.space, system.measure, derive_seed(seed, 71), stream)
         if w.symbol(0) == x.symbol(0) and any(w.symbol(j) != x.symbol(j) for j in side):
-            # stable pairs share the future of x; unstable pairs its past
             return x, (bracket(w, x) if direction == "stable" else bracket(x, w))
     raise SkewlabError("could not sample a distinct holonomy partner")
 

@@ -233,6 +233,30 @@ def build_generators(cfg):
     return generators
 
 
+_MAX_COUNT = 10 ** 18  # larger word counts are reported as "10^18 or more"
+
+
+def _count_words(space, length):
+    """min(_MAX_COUNT, the number of admissible words of the given length >= 1).
+
+    The row sums of the (length - 1)-th power of the transition matrix, by
+    repeated squaring with capped entries: O(log length) small products.
+    """
+    d = range(space.alphabet_size)
+
+    def product(a, b):
+        return [[min(_MAX_COUNT, sum(a[i][k] * b[k][j] for k in d)) for j in d] for i in d]
+
+    step = [[int(ok) for ok in row] for row in space.transitions]
+    power = [[int(i == j) for j in d] for i in d]
+    n = length - 1
+    while n:
+        if n & 1:
+            power = product(power, step)
+        step, n = product(step, step), n >> 1
+    return min(_MAX_COUNT, sum(map(sum, power)))
+
+
 def build_system(cfg):
     """Assemble the SkewSystem described by a parsed config."""
     d = cfg.get_int("base", "d", required=True)
@@ -260,23 +284,27 @@ def build_system(cfg):
     if family_kind == "locally_constant":
         generators = build_generators(cfg)
         depth = cfg.get_int("skew", "depth", 1)
-        words = admissible_words(space, depth)
+        if depth < 1:
+            raise ConfigurationError("[skew].depth must be >= 1, got %d" % depth)
+        # count the words before listing them: listing scans all d^depth candidates
+        n_words = _count_words(space, depth)
+        shown = "%d" % n_words if n_words < _MAX_COUNT else "10^18 or more"
         assign = cfg.get_list("skew", "assign", int)
         if assign is None:
-            if len(generators) == len(words):
-                assign = list(range(len(words)))
+            if len(generators) == n_words:
+                assign = list(range(n_words))
             else:
                 raise ConfigurationError(
-                    "[skew].assign required: %d admissible words, %d generators"
-                    % (len(words), len(generators))
+                    "[skew].assign required: %s admissible words, %d generators"
+                    % (shown, len(generators))
                 )
-        if len(assign) != len(words):
+        if len(assign) != n_words:
             raise ConfigurationError(
-                "[skew].assign must map all %d admissible depth-%d words"
-                % (len(words), depth)
+                "[skew].assign must map all %s admissible depth-%d words"
+                % (shown, depth)
             )
         table = {}
-        for w, gi in zip(words, assign):
+        for w, gi in zip(admissible_words(space, depth), assign):
             if not 0 <= gi < len(generators):
                 raise ConfigurationError("[skew].assign references missing generator %d" % gi)
             table[w] = generators[gi]

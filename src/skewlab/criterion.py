@@ -347,16 +347,9 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
 
 
 def perturbed_system(sys, generator_word, twist_center, twist_radius, T):
-    """Post-compose one locally constant generator with a localized twist."""
-    if not sys.is_locally_constant:
-        raise ConfigurationError("a twist perturbs a generator of a locally constant family")
-    if T == 0.0:
-        return sys
-    if isinstance(generator_word, int):
-        generator_word = (generator_word,)
-    f = sys.family.map_for_word(tuple(generator_word))
+    """Post-compose one generator with a twist of angle T; sys itself, checked, at T = 0."""
     twist = fm.LocalizedTwist(twist_center, twist_radius, T)
-    return sys.with_generator(generator_word, fm.Composite([f, twist]))
+    return sys.with_generator(generator_word, lambda f: fm.Composite([f, twist]) if T else f)
 
 
 @dataclass

@@ -73,12 +73,6 @@ class LocallyConstantFamily:
             code = code * self._radix + syms[..., i:i + n]
         return code
 
-    def map_for_word(self, word):
-        try:
-            return self.table[word]
-        except KeyError:
-            raise ConfigurationError("no generator for word %r" % (word,))
-
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions whose words start at syms[0], ..."""
         words = zip(*(syms[i:i + n] for i in range(self.depth)))
@@ -203,16 +197,18 @@ class SkewSystem:
     def inverse_fiber_map_at(self, x):
         return next(orbit_maps(self, x, n=1))[1]
 
-    def with_generator(self, word, new_map):
-        """Copy of the system with one locally constant table entry replaced."""
+    def with_generator(self, word, replace):
+        """The system with word's generator f replaced by replace(f); itself if that is f."""
         if not self.is_locally_constant:
             raise ConfigurationError("generator replacement needs a locally constant family")
-        if isinstance(word, int):
-            word = (word,)
+        word = (word,) if isinstance(word, int) else tuple(word)
         table = dict(self.family.table)
-        if tuple(word) not in table:
+        if word not in table:
             raise ConfigurationError("no generator for word %r" % (word,))
-        table[tuple(word)] = new_map
+        new_map = replace(table[word])
+        if new_map is table[word]:
+            return self
+        table[word] = new_map
         return SkewSystem(
             self.space, self.measure, LocallyConstantFamily(self.family.depth, table)
         )

@@ -3,12 +3,15 @@
 import ast
 import csv
 import inspect
+import time
 
 import pytest
 
 import skewlab.cli as cli
 from skewlab.cli import main
 from skewlab.config import RUN_KEYS
+
+from _common import cat_system
 
 IDENTITY_CFG = """
 [base]
@@ -116,6 +119,26 @@ point = 0.3, 0.7
     for r in rows:
         assert float(r["increment"]) <= float(r["envelope"]) + 1e-12
     assert "stopped_at=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed, direction", [(92, "stable"), (481, "unstable")])
+def test_holonomy_partner_differs_on_its_free_side(seed, direction):
+    # the partner was checked on the side it shares with x, so at these
+    # seeds it equalled x on all 8 indices of the side it takes from w
+    x, y = cli._holonomy_pair(cat_system(), seed, direction)
+    free, shared = (range(-8, 0), range(0, 9)) if direction == "stable" else (
+        range(1, 9), range(-8, 1))
+    assert any(y.symbol(j) != x.symbol(j) for j in free)
+    assert all(y.symbol(j) == x.symbol(j) for j in shared)
+
+
+def test_deep_table_exits_2_within_a_second(tmp_path, capsys):
+    cfg = CAT_CFG + "\n[skew]\ndepth = 40\nassign = 0, 1\n"
+    start = time.perf_counter()
+    rc = main(["exponent", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2 and time.perf_counter() - start < 1.0
+    assert "[skew].assign must map all" in capsys.readouterr().err
+    assert not (tmp_path / "exponent.csv").exists()
 
 
 def test_criterion_twisted_cat(tmp_path, capsys):

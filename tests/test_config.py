@@ -3,6 +3,7 @@
 import pytest
 
 import skewlab as sl
+import skewlab.config as config
 import skewlab.fiber_maps as fm
 from skewlab.config import (
     build_system,
@@ -237,6 +238,53 @@ assign = 0, 1, 1
     assert system.space.transitions == ((True, True), (True, False))
     x = sl.periodic_point(system.space, (0,))
     assert system.fiber_map_at(x).matrix == (2.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "transitions",
+    [None, ((True, False), (True, True)), ((False, True), (True, False)),
+     ((True, True), (False, True))],
+    ids=["full", "golden-mean", "swap", "triangular"],
+)
+def test_word_count_matches_the_listed_words(transitions):
+    space = sl.ShiftSpace(2, transitions=transitions)
+    for length in range(1, 9):
+        assert config._count_words(space, length) == len(sl.admissible_words(space, length))
+    full3 = sl.ShiftSpace(3)
+    assert [config._count_words(full3, n) for n in (1, 4)] == [3, 81]
+
+
+def test_word_count_is_capped_and_fast_at_any_length():
+    full = sl.ShiftSpace(2)
+    assert config._count_words(full, 59) == 2 ** 59
+    assert config._count_words(full, 60) == config._MAX_COUNT
+    # the words 0^a 1^b: the count grows linearly and stays exact
+    triangular = sl.ShiftSpace(2, transitions=((True, True), (False, True)))
+    assert config._count_words(triangular, 10 ** 12) == 10 ** 12 + 1
+    swap = sl.ShiftSpace(2, transitions=((False, True), (True, False)))
+    assert config._count_words(swap, 10 ** 12) == 2
+
+
+@pytest.mark.parametrize(
+    "skew, message",
+    [
+        ("depth = 40\nassign = 0, 1", "must map all 1099511627776 admissible depth-40 words"),
+        ("depth = 70\nassign = 0, 1", r"must map all 10\^18 or more admissible depth-70 words"),
+        ("depth = 3", r"\[skew\].assign required: 8 admissible words, 2 generators"),
+        ("depth = 0", r"\[skew\].depth must be >= 1, got 0"),
+        ("depth = -1", r"\[skew\].depth must be >= 1, got -1"),  # was a ValueError
+    ],
+    ids=["depth-40", "depth-70", "no-assign", "depth-0", "depth-negative"],
+)
+def test_bad_depth_rejected_before_listing_words(monkeypatch, skew, message):
+    # the words were listed before their count was checked: depth 20 took
+    # seconds and hundreds of MB, and depth 40 would not finish
+    def no_listing(space, length):
+        raise AssertionError("listed the depth-%d words of a rejected table" % length)
+
+    monkeypatch.setattr(config, "admissible_words", no_listing)
+    with pytest.raises(ConfigurationError, match=message):
+        build_system(parse_config(BASIC + "\n[skew]\n" + skew + "\n"))
 
 
 def test_criterion_inputs():

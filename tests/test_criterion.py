@@ -584,6 +584,15 @@ def test_perturbed_system():
     assert fm.torus_distance(f.apply(t)[0], cat_map().apply(t)[0]) < 1e-15
 
 
+def test_perturbed_system_checks_word_and_radius_at_t_zero():
+    # T = 0 returned the system before looking at the word or the radius
+    system = cat_system()
+    with pytest.raises(ConfigurationError, match=r"no generator for word \(5,\)"):
+        sl.perturbed_system(system, 5, (0.25, 0.25), 0.2, 0.0)
+    with pytest.raises(ConfigurationError, match="twist radius"):
+        sl.perturbed_system(system, 1, (0.25, 0.25), 0.9, 0.0)
+
+
 def test_perturbation_sweep_t_zero_matches_unperturbed():
     system = cat_system()
     p, z, i = loop_inputs(system)
@@ -649,6 +658,14 @@ def test_perturbation_sweep_configuration_error_propagates():
         with pytest.raises(ConfigurationError, match="locally constant"):
             sl.perturbation_sweep(holder_system(), 1, (0.25, 0.25), 0.2, [T], p, z, i,
                                   grid=4, n_steps=10, twisting_params=FAST_TWIST)
+
+
+def test_perturbation_sweep_t_zero_bad_word_propagates():
+    system = cat_system()
+    p, z, i = loop_inputs(system)
+    with pytest.raises(ConfigurationError, match="no generator for word"):
+        sl.perturbation_sweep(system, 5, (0.25, 0.25), 0.2, [0.0], p, z, i,
+                              grid=4, n_steps=10, twisting_params=FAST_TWIST)
 
 
 def test_perturbation_sweep_row_error_does_not_abort():

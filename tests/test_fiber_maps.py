@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
 
-from _common import CAT, Stretch, cat_map
+from _common import Stretch, cat_map
 
 
 def random_points(n, seed=0):

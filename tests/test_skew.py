@@ -189,7 +189,7 @@ def test_c1_distance_twist_shrinks_with_angle():
     gaps = []
     for T in (1e-1, 1e-2, 1e-3):
         twist = fm.LocalizedTwist((0.25, 0.25), 0.2, T)
-        pert = base.with_generator(1, fm.Composite([cat_map(), twist]))
+        pert = base.with_generator(1, lambda f: fm.Composite([f, twist]))
         gaps.append(sl.c1_distance(base, pert))
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
@@ -277,12 +277,24 @@ def test_generator_base_points():
 
 def test_with_generator():
     system = cat_system()
-    pert = system.with_generator(1, identity_map())
+    pert = system.with_generator(1, lambda f: identity_map())
     x1 = sl.periodic_point(system.space, (1,))
     assert pert.fiber_map_at(x1).matrix == (1.0, 0.0, 0.0, 1.0)
     assert system.fiber_map_at(x1).matrix == (2.0, 1.0, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        holder_system().with_generator(0, identity_map())
+        holder_system().with_generator(0, lambda f: identity_map())
+
+
+def test_with_generator_owns_the_word_checks():
+    system = cat_system()
+    assert system.with_generator((1,), lambda f: f) is system
+    seen = []
+    pert = system.with_generator(0, lambda f: seen.append(f) or identity_map())
+    assert seen == [system.family.table[(0,)]]
+    assert pert.family.table[(1,)] is system.family.table[(1,)]
+    for word in (5, (0, 1), ()):
+        with pytest.raises(ConfigurationError, match="no generator for word"):
+            system.with_generator(word, lambda f: f)
 
 
 def test_holder_estimate_constant_family():

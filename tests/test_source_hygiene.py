@@ -1,9 +1,9 @@
 """Deletions leave nothing behind: no unused imports or private module names.
 
-Every name a module in ``src/skewlab`` imports, and every module-level
-function, class or constant whose name starts with one underscore, must be
-read somewhere in that module.  ``__init__.py`` re-exports names and is
-exempt.
+Every name a module in ``src/skewlab``, ``tests`` or ``demos`` imports, and
+every module-level function, class or constant whose name starts with one
+underscore, must be read somewhere in that module.  ``__init__.py``
+re-exports names and is exempt.
 """
 
 import ast
@@ -11,8 +11,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "skewlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "skewlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _bound_names(tree):
@@ -47,7 +49,10 @@ def unreferenced(source):
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [str(p.relative_to(ROOT)) for p in SCRIPTS],
+)
 def test_module_reads_every_import_and_private_name(path):
     unused = unreferenced(path.read_text())
     assert not unused, "%s: %s" % (
