@@ -21,7 +21,10 @@ window, and otherwise draws the window with one counter-RNG call and caches
 nothing; a Markov tape slices its blocks, walking the missing ones;
 periodic and homoclinic points index their word with the window's
 indices; any other lookup (a bracket, a hand-made sequence) is asked one
-index at a time.
+index at a time.  ``symbol_rows`` reads one window of many sequences:
+the rows of Bernoulli-sampled sequences of one measure come from one
+many-stream counter-RNG call (``rng.stream_uniforms``), and every other
+row is its sequence's own window.
 """
 
 import itertools
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketUndefinedError, ConfigurationError
-from .rng import counter_uniforms
+from .rng import counter_uniforms, derive_seed, stream_uniforms
 
 
 @dataclass(frozen=True)
@@ -285,15 +288,18 @@ class _BernoulliTape:
     """Independent symbols: the first cumulative weight exceeding the uniform.
 
     Each symbol is a pure function of its counter, so blocks can be dropped
-    and drawn again without changing the sequence.
+    and drawn again without changing the sequence.  ``key`` is the stream's
+    ``derive_seed(seed, stream_id)``, which ``symbol_rows`` draws by.
     """
 
-    __slots__ = ("cum", "seed", "stream_id", "blocks")
+    __slots__ = ("measure", "cum", "seed", "stream_id", "key", "blocks")
 
     def __init__(self, measure, seed, stream_id):
+        self.measure = measure
         self.cum = np.array(_cumulative(measure.probs))
         self.seed = seed
         self.stream_id = stream_id
+        self.key = derive_seed(seed, stream_id)
         self.blocks = {}
 
     def __call__(self, j):
@@ -405,6 +411,38 @@ def sample_sequence(space, measure, seed, stream_id=0):
     measure.validate_support(space)
     tape = _BernoulliTape if measure.kind == "bernoulli" else _MarkovTape
     return BaseSequence(space, tape(measure, seed, stream_id))
+
+
+def symbol_rows(xs, start, stop):
+    """``x.symbols(start, stop)`` for every x in xs, as the rows of one intp array.
+
+    The rows of Bernoulli-sampled sequences of one measure come from one
+    counter-RNG call (``rng.stream_uniforms``): each row is its own stream,
+    read from start plus the row's shift offset.  Every other row is its
+    sequence's own ``symbols`` window.
+    """
+    n = max(stop - start, 0)
+    groups, own = {}, []  # id(measure) -> (cumulative weights, row numbers, keys, starts)
+    for i, x in enumerate(xs):
+        tape = x._lookup
+        if type(tape) is _BernoulliTape:
+            cum, at, keys, starts = groups.setdefault(id(tape.measure), (tape.cum, [], [], []))
+            at.append(i)
+            keys.append(tape.key)
+            starts.append(start + x.offset)
+        else:
+            own.append(i)
+    # drawn before the rows are allocated, so a read holds at most two arrays of its size
+    drawn = [
+        (at, np.searchsorted(cum, stream_uniforms(keys, starts, n), side="right"))
+        for cum, at, keys, starts in groups.values()
+    ]
+    rows = np.empty((len(xs), n), dtype=np.intp)
+    for at, syms in drawn:
+        rows[at] = syms
+    for i in own:
+        rows[i] = xs[i].symbols(start, stop)
+    return rows
 
 
 def cylinder_measure(measure, word):

@@ -286,7 +286,8 @@ def build_system(cfg):
         depth = cfg.get_int("skew", "depth", 1)
         if depth < 1:
             raise ConfigurationError("[skew].depth must be >= 1, got %d" % depth)
-        # count the words before listing them: listing scans all d^depth candidates
+        # count the words before listing them: the listing holds every word, and
+        # a full shift has d^depth of them
         n_words = _count_words(space, depth)
         shown = "%d" % n_words if n_words < _MAX_COUNT else "10^18 or more"
         assign = cfg.get_list("skew", "assign", int)

@@ -286,8 +286,11 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     """Angle histogram of the projective cocycle for each (start, seed).
 
     Histogram k follows _PROBE_WORDS sampled base orbits from the fiber
-    point (u[k], v[k]); all orbits step together through ``orbit_batch``
-    and bins are counted step by step.
+    point (u[k], v[k]); all orbits step together through ``orbit_batch``.
+    Each step after burn_in records every orbit's cell (histogram, bin),
+    and ``np.bincount`` counts the recorded cells whenever they are as many
+    as the cells of all histograms, and after the last step: memory stays
+    the size of the histograms for any n_iter.
     """
     xs = [
         sample_sequence(sys.space, sys.measure, derive_seed(s, 31), w)
@@ -296,12 +299,17 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     ]
     u, v = np.repeat(u, _PROBE_WORDS), np.repeat(v, _PROBE_WORDS)
     e0, e1 = (np.full(len(xs), c) for c in GENERIC_DIRECTION)
-    rows = np.repeat(np.arange(len(seeds)), _PROBE_WORDS)
-    counts = np.zeros((len(seeds), bins))
+    first_cell = np.repeat(np.arange(len(seeds)) * bins, _PROBE_WORDS)
+    counts = np.zeros(len(seeds) * bins, dtype=np.intp)
+    cells = []
     for k, (_, _, d) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
         e0, e1 = fm.mat_vec_unit(d, (e0, e1))
         if k >= burn_in:
-            np.add.at(counts, (rows, _angle_bins(e0, e1, bins)), 1.0)
+            cells.append(first_cell + _angle_bins(e0, e1, bins))
+            if len(cells) * len(xs) >= counts.size or k == n_iter - 1:
+                counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+                cells = []
+    counts = counts.reshape(len(seeds), bins)
     return counts / counts.sum(axis=1, keepdims=True)
 
 

@@ -8,8 +8,10 @@ stateless counter hashing.
 ``counter_uniform`` draws one index with Python integers; it is the scalar
 reference.  ``counter_uniforms`` draws a run of consecutive indices with
 numpy ``uint64`` wrap-around arithmetic and gives the same floats bit for
-bit.  Both map the 64-bit hash z to z / 2**64, clamped to the largest float
-below 1: the top 1024 hash values would otherwise round up to 1.0.
+bit; ``stream_uniforms`` draws such runs for many streams at once, one row
+per stream, each from its own start.  The two share one copy of the array
+arithmetic.  All map the 64-bit hash z to z / 2**64, clamped to the largest
+float below 1: the top 1024 hash values would otherwise round up to 1.0.
 """
 
 import math
@@ -22,6 +24,8 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _SCALE = 18446744073709551616.0  # 2**64
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_U_GOLDEN, _U_M1, _U_M2 = np.uint64(_GOLDEN), np.uint64(_M1), np.uint64(_M2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _mix(z):
@@ -39,13 +43,38 @@ def counter_uniform(seed, stream_id, index):
 
 def counter_uniforms(seed, stream_id, start, stop):
     """``counter_uniform(seed, stream_id, j)`` for j in range(start, stop), as an array."""
-    u64 = np.uint64
-    counters = u64((start + (1 << 62)) & _MASK) + np.arange(stop - start, dtype=u64)
-    z = u64(derive_seed(seed, stream_id)) + counters * u64(_GOLDEN)
-    z = (z ^ (z >> u64(30))) * u64(_M1)
-    z = (z ^ (z >> u64(27))) * u64(_M2)
-    z ^= z >> u64(31)
-    u = z.astype(np.float64) / _SCALE
+    counters = np.arange(stop - start, dtype=np.uint64)
+    counters += np.uint64((start + (1 << 62)) & _MASK)
+    return _hash_uniforms(counters, np.uint64(derive_seed(seed, stream_id)))
+
+
+def stream_uniforms(keys, starts, n):
+    """Uniforms of many streams at once: one row per stream, n consecutive indices each.
+
+    Row i holds ``counter_uniforms(seed, stream_id, starts[i], starts[i] + n)``
+    for the stream whose key ``keys[i]`` is ``derive_seed(seed, stream_id)``.
+    """
+    firsts = np.array([(s + (1 << 62)) & _MASK for s in starts], dtype=np.uint64)
+    counters = firsts[:, None] + np.arange(n, dtype=np.uint64)
+    return _hash_uniforms(counters, np.array(keys, dtype=np.uint64)[:, None])
+
+
+def _hash_uniforms(z, key):
+    """``_mix(key + z * _GOLDEN) / 2**64`` for a uint64 array z, hashed in place.
+
+    The arithmetic stays on arrays, where uint64 wraps silently (a wrapping
+    numpy scalar warns).  z is overwritten and its buffer becomes the
+    result, so a draw holds at most two arrays of z's size.
+    """
+    z *= _U_GOLDEN
+    z += key
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    u = z.view(np.float64)  # converted in place: each entry is read before it is written
+    np.divide(z, _SCALE, out=u)
     return np.minimum(u, _BELOW_ONE, out=u)
 
 

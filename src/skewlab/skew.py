@@ -6,15 +6,17 @@ classical random product.  The Holder family modulates a standard-map
 parameter by a geometrically weighted symbol sum, giving a genuinely
 base-dependent family with an explicit Holder certificate.  Every walk
 along a base orbit goes through ``orbit_maps``, which reads the symbols
-once per window and asks the family for all the window's maps at once.
-``orbit_keys`` has the family turn many orbits' symbol windows into one key
-per orbit and step (a generator index, or the standard-map parameter).
+once per window and asks the family for all the window's maps at once; an
+open-ended walk's first window is one reach of the family wide.
+``orbit_keys`` reads many orbits' symbol windows with one
+``base_shift.symbol_rows`` call and has the family turn them into one key
+per orbit and step (a generator index, looked up in a trie of the table's
+words, or the standard-map parameter).
 ``orbit_batch`` walks those orbits forward together on arrays, applying a
 whole step from the keys; ``table_cocycle`` multiplies a key's derivative
 matrix per step when every generator's derivative is constant.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,18 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber_maps as fm
-from .base_shift import BaseSequence, distance, sample_sequence
+from .base_shift import BaseSequence, distance, sample_sequence, symbol_rows
 from .errors import CertificateViolationError, ConfigurationError, check_finite
 from .rng import derive_seed
 
 
 def admissible_words(space, length):
-    """All admissible words of the given length, in lexicographic order."""
-    return [
-        w
-        for w in itertools.product(range(space.alphabet_size), repeat=length)
-        if all(space.admissible(a, b) for a, b in zip(w, w[1:]))
-    ]
+    """All admissible words of the given length, in lexicographic order.
+
+    Listed by extending the admissible words one symbol shorter, so the
+    cost grows with the number of words, not with d**length.
+    """
+    symbols = range(space.alphabet_size)
+    words = [(a,) for a in symbols] if length else [()]
+    for _ in range(length - 1):
+        words = [w + (b,) for w in words for b in symbols if space.admissible(w[-1], b)]
+    return words
 
 
 class LocallyConstantFamily:
@@ -53,25 +59,31 @@ class LocallyConstantFamily:
             self.table[word] = f
         self._pairs = {word: (f, f.inverse()) for word, f in self.table.items()}
         self.reach = (0, self.depth - 1)
-        # word code (the word's digits in base _radix) -> index into _maps, or -1
+        # a trie of the table's words, one row of _radix entries per word prefix
+        # shorter than depth, flattened: entry s of a prefix's row is the row
+        # of the prefix + (s,), or for a prefix of length depth - 1 the index
+        # into _maps of the word's generator; -1 marks no word, and the last
+        # row, all -1, is where -1 leads
         self._radix = 1 + max((max(word) for word in self.table), default=0)
         self._maps = list({id(f): f for f in self.table.values()}.values())
         index = {id(f): k for k, f in enumerate(self._maps)}
-        self._keys = np.full(self._radix ** self.depth, -1, dtype=np.int32)
+        trie = [[-1] * self._radix]
         for word, f in self.table.items():
-            self._keys[self._code(np.array(word), 1)] = index[id(f)]
+            row = 0
+            for s in word[:-1]:
+                if trie[row][s] < 0:
+                    trie[row][s] = len(trie)
+                    trie.append([-1] * self._radix)
+                row = trie[row][s]
+            trie[row][word[-1]] = index[id(f)]
+        trie.append([-1] * self._radix)
+        self._trie = np.array(trie, dtype=np.int32).ravel()
         # index -> derivative matrix when every generator's is constant
         # (``FiberMap.apply_many`` gives floats), else None
         empty = np.empty(0)
         derivs = [tuple(f.apply_many(empty, empty)[2]) for f in self._maps]
         constant = not any(isinstance(e, np.ndarray) for d in derivs for e in d)
         self.derivatives = derivs if constant else None
-
-    def _code(self, syms, n):
-        code = syms[..., 0:n]
-        for i in range(1, self.depth):
-            code = code * self._radix + syms[..., i:i + n]
-        return code
 
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions whose words start at syms[0], ..."""
@@ -85,12 +97,15 @@ class LocallyConstantFamily:
         """Generator indices at the n positions whose words start at syms[..., 0], ..."""
         syms = np.asarray(syms)
         in_range = syms.size == 0 or (syms.min() >= 0 and syms.max() < self._radix)
-        keys = self._keys[self._code(syms, n)] if in_range else None
-        if keys is None or (keys < 0).any():
-            # some word has no generator: window_maps raises, naming the first
-            for row in syms.reshape(-1, syms.shape[-1]).tolist():
-                self.window_maps(row, n)
-        return keys
+        if in_range:
+            keys = self._trie[syms[..., 0:n]]
+            for i in range(1, self.depth):
+                keys = self._trie[keys * self._radix + syms[..., i:i + n]]
+            if not (keys < 0).any():
+                return keys
+        # some word has no generator: window_maps raises, naming the first
+        for row in syms.reshape(-1, syms.shape[-1]).tolist():
+            self.window_maps(row, n)
 
     def apply_many(self, keys, u, v):
         """One step of every orbit: orbit i applies generator keys[i]."""
@@ -225,17 +240,20 @@ def orbit_maps(sys, x, backward=False, n=None):
     the first m maps compose to f^m_x.  Backward, step k yields
     (f_{s^{-k-1} x}^{-1}, f_{s^{-k-1} x}), so the first m maps compose to
     f^{-m}_x; s is the shift.  The walk stops after n steps; with n None
-    it runs on, reading symbols in windows that double (up to a cap) with
-    the steps consumed.  Either way a walk of m steps reads O(m) symbols
-    and holds O(min(m, cap)) maps.  Each window is one ``x.symbols`` call:
-    a Bernoulli sequence slices it from its cached blocks when it holds
-    them all, and otherwise draws it with one counter-RNG call; a Markov
+    it runs on, reading symbols in windows that double (up to a cap,
+    _MAX_CHUNK steps) with the steps consumed, from a first window one
+    reach wide (hi - lo + 1 steps, capped): a step reads that many
+    symbols, so no window reads more than twice the symbols its steps
+    need.  Either way a walk of m steps reads O(m) symbols and holds
+    O(min(m, cap)) maps.  Each window is one ``x.symbols`` call: a
+    Bernoulli sequence slices it from its cached blocks when it holds them
+    all, and otherwise draws it with one counter-RNG call; a Markov
     sequence slices its blocks.
     """
     window_maps = sys.family.window_maps
     lo, hi = sys.family.reach
     symbols = x.symbols
-    k, size = 0, 1
+    k, size = 0, min(hi - lo + 1, _MAX_CHUNK)
     while n is None or k < n:
         if n is not None:
             size = min(n - k, _MAX_CHUNK)
@@ -254,19 +272,18 @@ def orbit_keys(sys, xs, n):
     """The family's keys along the orbits of xs for their first n steps, chunk by chunk.
 
     Each chunk is an array with one row per orbit and one column per step,
-    read from one ``x.symbols`` window per orbit.  Chunks hold at most
-    _MAX_CHUNK steps and _MAX_BATCH_CELLS orbit-steps, so memory stays
-    bounded for any n and any number of orbits.
+    read from one ``base_shift.symbol_rows`` window, which draws the rows
+    of Bernoulli-sampled orbits of one measure with one counter-RNG call.
+    Chunks hold at most _MAX_CHUNK steps and _MAX_BATCH_CELLS orbit-steps,
+    so memory stays bounded, O(min(n, cap)) keys per orbit, for any n and
+    any number of orbits.
     """
     family = sys.family
     lo, hi = family.reach
     chunk = max(1, min(_MAX_CHUNK, _MAX_BATCH_CELLS // max(1, len(xs))))
     for k in range(0, n, chunk):
         size = min(n - k, chunk)
-        syms = np.empty((len(xs), size + hi - lo), dtype=np.int32)
-        for row, x in zip(syms, xs):
-            row[:] = x.symbols(k + lo, k + size + hi)
-        yield family.window_keys(syms, size)
+        yield family.window_keys(symbol_rows(xs, k + lo, k + size + hi), size)
 
 
 def orbit_batch(sys, xs, u, v, n):

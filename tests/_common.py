@@ -118,6 +118,14 @@ def depth4_system():
     return sl.SkewSystem(space, bernoulli2(), sl.LocallyConstantFamily(4, table))
 
 
+def scalar_symbol_rows(xs, start, stop):
+    """``base_shift.symbol_rows`` as one ``x.symbols`` window per sequence."""
+    rows = np.empty((len(xs), stop - start), dtype=np.intp)
+    for row, x in zip(rows, xs):
+        row[:] = x.symbols(start, stop)
+    return rows
+
+
 def scalar_parameter(family, x):
     """The Holder parameter summed one symbol lookup at a time."""
     c = family.coeffs

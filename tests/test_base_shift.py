@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewlab as sl
-from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape
+from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape, symbol_rows
 from skewlab.errors import BracketUndefinedError, ConfigurationError
 
-from _common import bernoulli2, stream_with_hash, word
+from _common import bernoulli2, golden_mean_base, scalar_symbol_rows, stream_with_hash, word
 
 
 def seq_from(space, past, future):
@@ -352,6 +352,34 @@ def test_symbols_window_matches_symbol_lookups(name):
             assert got.dtype.kind == "i" and got.tolist() == want, (a, b)
             if held is not None:  # a Bernoulli window caches nothing
                 assert set(tape.blocks) == held, (a, b)
+
+
+def test_symbol_rows_match_each_sequence_window():
+    space2, space3 = sl.ShiftSpace(2), sl.ShiftSpace(3)
+    bern3 = sl.BaseMeasure("bernoulli", probs=(0.2, 0.3, 0.5))
+    # two measures over the same seed and streams, shifted rows, and a hand-made lookup
+    anywhere = [sl.sample_sequence(space2, bernoulli2(), 4, k) for k in range(3)]
+    anywhere += [sl.sample_sequence(space3, bern3, 4, k) for k in range(3)]
+    anywhere += [anywhere[0].shift(70), anywhere[4].shift(-70)]
+    anywhere.insert(2, sl.BaseSequence(space3, lambda j: (j * j + 1) % 3))
+    golden, markov = golden_mean_base()
+    mixed = list(anywhere)
+    for k, x in enumerate([
+        sl.sample_sequence(golden, markov, 6, 2),
+        sl.sample_sequence(golden, markov, 6, 2).shift(-70),
+        sl.periodic_point(space3, (0, 1, 1, 2, 0)),
+        sl.homoclinic_point(space3, sl.PeriodicPoint((2,)), 0, -3),
+    ]):
+        mixed.insert(3 * k, x)
+    # markov, periodic and homoclinic rows walk from 0 or index int64 arrays, so they
+    # stay near 0; sampled counters wrap round 2**64 at -2**62 and near +-2**63
+    cases = [(mixed, 0), (mixed, -3000), ([], 0)]
+    cases += [(anywhere, s) for s in (-(2 ** 62) - 50, 2 ** 63 - 40, -(2 ** 63) - 40)]
+    for xs, start in cases:
+        for n in (0, 1, 100):
+            got = symbol_rows(xs, start, start + n)
+            assert got.dtype == np.intp and got.shape == (len(xs), n)
+            assert got.tolist() == scalar_symbol_rows(xs, start, start + n).tolist()
 
 
 def test_bernoulli_window_slices_held_blocks_without_drawing(monkeypatch):

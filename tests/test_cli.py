@@ -72,6 +72,29 @@ i = 2
 """
 
 
+# two admissible words at every depth: 0101... and 1010...
+SWAP_DEPTH40_CFG = """
+[base]
+type = markov
+d = 2
+transitions = 0, 1, 1, 0
+P = 0, 1, 1, 0
+
+[fiber]
+g0 = toral:2,1,1,1
+g1 = stdmap:0.3
+
+[skew]
+depth = 40
+assign = 0, 1
+
+[run]
+seed = 7
+n_orbits = 20
+n_steps = 500
+"""
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -91,6 +114,14 @@ def test_exponent_identity_is_zero(tmp_path, capsys):
     assert float(rows[0]["lambda_plus_mean"]) == 0.0
     assert rows[0]["seed"] == "3"
     assert "exponent mean=" in capsys.readouterr().out
+
+
+def test_exponent_runs_on_a_deep_table_with_few_words(tmp_path, capsys):
+    # the words were found among all 2**40 candidates, and looked up in a 2**40-entry array
+    start = time.perf_counter()
+    rc = main(["exponent", "--config", _write(tmp_path, SWAP_DEPTH40_CFG), "--out", str(tmp_path)])
+    assert rc == 0 and time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.startswith("exponent mean=")
 
 
 def test_bunching_cat_halves_not_satisfied(tmp_path):

@@ -1,5 +1,7 @@
 """Config parsing, validation, map specs, and system assembly."""
 
+import itertools
+
 import pytest
 
 import skewlab as sl
@@ -249,7 +251,13 @@ assign = 0, 1, 1
 def test_word_count_matches_the_listed_words(transitions):
     space = sl.ShiftSpace(2, transitions=transitions)
     for length in range(1, 9):
-        assert config._count_words(space, length) == len(sl.admissible_words(space, length))
+        words = sl.admissible_words(space, length)
+        assert config._count_words(space, length) == len(words)
+        # the listing is the filter of every candidate word, in the same order
+        assert words == [
+            w for w in itertools.product(range(2), repeat=length)
+            if all(space.admissible(a, b) for a, b in zip(w, w[1:]))
+        ]
     full3 = sl.ShiftSpace(3)
     assert [config._count_words(full3, n) for n in (1, 4)] == [3, 81]
 

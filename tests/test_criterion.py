@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import skewlab as sl
+import skewlab.base_shift as base_shift
 import skewlab.criterion as criterion
 import skewlab.fiber_maps as fm
 import skewlab.holonomy as holonomy
@@ -458,6 +460,43 @@ def test_su_state_probe_matches_scalar_reference(make_system):
     hists = criterion._direction_histograms(system, u, v, seeds, 16, 50, 5)
     for h, t, s in zip(hists, starts, seeds):
         assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s).tobytes()
+
+
+def test_su_state_probe_draws_every_orbit_of_a_chunk_at_once(monkeypatch):
+    """At the benchmark's probe sizes: 400 sampled orbits, one draw per orbit_keys chunk."""
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    draws = []
+
+    def counted(name):
+        draw = getattr(base_shift, name)
+        return lambda *args: draws.append(name) or draw(*args)
+
+    for name in ("counter_uniforms", "stream_uniforms"):
+        monkeypatch.setattr(base_shift, name, counted(name))
+    sl.su_state_probe(system, p, loop, bins=64, n_iter=150, burn_in=50, n_points=25)
+    assert draws == ["stream_uniforms"]  # 400 x 150 orbit-steps make one chunk
+    draws.clear()
+    sl.su_state_probe(system, p, loop, bins=64, n_iter=400, burn_in=50, n_points=25)
+    assert draws == ["stream_uniforms"] * 2  # 400 x 400 make two
+
+
+def test_su_state_probe_memory_does_not_grow_with_n_iter(monkeypatch):
+    """Counted cells are flushed into the histograms, not kept for the whole walk."""
+    monkeypatch.setattr(skew, "_MAX_CHUNK", 8)  # key chunks too small to show
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    peaks = []
+    for n_iter in (100, 1500):  # 64 orbits: 1,500 steps of cells would hold 0.75 MB
+        tracemalloc.start()
+        try:
+            sl.su_state_probe(system, p, loop, bins=16, n_iter=n_iter, n_points=4, burn_in=10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.25 * 2 ** 20
 
 
 _BELOW_PI = math.nextafter(math.pi, 0.0)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import skewlab as sl
 from skewlab import counter_uniform, derive_seed
-from skewlab.rng import _MASK, counter_uniforms
+from skewlab.rng import _MASK, counter_uniforms, stream_uniforms
 
 from _common import index_with_hash as _index_with_hash
 
@@ -74,11 +74,22 @@ def test_counter_uniform_top_hashes_stay_below_one():
         assert sl.sample_sequence(space, measure, 5, 0).symbol(j) == 1
 
 
-@given(words, words, st.integers(-(2 ** 63), 2 ** 63 - 513), st.integers(0, 300))
-def test_counter_uniforms_match_scalar(seed, stream, start, n):
-    got = counter_uniforms(seed, stream, start, start + n)
-    assert got.dtype == np.float64 and got.shape == (n,)
-    assert got.tolist() == [counter_uniform(seed, stream, j) for j in range(start, start + n)]
+@given(
+    st.lists(st.tuples(words, words, st.integers(-(2 ** 63), 2 ** 63 - 513)), max_size=4),
+    st.integers(0, 300),
+)
+def test_counter_uniforms_match_scalar(rows, n):
+    """One stream's run, and many streams' runs in one draw, each row with its own start."""
+    want = [[counter_uniform(seed, stream, j) for j in range(start, start + n)]
+            for seed, stream, start in rows]
+    for (seed, stream, start), scalar in zip(rows, want):
+        got = counter_uniforms(seed, stream, start, start + n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == scalar
+    keys = [derive_seed(seed, stream) for seed, stream, _ in rows]
+    many = stream_uniforms(keys, [start for _, _, start in rows], n)
+    assert many.dtype == np.float64 and many.shape == (len(rows), n)
+    assert many.tolist() == want
 
 
 def test_counter_uniforms_round_like_the_scalar_draw():

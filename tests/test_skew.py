@@ -398,6 +398,77 @@ def test_orbit_batch_matches_orbit_maps(make_system, monkeypatch):
             assert got.tobytes() == np.array([*t, *d]).tobytes(), (i, k)
 
 
+class _CountingLookup:
+    """The lookup of a sequence, recording the length of every window read."""
+
+    def __init__(self, x):
+        self.x, self.windows = x, []
+
+    def __call__(self, j):
+        return self.x.symbol(j)
+
+    def window(self, start, stop):
+        self.windows.append(stop - start)
+        return self.x.symbols(start, stop)
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize(
+    "make_system, steps, windows",
+    [
+        (holder_system, 33, [33 + 32]),  # one step reads 33 symbols
+        (depth4_system, 4, [4 + 3]),
+        (twisted_cat_system, 15, [1, 2, 4, 8]),  # depth 1: windows of 1, 2, 4, ... steps
+    ],
+    ids=["holder", "lc-depth4", "lc-depth1"],
+)
+def test_open_ended_walk_starts_one_reach_wide(make_system, steps, windows, backward):
+    system = make_system()
+    x = sl.sample_sequence(system.space, system.measure, 31, 0)
+    lookup = _CountingLookup(x)
+    y = sl.BaseSequence(system.space, lookup)
+    walk = itertools.islice(orbit_maps(system, y, backward=backward), steps)
+    got = [(f.apply((0.3, 0.7)), g.apply((0.3, 0.7))) for f, g in walk]
+    assert lookup.windows == windows
+    want = orbit_maps(system, x, backward=backward, n=steps)
+    assert got == [(f.apply((0.3, 0.7)), g.apply((0.3, 0.7))) for f, g in want]
+
+
+def test_reach_wide_first_window_is_capped(monkeypatch):
+    monkeypatch.setattr(skew, "_MAX_CHUNK", 5)
+    system = holder_system()  # reach 33 steps, beyond the cap
+    lookup = _CountingLookup(sl.sample_sequence(system.space, system.measure, 31, 0))
+    walk = orbit_maps(system, sl.BaseSequence(system.space, lookup))
+    list(itertools.islice(walk, 12))
+    assert lookup.windows == [5 + 32, 5 + 32, 5 + 32]
+
+
+def _swap_system(depth):
+    """A table of the given depth over the shift where 0 and 1 alternate: two words."""
+    space = sl.ShiftSpace(2, transitions=((False, True), (True, False)))
+    measure = sl.BaseMeasure("markov", P=((0.0, 1.0), (1.0, 0.0)))
+    twisted = fm.Composite([cat_map(), fm.LocalizedTwist((0.3, 0.6), 0.2, 0.7)])
+    table = dict(zip(sl.admissible_words(space, depth), [cat_map(), twisted]))
+    return sl.SkewSystem(space, measure, sl.LocallyConstantFamily(depth, table))
+
+
+@pytest.mark.parametrize("depth", [40, 70])
+def test_deep_two_word_table_walks_like_its_maps(depth):
+    """Tables far deeper than a radix**depth array could be; 2**70 is past int64."""
+    system = _swap_system(depth)
+    assert sorted(system.family.table) == [(0, 1) * (depth // 2), (1, 0) * (depth // 2)]
+    xs = [sl.sample_sequence(system.space, system.measure, 3, k) for k in range(4)]
+    xs += [xs[0].shift(1), sl.periodic_point(system.space, (1, 0))]
+    u, v = np.full(len(xs), 0.3), np.full(len(xs), 0.7)
+    for k, (bu, bv, _) in enumerate(orbit_batch(system, xs, u, v, 20), 1):
+        for i, x in enumerate(xs):
+            want = sl.iterate_cocycle(system, x, (0.3, 0.7), k).end_point
+            assert (bu[i], bv[i]) == want, (i, k)
+    y = sl.BaseSequence(system.space, lambda j: 0)  # the word 0...0 has no generator
+    with pytest.raises(ConfigurationError, match=r"no generator for word \(0, 0"):
+        list(orbit_batch(system, [y], u[:1], v[:1], 1))
+
+
 def test_backward_holder_orbits_retain_no_memory():
     system = holder_system()
     sl.iterate_cocycle(system, sl.sample_sequence(system.space, system.measure, 3, 99),
