@@ -20,8 +20,9 @@ Bernoulli tape slices its cached blocks when it holds every block of the
 window, and otherwise draws the window with one counter-RNG call and caches
 nothing; a Markov tape slices its blocks, walking the missing ones;
 periodic and homoclinic points index their word with the window's
-indices; any other lookup (a bracket, a hand-made sequence) is asked one
-index at a time.  ``symbol_rows`` reads one window of many sequences:
+indices; a bracket reads x's window for the indices j <= 0 and y's for
+j > 0; any other lookup (a hand-made sequence) is asked one index at a
+time.  ``symbol_rows`` reads one window of many sequences:
 the rows of Bernoulli-sampled sequences of one measure come from one
 many-stream counter-RNG call (``rng.stream_uniforms``), and every other
 row is its sequence's own window.
@@ -129,8 +130,26 @@ def bracket(x, y):
         raise BracketUndefinedError(
             "bracket undefined: sequences disagree at index 0"
         )
-    xs, ys = x.symbol, y.symbol
-    return BaseSequence(x.space, lambda j: xs(j) if j <= 0 else ys(j))
+    return BaseSequence(x.space, _Bracket(x, y))
+
+
+class _Bracket:
+    """Symbol j is x's for j <= 0 and y's for j > 0; a window reads each side it touches once."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def __call__(self, j):
+        return self.x.symbol(j) if j <= 0 else self.y.symbol(j)
+
+    def window(self, start, stop):
+        if stop <= 1:
+            return self.x.symbols(start, stop)
+        if start >= 1:
+            return self.y.symbols(start, stop)
+        return np.concatenate([self.x.symbols(start, 1), self.y.symbols(1, stop)])
 
 
 @dataclass(frozen=True)

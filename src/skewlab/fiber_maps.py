@@ -7,7 +7,10 @@ returns the image coordinates as arrays and the four derivative entries,
 equal bit for bit to ``apply`` at each point.  The entries are arrays, or
 floats where the derivative is the same at every point (toral maps and
 their compositions): they broadcast against the points, and a product of
-such derivatives stays four floats.
+such derivatives stays four floats.  The standard map's batched steps,
+forward and inverse (``standard_map_many``, ``standard_map_inverse_many``),
+take the parameter K as an array too: one value per point, or a column of
+values against a row of points, with sin and cos taken once per point.
 
 The batch rule that keeps them equal: numpy does only + - * / %, sqrt and
 comparisons, which round exactly as the scalar float operations do.  Sin,
@@ -198,7 +201,12 @@ class StandardMap(FiberMap):
 
 
 def standard_map_many(K, u, v):
-    """``StandardMap(K).apply_many(u, v)``; K may be an array, one value per point."""
+    """``StandardMap(K).apply_many(u, v)``; K may be an array that broadcasts against the points.
+
+    One value per point, or a column of values against a row of points:
+    sin and cos are taken once per point, and the results broadcast to the
+    parameters-by-points shape.
+    """
     x = TWO_PI * u
     kick = K / TWO_PI * elementwise(math.sin, x)
     s = K * elementwise(math.cos, x)
@@ -221,15 +229,20 @@ class _StandardMapInverse(FiberMap):
         return (u, v), (1.0, -1.0, -s, 1.0 + s)
 
     def apply_many(self, u1, v1):
-        u = (u1 - v1) % 1.0
-        x = TWO_PI * u
-        v = (v1 - self.K / TWO_PI * elementwise(math.sin, x)) % 1.0
-        s = self.K * elementwise(math.cos, x)
-        one = np.ones(u.shape)
-        return u, v, (one, -one, -s, 1.0 + s)
+        return standard_map_inverse_many(self.K, u1, v1)
 
     def inverse(self):
         return StandardMap(self.K)
+
+
+def standard_map_inverse_many(K, u1, v1):
+    """``StandardMap(K).inverse().apply_many(u1, v1)``; K as in ``standard_map_many``."""
+    u = (u1 - v1) % 1.0
+    x = TWO_PI * u
+    v = (v1 - K / TWO_PI * elementwise(math.sin, x)) % 1.0
+    s = K * elementwise(math.cos, x)
+    one = np.ones(u.shape)
+    return u, v, (one, -one, -s, 1.0 + s)
 
 
 class LocalizedTwist(FiberMap):

@@ -13,8 +13,11 @@ open-ended walk's first window is one reach of the family wide.
 per orbit and step (a generator index, looked up in a trie of the table's
 words, or the standard-map parameter).
 ``orbit_batch`` walks those orbits forward together on arrays, applying a
-whole step from the keys; ``table_cocycle`` multiplies a key's derivative
-matrix per step when every generator's derivative is constant.
+whole step from the keys with the family's ``apply_many``; that step also
+runs inverted, and on a column of keys against a row of fibre points
+(every base point's generator on one fibre sample).  ``table_cocycle``
+multiplies a key's derivative matrix per step when every generator's
+derivative is constant.
 """
 
 import math
@@ -66,6 +69,7 @@ class LocallyConstantFamily:
         # row, all -1, is where -1 leads
         self._radix = 1 + max((max(word) for word in self.table), default=0)
         self._maps = list({id(f): f for f in self.table.values()}.values())
+        self._inverses = [f.inverse() for f in self._maps]
         index = {id(f): k for k, f in enumerate(self._maps)}
         trie = [[-1] * self._radix]
         for word, f in self.table.items():
@@ -107,15 +111,24 @@ class LocallyConstantFamily:
         for row in syms.reshape(-1, syms.shape[-1]).tolist():
             self.window_maps(row, n)
 
-    def apply_many(self, keys, u, v):
-        """One step of every orbit: orbit i applies generator keys[i]."""
-        out_u, out_v = np.empty(u.shape), np.empty(u.shape)
-        deriv = tuple(np.empty(u.shape) for _ in range(4))
-        for k, f in enumerate(self._maps):
+    def apply_many(self, keys, u, v, inverse=False):
+        """One step of every orbit: orbit i applies generator keys[i], or its inverse.
+
+        Keys may also be a column against a row of points: row b of the
+        results applies generator keys[b, 0] to every point, and each
+        generator met maps the points once.
+        """
+        rows = keys.ndim > u.ndim
+        shape = keys.shape[:-1] + u.shape if rows else u.shape
+        out_u, out_v = np.empty(shape), np.empty(shape)
+        deriv = tuple(np.empty(shape) for _ in range(4))
+        for k, f in enumerate(self._inverses if inverse else self._maps):
             sel = np.flatnonzero(keys == k)
-            out_u[sel], out_v[sel], d = f.apply_many(u[sel], v[sel])
-            for dst, src in zip(deriv, d):
-                dst[sel] = src
+            if len(sel):
+                pu, pv = (u, v) if rows else (u[sel], v[sel])
+                out_u[sel], out_v[sel], d = f.apply_many(pu, pv)
+                for dst, src in zip(deriv, d):
+                    dst[sel] = src
         return out_u, out_v, deriv
 
 
@@ -168,9 +181,14 @@ class HolderFamily:
         Ks = self.window_keys(syms, n).tolist()
         return [(f, f.inverse()) for f in map(fm.StandardMap, Ks)]
 
-    def apply_many(self, keys, u, v):
-        """One step of every orbit: orbit i applies StandardMap(keys[i])."""
-        return fm.standard_map_many(keys, u, v)
+    def apply_many(self, keys, u, v, inverse=False):
+        """One step of every orbit: orbit i applies StandardMap(keys[i]), or its inverse.
+
+        Keys may also be a column against a row of points, giving one row of
+        results per key; sin and cos are taken once per point.
+        """
+        step = fm.standard_map_inverse_many if inverse else fm.standard_map_many
+        return step(keys, u, v)
 
     def holder_constant(self):
         """Certified bound on d_C1(f_x, f_y) / d(x, y)^alpha."""

@@ -91,6 +91,41 @@ def test_bracket_splice(space):
         assert z.symbol(j) == y.symbol(j)
 
 
+class _LoggedLookup:
+    """The lookup of a sequence, logging every read as (name, start, stop) or (name, j)."""
+
+    def __init__(self, x, name, log):
+        self.x, self.name, self.log = x, name, log
+
+    def __call__(self, j):
+        self.log.append((self.name, j))
+        return self.x.symbol(j)
+
+    def window(self, start, stop):
+        self.log.append((self.name, start, stop))
+        return self.x.symbols(start, stop)
+
+
+def test_bracket_window_reads_each_side_it_touches_once(space):
+    log = []
+    x = sl.sample_sequence(space, bernoulli2(), 3, 0)
+    y = sl.periodic_point(space, (x.symbol(0),))
+    x, y = (sl.BaseSequence(space, _LoggedLookup(s, name, log)) for s, name in ((x, "x"), (y, "y")))
+    z = sl.bracket(x, y)
+    for seq, (a, b), reads in [
+        (z, (-5, 10), [("x", -5, 1), ("y", 1, 10)]),
+        (z, (-70, 1), [("x", -70, 1)]),
+        (z, (1, 9), [("y", 1, 9)]),
+        (z.shift(3), (-5, 0), [("x", -2, 1), ("y", 1, 3)]),
+        (z.shift(-3), (4, 200), [("y", 1, 197)]),
+        (z.shift(-3), (-10, 4), [("x", -13, 1)]),
+    ]:
+        log.clear()
+        got = seq.symbols(a, b)
+        assert log == reads, (a, b)
+        assert got.tolist() == [seq.symbol(j) for j in range(a, b)]
+
+
 def test_bracket_identity_and_error(space):
     x = sl.periodic_point(space, (0, 1))
     z = sl.bracket(x, x)
@@ -327,6 +362,9 @@ def _window_sequences():
             space3, sl.PeriodicPoint((1,)), 2, -64
         ).shift(3),
         "bracket": lambda: sl.bracket(x, partner),
+        "bracket-shifted": lambda: sl.bracket(x, partner).shift(-3),
+        # every window of the test lies at indices <= -900: x's side alone
+        "bracket-one-side": lambda: sl.bracket(x, partner).shift(-5000),
         "bernoulli-shifted": lambda: sl.sample_sequence(space3, bern, 4, 1).shift(-70),
         "markov-shifted": lambda: sl.sample_sequence(golden, markov, 6, 2).shift(37),
     }

@@ -1,6 +1,7 @@
 """Holonomies: bunching margins, truncation convergence, algebra axioms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from skewlab.skew import orbit_maps
 from _common import (
     bernoulli2,
     cat_system,
+    depth4_system,
     golden_mean_system,
     holder_system,
     rotation_system,
@@ -102,13 +104,31 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, se
 @pytest.mark.parametrize(
     "make_system",
     [twisted_cat_system, rotation_system, golden_mean_system, holder_system,
-     lambda: holder_system(metric_base=0.5, eps=0.3)],
+     lambda: holder_system(metric_base=0.5, eps=0.3), depth4_system],
 )
 def test_bunching_margin_matches_scalar_reference(make_system):
     system = make_system()
-    for beta, kw in ((1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))):
+    # base points per array step at the default 16 x 16 grid and 200 random fibre points
+    block = holonomy._BUNCHING_CELLS // (16 * 16 + 200)
+    cases = [(1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))]
+    cases += [(1.0, dict(n_base=n)) for n in (1, block, block + 1)]
+    for beta, kw in cases:
         report = sl.fiber_bunching_margin(system, beta, **kw)
         assert report == _scalar_bunching_margin(system, beta, **kw)
+
+
+def test_bunching_margin_memory_does_not_grow_with_n_base():
+    """Base points go through the array steps in blocks, not all at once."""
+    system = holder_system()
+    peaks = []
+    for n_base in (50, 400):  # at once, 400 x 456 points would peak near 8x
+        tracemalloc.start()
+        try:
+            sl.fiber_bunching_margin(system, 1.0, n_base=n_base)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
 
 
 def test_query_validation():

@@ -398,6 +398,40 @@ def test_orbit_batch_matches_orbit_maps(make_system, monkeypatch):
             assert got.tobytes() == np.array([*t, *d]).tobytes(), (i, k)
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize(
+    "make_system",
+    [twisted_cat_system, golden_mean_system, depth4_system, holder_system],
+    ids=["twisted-cat", "golden-mean", "depth4", "holder"],
+)
+def test_family_step_matches_each_keys_map(make_system, inverse):
+    """The batched step, keys matching the points or a column of keys against a row."""
+    system = make_system()
+    xs = [sl.sample_sequence(system.space, system.measure, 29, k) for k in range(12)]
+    keys = next(skew.orbit_keys(system, xs, 1))  # one row per base point, one column
+    maps = [next(orbit_maps(system, x, n=1))[inverse] for x in xs]
+    # points on and around both twists' supports, and their images under the cat map
+    pts = [(0.25, 0.25), (0.27, 0.24), (0.3, 0.6), (0.31, 0.58), (0.4, 0.55)]
+    pts += [cat_map()(t) for t in pts] + [fm.random_point(3, 0, k) for k in range(6)]
+    u, v = (np.array(c) for c in zip(*pts))
+
+    def entries(out, shape, i):
+        image_u, image_v, d = out
+        return tuple(float(np.broadcast_to(e, shape)[i]) for e in (image_u, image_v, *d))
+
+    def scalar(f, t):
+        image, d = f.apply(t)
+        return (*image, *d)
+
+    step = system.family.apply_many(keys[:, 0], u[:len(xs)], v[:len(xs)], inverse)
+    for i, (f, t) in enumerate(zip(maps, pts)):
+        assert entries(step, (len(xs),), i) == scalar(f, t), i
+    step = system.family.apply_many(keys, u, v, inverse)
+    for b, f in enumerate(maps):
+        for i, t in enumerate(pts):
+            assert entries(step, (len(xs), len(pts)), (b, i)) == scalar(f, t), (b, i)
+
+
 class _CountingLookup:
     """The lookup of a sequence, recording the length of every window read."""
 
