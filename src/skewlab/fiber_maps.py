@@ -262,9 +262,15 @@ class LocalizedTwist(FiberMap):
         self.center = (center[0] % 1.0, center[1] % 1.0)
         self.radius = float(radius)
         self.angle = float(angle)
+        reach = BUMP_SUPPORT * self.radius  # _near_sq: its square, widened for rounding
+        self._near_sq = reach * reach * (1.0 + 1e-9)
 
     def apply(self, t):
-        y1, y2 = torus_delta(t, self.center)
+        """Fixes t when its squared offset is off the support, as in ``apply_many``."""
+        y1 = (t[0] - self.center[0] + 0.5) % 1.0 - 0.5
+        y2 = (t[1] - self.center[1] + 0.5) % 1.0 - 0.5
+        if y1 * y1 + y2 * y2 > self._near_sq:
+            return t, IDENTITY
         r = math.hypot(y1, y2)
         s = r / self.radius
         if s >= BUMP_SUPPORT:
@@ -293,8 +299,7 @@ class LocalizedTwist(FiberMap):
         covers its rounding, so ``apply`` makes the exact support test.
         """
         y1, y2 = torus_delta((u, v), self.center)
-        reach = BUMP_SUPPORT * self.radius
-        near = np.flatnonzero(y1 * y1 + y2 * y2 <= reach * reach * (1.0 + 1e-9))
+        near = np.flatnonzero(y1 * y1 + y2 * y2 <= self._near_sq)
         out_u, out_v = u.copy(), v.copy()
         a, d = np.ones(u.shape), np.ones(u.shape)
         b, c = np.zeros(u.shape), np.zeros(u.shape)
@@ -307,7 +312,11 @@ class LocalizedTwist(FiberMap):
 
 
 class Composite(FiberMap):
-    """Composition in function order: Composite([f, g]) acts as f o g."""
+    """Composition in function order: Composite([f, g]) acts as f o g.
+
+    ``apply`` multiplies the derivatives in the order the factors act,
+    inline, from IDENTITY, which keeps the sign of a zero as ``mat_mul`` does.
+    """
 
     kind = "compose"
 
@@ -316,13 +325,14 @@ class Composite(FiberMap):
         if not factors:
             raise ConfigurationError("empty composition")
         self.factors = factors
+        self._acting = factors[::-1]
 
     def apply(self, t):
-        deriv = IDENTITY
-        for f in reversed(self.factors):
-            t, d = f.apply(t)
-            deriv = mat_mul(d, deriv)
-        return t, deriv
+        a, b, c, d = IDENTITY
+        for f in self._acting:
+            t, (e, g, h, k) = f.apply(t)
+            a, b, c, d = e * a + g * c, e * b + g * d, h * a + k * c, h * b + k * d
+        return t, (a, b, c, d)
 
     def apply_many(self, u, v):
         deriv = IDENTITY

@@ -1,13 +1,14 @@
 """Lyapunov exponent estimation along the fiber direction.
 
 Monte Carlo orbits are addressed by counter-based streams derived from
-(seed, orbit_index), so estimates are a pure function of the seed.  When
-every generator of a locally constant family has a constant derivative
-(toral maps and their compositions), the fiber cocycle is a random product
-of those matrices, the same at every fiber point: ``integrated_exponent``
-then multiplies the matrices along each base orbit (``skew.table_cocycle``)
-in the point walk's order and with its renormalization, so the estimate is
-equal to the point walk's bit for bit, and no fiber point is drawn.  The
+(seed, orbit_index), so estimates are a pure function of the seed.
+``integrated_exponent`` reads a group of orbits' keys with one
+``skew.orbit_keys`` call and walks each orbit by key, equal to
+``iterate_cocycle`` bit for bit.  When every generator of a locally
+constant family has a constant derivative (toral maps and their
+compositions), the fiber cocycle is a random product of those matrices,
+the same at every fiber point: the walk multiplies the matrices
+(``skew.table_cocycle``) and draws no fiber point.  The
 return map g of a periodic point runs on arrays: the pinching grid and
 the Oseledets frames step all their fiber points at once through
 ``g.apply_many``, equal bit for bit to one point at a time.  Once g's
@@ -28,7 +29,7 @@ from . import skew
 from .base_shift import sample_sequence
 from .errors import ConfigurationError, check_counts, check_positive
 from .rng import derive_seed
-from .skew import iterate_cocycle, orbit_maps, random_fiber_point
+from .skew import accumulate_cocycle, iterate_cocycle, orbit_maps, random_fiber_point
 
 DELTA_PINCH = 0.05
 
@@ -43,10 +44,6 @@ class ExponentEstimate:
     n_steps: int
     det_defect_max: float
     seed: int
-
-    @property
-    def reliable(self):
-        return self.det_defect_max < 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,23 +73,35 @@ def pointwise_exponent(sys, x, t, n):
 def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     """Monte Carlo mean of the pointwise exponent over the product measure.
 
-    Each orbit walks a Lebesgue-sampled fiber point, or takes
-    ``skew.table_cocycle``'s equal values when the family has a derivative table.
+    One ``skew.orbit_keys`` read serves each group of orbits whose keys fit
+    ``skew._MAX_BATCH_CELLS``; a longer orbit streams its chunks alone.
+    Each orbit walks its keys: ``skew.table_cocycle`` with a derivative
+    table, else a Lebesgue-sampled fiber point through ``family.key_maps``.
     """
     check_counts(n_orbits=n_orbits, n_steps=n_steps)
     base_seed = derive_seed(seed, 1)
     fiber_seed = derive_seed(seed, 2)
-    constant = sys.is_locally_constant and sys.family.derivatives is not None
+    table = sys.family.derivatives if sys.is_locally_constant else None
+    group = max(1, skew._MAX_BATCH_CELLS // n_steps)
     values = np.empty(n_orbits)
     defects = np.empty(n_orbits)
-    for i in range(n_orbits):
-        x = sample_sequence(sys.space, sys.measure, base_seed, i)
-        if constant:
-            log_norm, defects[i] = skew.table_cocycle(sys, x, n_steps)
-        else:
-            res = iterate_cocycle(sys, x, random_fiber_point(fiber_seed, i), n_steps)
-            log_norm, defects[i] = res.log_norm, res.det_defect
-        values[i] = log_norm / n_steps
+    for start in range(0, n_orbits, group):
+        xs = [
+            sample_sequence(sys.space, sys.measure, base_seed, i)
+            for i in range(start, min(start + group, n_orbits))
+        ]
+        chunks = skew.orbit_keys(sys, xs, n_steps)
+        # a group's chunks fit the budget together; a lone orbit streams its own
+        orbits = zip(*chunks) if len(xs) > 1 else [(c[0] for c in chunks)]
+        for i, chunk_rows in enumerate(orbits, start):
+            rows = (row.tolist() for row in chunk_rows)
+            if table is not None:
+                log_norm, defects[i] = skew.table_cocycle(table, rows)
+            else:
+                maps = itertools.chain.from_iterable(map(sys.family.key_maps, rows))
+                t = random_fiber_point(fiber_seed, i)
+                _, log_norm, _, defects[i] = accumulate_cocycle(maps, t)
+            values[i] = log_norm / n_steps
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
     return ExponentEstimate(

@@ -4,20 +4,22 @@ Two family types are supported.  Locally constant families look the
 generator up from the word at indices [0, depth); with depth 1 this is the
 classical random product.  The Holder family modulates a standard-map
 parameter by a geometrically weighted symbol sum, giving a genuinely
-base-dependent family with an explicit Holder certificate.  Every walk
-along a base orbit goes through ``orbit_maps``, which reads the symbols
-once per window and asks the family for all the window's maps at once; an
-open-ended walk's first window is one reach of the family wide.
+base-dependent family with an explicit Holder certificate.  A single
+orbit's walk (``iterate_cocycle``, the holonomies) goes through
+``orbit_maps``, which reads the symbols once per window and asks the
+family for all the window's (map, inverse) pairs at once; an open-ended
+walk's first window is one reach of the family wide.
 ``orbit_keys`` reads many orbits' symbol windows with one
 ``base_shift.symbol_rows`` call and has the family turn them into one key
 per orbit and step (a generator index, looked up in a trie of the table's
-words, or the standard-map parameter).
-``orbit_batch`` walks those orbits forward together on arrays, applying a
+words, or the standard-map parameter).  The exponent walks each orbit's
+keys: ``family.key_maps`` gives the map of each key to
+``accumulate_cocycle``, and ``table_cocycle`` multiplies a key's
+derivative matrix per step when every generator's derivative is constant.
+``orbit_batch`` walks many orbits forward together on arrays, applying a
 whole step from the keys with the family's ``apply_many``; that step also
 runs inverted, and on a column of keys against a row of fibre points
-(every base point's generator on one fibre sample).  ``table_cocycle``
-multiplies a key's derivative matrix per step when every generator's
-derivative is constant.
+(every base point's generator on one fibre sample).
 """
 
 import math
@@ -111,6 +113,10 @@ class LocallyConstantFamily:
         for row in syms.reshape(-1, syms.shape[-1]).tolist():
             self.window_maps(row, n)
 
+    def key_maps(self, keys):
+        """The generator of each index in keys, lazily."""
+        return map(self._maps.__getitem__, keys)
+
     def apply_many(self, keys, u, v, inverse=False):
         """One step of every orbit: orbit i applies generator keys[i], or its inverse.
 
@@ -180,6 +186,10 @@ class HolderFamily:
         """(map, inverse) at the n positions centred at syms[window], ..."""
         Ks = self.window_keys(syms, n).tolist()
         return [(f, f.inverse()) for f in map(fm.StandardMap, Ks)]
+
+    def key_maps(self, keys):
+        """StandardMap(K) for each parameter K in keys, lazily."""
+        return map(fm.StandardMap, keys)
 
     def apply_many(self, keys, u, v, inverse=False):
         """One step of every orbit: orbit i applies StandardMap(keys[i]), or its inverse.
@@ -348,22 +358,22 @@ def accumulate_cocycle(maps, t):
     return t, log_norm, tail, det_defect
 
 
-def table_cocycle(sys, x, n):
-    """Log norm and det defect of ``iterate_cocycle(sys, x, t, n)``, n >= 1, at any t.
+def table_cocycle(table, rows):
+    """Log norm and det defect of ``accumulate_cocycle`` along one orbit, at any point.
 
     For a locally constant family whose generators all have constant
-    derivatives (``family.derivatives``): the walk reads the orbit's
-    generator indices and multiplies their matrices, moving no fiber point.
-    The product order, the renormalization and the defect are
+    derivatives: table is ``family.derivatives``, and rows are the orbit's
+    generator indices (from ``orbit_keys``) as lists, chunk after chunk, at
+    least one index in all.
+    The walk multiplies the indices' matrices, moving no fiber point.  The
+    product order, the renormalization and the defect are
     ``accumulate_cocycle``'s, so both values are equal bit for bit.
     """
-    table = sys.family.derivatives
     p, q, r, s = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
     met = set()
     k = 0
-    for keys in orbit_keys(sys, [x], n):
-        keys = keys[0].tolist()
+    for keys in rows:
         met.update(keys)
         for k, (a, b, c, d) in enumerate(map(table.__getitem__, keys), k + 1):
             p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s

@@ -160,6 +160,38 @@ def scalar_iterate_cocycle(sys, x, t, n):
     return CocycleResult(t, log_norm, tail, n, det_defect)
 
 
+def _reference_twist_apply(tw, t):
+    """``LocalizedTwist.apply`` testing its support by ``hypot`` first, at every point."""
+    y1, y2 = fm.torus_delta(t, tw.center)
+    r = math.hypot(y1, y2)
+    s = r / tw.radius
+    if s >= fm.BUMP_SUPPORT:
+        return t, fm.IDENTITY
+    rho, drho = fm.bump(s)
+    phi = tw.angle * rho
+    cp, sp = math.cos(phi), math.sin(phi)
+    z1 = cp * y1 - sp * y2
+    z2 = sp * y1 + cp * y2
+    image = ((tw.center[0] + z1) % 1.0, (tw.center[1] + z2) % 1.0)
+    if drho == 0.0:
+        return image, (cp, -sp, sp, cp)
+    g = tw.angle * drho / (tw.radius * r)
+    return image, (cp - z2 * g * y1, -sp - z2 * g * y2, sp + z1 * g * y1, cp + z1 * g * y2)
+
+
+def reference_apply(f, t):
+    """``f.apply(t)``, a composite as a ``mat_mul`` chain from IDENTITY and a twist hypot-first."""
+    if isinstance(f, fm.Composite):
+        deriv = fm.IDENTITY
+        for g in reversed(f.factors):
+            t, d = reference_apply(g, t)
+            deriv = fm.mat_mul(d, deriv)
+        return t, deriv
+    if isinstance(f, fm.LocalizedTwist):
+        return _reference_twist_apply(f, t)
+    return f.apply(t)
+
+
 def scalar_integrated_exponent(sys, n_orbits, n_steps, seed):
     """``integrated_exponent`` walking a sampled fiber point along every orbit."""
     base_seed = sl.derive_seed(seed, 1)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
 
-from _common import Stretch, cat_map
+from _common import Stretch, cat_map, reference_apply
 
 
 def random_points(n, seed=0):
@@ -107,6 +107,56 @@ def test_twist_boundary_points_straddle_the_support():
     for tw in (MAP_KINDS[3], EDGE_TWIST):
         moved = [tw.apply(t)[1] is not fm.IDENTITY for t in _boundary_points(tw)]
         assert any(moved) and not all(moved)
+
+
+ZERO_TWIST = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.0)  # T = 0, as in the sweep
+SEAM_TWISTS = [  # supports across the torus seam
+    EDGE_TWIST,
+    fm.LocalizedTwist((0.0, 0.0), 0.25, 0.9),
+    fm.LocalizedTwist((1.0 - 2 ** -40, 0.5), 0.15, -0.0),
+]
+REFERENCE_TWISTS = [MAP_KINDS[3], MAP_KINDS[3].inverse(), ZERO_TWIST] + SEAM_TWISTS
+
+
+def _twist_probe_points(tw):
+    """The centre, points ulps either side of the support circle, and inside and outside it."""
+    pts = [tw.center] + _boundary_points(tw)
+    for scale in (0.1, 0.4, 0.55, 0.9):  # plateau, slope, slope, far slope
+        r = fm.BUMP_SUPPORT * tw.radius * scale
+        pts.append(((tw.center[0] + r) % 1.0, (tw.center[1] - r) % 1.0))
+    return pts + [((tw.center[0] + 0.5) % 1.0, tw.center[1])]
+
+
+@pytest.mark.parametrize("tw", REFERENCE_TWISTS, ids=lambda tw: "%r" % (tw.center,))
+def test_twist_apply_matches_the_hypot_first_reference(tw):
+    # repr, so that 0.0 and -0.0 differ too
+    for t in _twist_probe_points(tw) + random_points(200, seed=6):
+        assert repr(tw.apply(t)) == repr(reference_apply(tw, t)), t
+
+
+_STD, _STD0 = fm.StandardMap(1.5), fm.StandardMap(0.0)
+REFERENCE_COMPOSITES = [
+    fm.Composite([cat_map()]),
+    fm.Composite([MAP_KINDS[3]]),
+    fm.Composite([ZERO_TWIST]),
+    fm.Composite([_STD0.inverse()]),
+    fm.Composite([cat_map(), MAP_KINDS[3]]),
+    fm.Composite([cat_map(), ZERO_TWIST]),
+    fm.Composite([ZERO_TWIST, _STD0]),
+    fm.Composite([_STD, _STD.inverse()]),
+    fm.Composite([_STD, EDGE_TWIST, fm.ToralAutomorphism((1, 0, 1, 1))]),
+    fm.Composite([MAP_KINDS[3].inverse(), _STD.inverse(), cat_map()]),
+    fm.Composite([_STD0.inverse(), ZERO_TWIST, _STD0]),
+]
+
+
+@pytest.mark.parametrize("f", REFERENCE_COMPOSITES, ids=lambda f: "-".join(
+    g.kind for g in f.factors))
+def test_composite_apply_matches_the_mat_mul_chain(f):
+    pts = [tw.center for tw in (MAP_KINDS[3], EDGE_TWIST, ZERO_TWIST)]
+    pts += _boundary_points(MAP_KINDS[3], 8) + random_points(300, seed=7)
+    for t in pts:
+        assert repr(f.apply(t)) == repr(reference_apply(f, t)), t
 
 
 def test_toral_fixed_point():
