@@ -53,7 +53,6 @@ from .fiber_maps import (
     LocalizedTwist,
     StandardMap,
     ToralAutomorphism,
-    area_preservation_defect,
 )
 from .holonomy import (
     BunchingReport,

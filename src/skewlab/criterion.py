@@ -313,10 +313,24 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
     return counts / counts.sum(axis=1, keepdims=True)
 
 
+_EDGE_MARGIN = 1e-9  # radians; numpy's atan2 is within a few ulps of libm's
+
+
 def _angle_bins(x, y, bins):
-    """The bin of each direction (x[k], y[k]) among bins equal arcs of [0, pi)."""
-    angle = fm.elementwise(math.atan2, y, x) % math.pi
-    return np.minimum((angle / math.pi * bins).astype(np.intp), bins - 1)
+    """The bin of each direction (x[k], y[k]) among bins equal arcs of [0, pi).
+
+    The bin is that of libm's angle: (atan2(y, x) % pi) / pi * bins, rounded
+    down and capped at bins - 1.  Positions come from numpy's atan2, plus pi
+    where negative; its last-bit difference can change the bin only within
+    _EDGE_MARGIN of an edge, and those entries are recomputed by the rule.
+    """
+    angle = np.arctan2(y, x)
+    pos = np.where(angle < 0.0, angle + math.pi, angle) / math.pi * bins
+    near = np.flatnonzero(abs(pos - np.rint(pos)) <= bins * (_EDGE_MARGIN / math.pi))
+    if len(near):
+        angle = fm.elementwise(math.atan2, y[near], x[near]) % math.pi
+        pos[near] = angle / math.pi * bins
+    return np.minimum(pos.astype(np.intp), bins - 1)
 
 
 def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn_in=100):

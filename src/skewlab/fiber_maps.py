@@ -12,11 +12,22 @@ forward and inverse (``standard_map_many``, ``standard_map_inverse_many``),
 take the parameter K as an array too: one value per point, or a column of
 values against a row of points, with sin and cos taken once per point.
 
-The batch rule that keeps them equal: numpy does only + - * / %, sqrt and
-comparisons, which round exactly as the scalar float operations do.  Sin,
-cos, exp, hypot, atan2 and log go through ``math`` one element at a time
-(``elementwise``), because numpy's versions can differ from libm in the
-last bit.
+The batch rule that keeps them equal: numpy does only + - * /, floor, sqrt
+and comparisons, which round exactly as the scalar float operations do.
+Sin, cos, exp, hypot, atan2 and log go through ``math`` one element at a
+time (``elementwise``), because numpy's versions can differ from libm in
+the last bit.  Two exact fast paths ride on that rule:
+
+- Mod 1 on arrays is ``mod1``, x - floor(x), several times faster than
+  numpy's float ``%``.  Both round the same exact value once: numpy's
+  x % 1.0 is fmod(x, 1), which is exact, plus 1 when it is negative, and
+  x - floor(x) is that same sum in one subtraction; both give +0.0 where
+  the remainder is zero.  Scalar ``apply`` keeps Python's ``%``, so float
+  points stay Python floats.
+- A numpy transcendental may pick a discrete outcome, never a value:
+  where only a bin of its result is kept and the result lies well inside
+  a bin, numpy's value and libm's give the same bin, and only the entries
+  near an edge are recomputed through ``math`` (``criterion._angle_bins``).
 """
 
 import math
@@ -31,11 +42,18 @@ IDENTITY = (1.0, 0.0, 0.0, 1.0)
 TWO_PI = 2.0 * math.pi
 
 
+def mod1(x):
+    """x % 1.0 over an array, as x - floor(x): equal bit for bit (module docstring)."""
+    return x - np.floor(x)
+
+
 def torus_delta(a, b):
-    """Shortest displacement from b to a, componentwise in [-1/2, 1/2)."""
-    du = (a[0] - b[0] + 0.5) % 1.0 - 0.5
-    dv = (a[1] - b[1] + 0.5) % 1.0 - 0.5
-    return du, dv
+    """Shortest displacement from b to a, componentwise in [-1/2, 1/2); floats or arrays."""
+    du = a[0] - b[0] + 0.5
+    dv = a[1] - b[1] + 0.5
+    if isinstance(du, np.ndarray):
+        return mod1(du) - 0.5, mod1(dv) - 0.5
+    return du % 1.0 - 0.5, dv % 1.0 - 0.5
 
 
 def torus_distance(a, b):
@@ -172,7 +190,7 @@ class ToralAutomorphism(FiberMap):
 
     def apply_many(self, u, v):
         a, b, c, d = self.matrix
-        return (a * u + b * v) % 1.0, (c * u + d * v) % 1.0, self.matrix
+        return mod1(a * u + b * v), mod1(c * u + d * v), self.matrix
 
     def inverse(self):
         a, b, c, d = self.matrix
@@ -211,7 +229,7 @@ def standard_map_many(K, u, v):
     kick = K / TWO_PI * elementwise(math.sin, x)
     s = K * elementwise(math.cos, x)
     one = np.ones(u.shape)
-    return (u + v + kick) % 1.0, (v + kick) % 1.0, (1.0 + s, one, s, one)
+    return mod1(u + v + kick), mod1(v + kick), (1.0 + s, one, s, one)
 
 
 class _StandardMapInverse(FiberMap):
@@ -237,9 +255,9 @@ class _StandardMapInverse(FiberMap):
 
 def standard_map_inverse_many(K, u1, v1):
     """``StandardMap(K).inverse().apply_many(u1, v1)``; K as in ``standard_map_many``."""
-    u = (u1 - v1) % 1.0
+    u = mod1(u1 - v1)
     x = TWO_PI * u
-    v = (v1 - K / TWO_PI * elementwise(math.sin, x)) % 1.0
+    v = mod1(v1 - K / TWO_PI * elementwise(math.sin, x))
     s = K * elementwise(math.cos, x)
     one = np.ones(u.shape)
     return u, v, (one, -one, -s, 1.0 + s)
@@ -371,10 +389,3 @@ def max_det_defect(f, u, v):
     _, _, (a, b, c, d) = f.apply_many(u, v)
     defect = np.broadcast_to(abs(a * d - b * c - 1.0), u.shape)
     return float(defect.max(initial=0.0))
-
-
-def area_preservation_defect(f, n_samples=1000, seed=0):
-    """Max over sampled points of |det Df(t) - 1|."""
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
-    return max_det_defect(f, *sample_points(0, n_samples, seed, 0))

@@ -26,8 +26,8 @@ point keeps its own increments and stops, so both forms agree bit for bit.
 
 Fibre bunching, the condition under which these limits exist, is checked
 on arrays too: ``fiber_bunching_margin`` reads every base point's key at
-once and applies blocks of base points' generators and inverses to the
-whole fibre sample, one family step each.
+once and applies every generator and inverse to chunks of the fibre
+sample, one family step each.
 """
 
 import math
@@ -108,14 +108,17 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     lambda^beta over a fiber_grid x fiber_grid grid and n_fiber random t,
     and the analogue for the inverted generator; the report carries the worst.
 
-    The base points' keys come from one ``orbit_keys`` read.  A block of
-    base points at a time, the family's ``apply_many`` applies their
-    generators, then their inverses, to the whole fibre sample in one step
-    each, the keys a column against the row of fibre points; a block
-    holds at most _BUNCHING_CELLS base-by-fibre points (or one base
-    point), so memory does not grow with n_base.  The margins are compared
-    in Python floats, f then f^-1 for each base point in turn, as one
-    point at a time would.
+    The base points' keys come from one ``orbit_keys`` read.  A chunk of
+    fibre points at a time, the family's ``apply_many`` applies every base
+    point's generator, then its inverse, to the chunk in one step each,
+    the keys a column against the row of fibre points: each fibre point's
+    sin and cos (Hölder family), and each generator's map of it (locally
+    constant family), are computed once per margin.  A chunk holds at most
+    _BUNCHING_CELLS base-by-fibre points (or one fibre point), so memory
+    does not grow with the fibre sample.  Each base point keeps running
+    maxima of both sups, which are exact in any order; the margins are
+    compared in Python floats, f then f^-1 for each base point in turn, as
+    one point at a time would.
     """
     if not beta > 0:
         raise ConfigurationError("beta must be positive")
@@ -124,19 +127,20 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     if not base_points or len(u) == 0:
         raise ConfigurationError("fiber_bunching_margin sampled no base or fiber point")
     keys = next(orbit_keys(sys, base_points, 1))
-    block = max(1, _BUNCHING_CELLS // len(u))
+    chunk = max(1, _BUNCHING_CELLS // len(keys))
+    sups = np.zeros((2, 2, len(keys)))  # [f, f^-1] x [sup ||Df||, sup m(Df)] per base point
+    for i in range(0, len(u), chunk):
+        for inverse, sup in zip((False, True), sups):
+            deriv = sys.family.apply_many(keys, u[i:i + chunk], v[i:i + chunk], inverse)[2]
+            np.maximum(sup, _row_sups(deriv), out=sup)
     scale = sys.space.metric_base ** beta
     worst = 0.0
-    for i in range(0, len(keys), block):
-        sups = [
-            _sup_ratios(sys.family.apply_many(keys[i:i + block], u, v, inverse)[2])
-            for inverse in (False, True)
-        ]
-        for pair in zip(*sups):
-            for sup_norm, sup_conorm in pair:
-                margin = sup_norm / sup_conorm * scale
-                if margin > worst:
-                    worst = margin
+    ratios = [zip(*sup.tolist()) for sup in sups]  # (sup_norm, sup_conorm) per base point
+    for pair in zip(*ratios):
+        for sup_norm, sup_conorm in pair:
+            margin = sup_norm / sup_conorm * scale
+            if margin > worst:
+                worst = margin
     return BunchingReport(
         beta=beta,
         worst_margin=worst,
@@ -148,16 +152,15 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     )
 
 
-def _sup_ratios(deriv):
-    """(sup ||Df||, sup m(Df)) over each row of derivatives, as Python floats."""
+def _row_sups(deriv):
+    """(sup ||Df||, sup m(Df)) over each row of derivatives, as two arrays."""
     a, b, c, d = deriv
     norms = fm.mat_norms(a, b, c, d)
     # m(A) = |det A| / ||A||, as fm.mat_conorm
     conorms = np.divide(
         abs(a * d - b * c), norms, out=np.zeros(norms.shape), where=norms > 0.0
     )
-    sups = norms.max(axis=1, initial=0.0), conorms.max(axis=1, initial=0.0)
-    return zip(*(s.tolist() for s in sups))
+    return norms.max(axis=1), conorms.max(axis=1)
 
 
 def _stop_ok(sys, increments, tol):
@@ -347,28 +350,3 @@ def holonomy_cocycle_check(sys, q, t):
         if excess > 0.0:
             defect += excess
     return defect
-
-
-def strong_stable_contraction_rate(sys, q, t, n=20):
-    """Fitted exponential rate of the fiber distance along the forward orbit.
-
-    Only the initial decreasing segment above the truncation noise floor is
-    fitted: once the distance reaches the holonomy tolerance, cocycle
-    expansion amplifies the truncation error and the tail grows again.
-    """
-    t_y, _ = stable_holonomy_point(sys, q, t)
-    backward = q.direction == "unstable"
-    walk_x = orbit_maps(sys, q.x, backward)
-    walk_y = orbit_maps(sys, q.y, backward)
-    dists = []
-    a, b = t, t_y
-    for _ in range(n + 1):
-        d = fm.torus_distance(a, b)
-        if dists and (d >= dists[-1] or d < 100.0 * q.tol):
-            break
-        dists.append(d)
-        a = next(walk_x)[0].apply(a)[0]
-        b = next(walk_y)[0].apply(b)[0]
-    if len(dists) >= 4:
-        dists = dists[1:]  # drop the transient step; fit the asymptotic rate
-    return _fit_rate(dists, 1e-14)

@@ -7,10 +7,10 @@ import numpy as np
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
-from skewlab.holonomy import stable_holonomy_jet
+from skewlab.holonomy import _fit_rate, stable_holonomy_jet
 from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
-from skewlab.skew import CocycleResult, accumulate_cocycle
+from skewlab.skew import CocycleResult, accumulate_cocycle, orbit_maps
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -31,6 +31,12 @@ def rotation_map():
 
 def identity_map():
     return fm.ToralAutomorphism(IDENT)
+
+
+def same_bits(a, b):
+    """Whether two float arrays have the same shape and the same bits, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 def word(x, start, stop):
@@ -353,6 +359,31 @@ def stable_pair(system, seed, k, diff_index=-1):
         return os_(j)
 
     return x, sl.BaseSequence(space, look)
+
+
+def contraction_rate(sys, q, t, n=20):
+    """Fitted exponential rate of the fiber distance from t to h(t) along the pair's orbits.
+
+    Only the initial decreasing segment above the truncation noise floor is
+    fitted: once the distance reaches the holonomy tolerance, cocycle
+    expansion amplifies the truncation error and the tail grows again.
+    """
+    t_y, _ = sl.stable_holonomy_point(sys, q, t)
+    backward = q.direction == "unstable"
+    walk_x = orbit_maps(sys, q.x, backward)
+    walk_y = orbit_maps(sys, q.y, backward)
+    dists = []
+    a, b = t, t_y
+    for _ in range(n + 1):
+        d = fm.torus_distance(a, b)
+        if dists and (d >= dists[-1] or d < 100.0 * q.tol):
+            break
+        dists.append(d)
+        a = next(walk_x)[0].apply(a)[0]
+        b = next(walk_y)[0].apply(b)[0]
+    if len(dists) >= 4:
+        dists = dists[1:]  # drop the transient step; fit the asymptotic rate
+    return _fit_rate(dists, 1e-14)
 
 
 def unstable_pair(system, seed, k, diff_index=1):

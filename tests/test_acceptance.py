@@ -10,13 +10,13 @@ import math
 import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.cli import main as cli_main
-from skewlab.holonomy import strong_stable_contraction_rate
 
 from _common import (
     LOG_CAT,
     SHEAR_LO,
     SHEAR_UP,
     cat_system,
+    contraction_rate,
     holder_system,
     identity_map,
     lc_system,
@@ -148,7 +148,7 @@ def test_holonomy_algebra_axioms_and_contraction():
     for k in range(100):
         x, y = stable_pair(system, 37, k)
         q = sl.HolonomyQuery("stable", x, y, tol=1e-10)
-        r = strong_stable_contraction_rate(system, q, sl.random_fiber_point(37, k, stream=4))
+        r = contraction_rate(system, q, sl.random_fiber_point(37, k, stream=4))
         if r > 0.0:
             rates.append(r)
     rates.sort()

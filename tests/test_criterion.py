@@ -530,6 +530,26 @@ def test_angle_bins_match_the_scalar_rule(case):
     assert criterion._angle_bins(x, y, bins).tolist() == want
 
 
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@pytest.mark.parametrize("bins", [1, 3, 64, 1000])
+def test_angle_bins_near_every_edge_match_the_scalar_rule(bins):
+    """Directions up to 3 ulps either side of every bin edge, both ways up:
+    where numpy's atan2 can pick another bin than libm's."""
+    directions = []
+    for k in range(bins + 1):
+        for n in range(-3, 4):
+            theta = _ulps_from(k * math.pi / bins, n)
+            directions += [(s * math.cos(theta), s * math.sin(theta)) for s in (1.0, -1.0)]
+    x, y = (np.array(c) for c in zip(*directions))
+    want = [min(int((math.atan2(b, a) % math.pi) / math.pi * bins), bins - 1) for a, b in directions]
+    assert criterion._angle_bins(x, y, bins).tolist() == want
+
+
 @pytest.mark.parametrize("T", [0.5, 0.0])
 def test_loop_grid_checks_match_scalar_reference(T):
     system = twisted_cat_system(T=T)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError
 
-from _common import Stretch, cat_map, reference_apply
+from _common import Stretch, cat_map, reference_apply, same_bits
 
 
 def random_points(n, seed=0):
@@ -54,10 +54,9 @@ def _assert_apply_many_matches(f, pts):
     want += [[d[k] for _, d in out] for k in range(4)]
     # image coordinates are arrays; a derivative entry may be a float shared
     # by every point.  Bit patterns, so that 0.0 and -0.0 differ too
-    assert got_u.shape == got_v.shape == (len(pts),)
     got_d = [np.broadcast_to(d, (len(pts),)) for d in got_d]
     for got, w in zip((got_u, got_v, *got_d), want):
-        assert got.tobytes() == np.array(w, dtype=float).tobytes()
+        assert same_bits(got, w)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -84,6 +83,27 @@ def test_toral_apply_many_returns_its_matrix_as_floats():
         assert fu.shape == fv.shape == u.shape
         assert [type(e) for e in d] == [float] * 4
     assert cat_map().apply_many(u, v)[2] == cat_map().matrix == (2.0, 1.0, 1.0, 1.0)
+
+
+_MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(1.0, 0.0),
+               -math.nextafter(1.0, 0.0), -1e-17, 2.0 ** 60, -(2.0 ** 60)]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_mod1_equals_float_mod_bit_for_bit(xs):
+    x = np.array(xs + _MOD1_EDGES)
+    assert same_bits(fm.mod1(x), x % 1.0)
+
+
+def test_scalar_paths_return_python_floats():
+    # the repr of np.float64 differs from float's, and outputs are compared by repr
+    a, b = (0.9, 0.05), (0.1, 0.999)
+    assert [type(e) for e in fm.torus_delta(a, b)] == [float, float]
+    assert type(fm.torus_distance(a, b)) is float
+    for f in BATCH_KINDS:
+        for t in [(0.25, 0.25), (0.3, 0.2), (0.96, 0.01), (0.5, 0.75)]:
+            image, d = f.apply(t)
+            assert [type(e) for e in (*image, *d)] == [float] * 6, (f.kind, t)
 
 
 def test_max_det_defect_broadcasts_a_constant_derivative():
@@ -209,7 +229,7 @@ def test_inverse_derivative_consistency(f):
 
 @pytest.mark.parametrize("f", MAP_KINDS, ids=lambda f: f.kind)
 def test_area_preservation(f):
-    assert fm.area_preservation_defect(f, 1000, seed=1) < 1e-12
+    assert fm.max_det_defect(f, *fm.sample_points(0, 1000, 1, 0)) < 1e-12
 
 
 def _scalar_area_preservation_defect(f, n_samples, seed):
@@ -225,7 +245,7 @@ def _scalar_area_preservation_defect(f, n_samples, seed):
 @pytest.mark.parametrize("f", BATCH_KINDS, ids=lambda f: f.kind)
 def test_area_preservation_defect_matches_scalar_reference(f):
     for n_samples, seed in ((1, 0), (37, 5), (1000, 1)):
-        got = fm.area_preservation_defect(f, n_samples, seed)
+        got = fm.max_det_defect(f, *fm.sample_points(0, n_samples, seed, 0))
         assert got == _scalar_area_preservation_defect(f, n_samples, seed)
 
 

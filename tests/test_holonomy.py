@@ -15,13 +15,13 @@ from skewlab.holonomy import (
     ConvergenceDiagnostics,
     stable_holonomy_jet,
     stable_holonomy_jets,
-    strong_stable_contraction_rate,
 )
 from skewlab.skew import orbit_maps
 
 from _common import (
     bernoulli2,
     cat_system,
+    contraction_rate,
     depth4_system,
     golden_mean_system,
     holder_system,
@@ -106,29 +106,49 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, se
     [twisted_cat_system, rotation_system, golden_mean_system, holder_system,
      lambda: holder_system(metric_base=0.5, eps=0.3), depth4_system],
 )
-def test_bunching_margin_matches_scalar_reference(make_system):
+def test_bunching_margin_matches_scalar_reference(make_system, monkeypatch):
     system = make_system()
-    # base points per array step at the default 16 x 16 grid and 200 random fibre points
-    block = holonomy._BUNCHING_CELLS // (16 * 16 + 200)
     cases = [(1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))]
-    cases += [(1.0, dict(n_base=n)) for n in (1, block, block + 1)]
+    # base points at which the default 16 x 16 grid and 200 random points first split
+    split = holonomy._BUNCHING_CELLS // (16 * 16 + 200)
+    cases += [(1.0, dict(n_base=n)) for n in (1, split, split + 1)]
+    # fibre samples one short of, equal to and one past a chunk of the default base sample
+    n_base = sl.fiber_bunching_margin(system, 1.0).sample_counts["n_base"]
+    chunk = holonomy._BUNCHING_CELLS // n_base
+    cases += [(1.0, dict(fiber_grid=0, n_fiber=n)) for n in (chunk - 1, chunk, chunk + 1)]
     for beta, kw in cases:
         report = sl.fiber_bunching_margin(system, beta, **kw)
         assert report == _scalar_bunching_margin(system, beta, **kw)
+    # more base points than cells: one fibre point per step
+    monkeypatch.setattr(holonomy, "_BUNCHING_CELLS", 1)
+    kw = dict(n_base=7, n_fiber=4, fiber_grid=3)
+    assert sl.fiber_bunching_margin(system, 1.0, **kw) == _scalar_bunching_margin(system, 1.0, **kw)
 
 
-def test_bunching_margin_memory_does_not_grow_with_n_base():
-    """Base points go through the array steps in blocks, not all at once."""
-    system = holder_system()
+def _bunching_peaks(system, runs):
     peaks = []
-    for n_base in (50, 400):  # at once, 400 x 456 points would peak near 8x
+    for kw in runs:
         tracemalloc.start()
         try:
-            sl.fiber_bunching_margin(system, 1.0, n_base=n_base)
+            sl.fiber_bunching_margin(system, 1.0, **kw)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_bunching_margin_memory_does_not_grow_with_n_base():
+    """Base points go through the array steps a chunk of fibre points at a time."""
+    # at once, 400 x 456 points would peak near 8x
+    peaks = _bunching_peaks(holder_system(), [dict(n_base=50), dict(n_base=400)])
     assert peaks[1] < 3 * peaks[0], peaks
+
+
+def test_bunching_margin_memory_does_not_grow_with_the_fiber_sample():
+    """Fibre points go through the array steps in chunks, not all at once."""
+    # at once, 50 x 4,296 points would peak near 9x
+    peaks = _bunching_peaks(holder_system(), [dict(fiber_grid=16), dict(fiber_grid=64)])
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_query_validation():
@@ -278,7 +298,7 @@ def test_contraction_rate_locally_constant_is_zero():
     system = twisted_cat_system()
     x, y = stable_pair(system, 8, 0)
     q = sl.HolonomyQuery("stable", x, y)
-    assert strong_stable_contraction_rate(system, q, (0.3, 0.7)) == 0.0
+    assert contraction_rate(system, q, (0.3, 0.7)) == 0.0
 
 
 def test_contraction_rate_holder_family():
@@ -287,7 +307,7 @@ def test_contraction_rate_holder_family():
     for k in range(20):
         x, y = stable_pair(system, 9, k)
         q = sl.HolonomyQuery("stable", x, y, tol=1e-10)
-        r = strong_stable_contraction_rate(system, q, (0.31 + 0.01 * k, 0.7))
+        r = contraction_rate(system, q, (0.31 + 0.01 * k, 0.7))
         if r > 0.0:
             rates.append(r)
     assert rates

@@ -26,6 +26,7 @@ from _common import (
     holder_system,
     identity_map,
     lc_system,
+    same_bits,
     scalar_iterate_cocycle,
     scalar_parameter,
     twisted_cat_system,
@@ -417,19 +418,20 @@ def test_family_step_matches_each_keys_map(make_system, inverse):
 
     def entries(out, shape, i):
         image_u, image_v, d = out
-        return tuple(float(np.broadcast_to(e, shape)[i]) for e in (image_u, image_v, *d))
+        return [np.broadcast_to(e, shape)[i] for e in (image_u, image_v, *d)]
 
     def scalar(f, t):
         image, d = f.apply(t)
         return (*image, *d)
 
+    # bit patterns, so that a flipped zero sign fails
     step = system.family.apply_many(keys[:, 0], u[:len(xs)], v[:len(xs)], inverse)
     for i, (f, t) in enumerate(zip(maps, pts)):
-        assert entries(step, (len(xs),), i) == scalar(f, t), i
+        assert same_bits(entries(step, (len(xs),), i), scalar(f, t)), i
     step = system.family.apply_many(keys, u, v, inverse)
     for b, f in enumerate(maps):
         for i, t in enumerate(pts):
-            assert entries(step, (len(xs), len(pts)), (b, i)) == scalar(f, t), (b, i)
+            assert same_bits(entries(step, (len(xs), len(pts)), (b, i)), scalar(f, t)), (b, i)
 
 
 class _CountingLookup:
