@@ -27,7 +27,7 @@ def constant_system(mat):
 def main():
     cat = constant_system(CAT)
     x = sl.periodic_point(cat.space, (0,))
-    est = sl.pointwise_exponent(cat, x, (0.3, 0.7), 10_000)
+    est = sl.iterate_cocycle(cat, x, (0.3, 0.7), 10_000).log_norm / 10_000
     exact = math.log((3.0 + math.sqrt(5.0)) / 2.0)
     print("cat map: pointwise %.10f   exact %.10f" % (est, exact))
 

@@ -19,6 +19,7 @@ from .base_shift import (
     homoclinic_point,
     periodic_point,
     sample_sequence,
+    splice,
 )
 from .config import (
     ExperimentConfig,
@@ -70,7 +71,6 @@ from .lyapunov import (
     furstenberg_exponent_transfer_operator,
     integrated_exponent,
     oseledets_frame,
-    pointwise_exponent,
     return_map,
 )
 from .rng import counter_uniform, derive_seed

@@ -19,10 +19,12 @@ uniform below 1 can pick a symbol past it.
 Bernoulli tape slices its cached blocks when it holds every block of the
 window, and otherwise draws the window with one counter-RNG call and caches
 nothing; a Markov tape slices its blocks, walking the missing ones;
-periodic and homoclinic points index their word with the window's
-indices; a bracket reads x's window for the indices j <= 0 and y's for
-j > 0; any other lookup (a hand-made sequence) is asked one index at a
-time.  ``symbol_rows`` reads one window of many sequences:
+periodic points index their word with the window's indices; a splice
+(``splice``: a bracket, a homoclinic point, a stable or unstable partner,
+a word held constant past its ends) reads each piece it touches once, a
+sequence piece by its own window and a fixed symbol by ``np.full``; any
+other lookup (a hand-made sequence) is asked one index at a time.
+``symbol_rows`` reads one window of many sequences:
 the rows of Bernoulli-sampled sequences of one measure come from one
 many-stream counter-RNG call (``rng.stream_uniforms``), and every other
 row is its sequence's own window.
@@ -124,32 +126,56 @@ def distance(x, y):
     return 0.0
 
 
+def splice(space, pieces, cuts):
+    """The sequence reading pieces[i] on the indices [cuts[i - 1], cuts[i]).
+
+    The first piece runs from -infinity and the last to +infinity, so there
+    is one piece more than cuts, which increase strictly.  A piece is a
+    ``BaseSequence``, read at the splice's own indices, or a fixed symbol.
+    """
+    pieces = tuple(p if isinstance(p, BaseSequence) else int(p) for p in pieces)
+    cuts = tuple(int(c) for c in cuts)
+    if len(pieces) != len(cuts) + 1 or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise ConfigurationError("a splice needs increasing cuts and one piece more")
+    return BaseSequence(space, _Splice(pieces, cuts))
+
+
+class _Splice:
+    """Symbol j is the piece's whose interval holds j; a window reads each piece it touches once."""
+
+    __slots__ = ("pieces", "cuts")
+
+    def __init__(self, pieces, cuts):
+        self.pieces, self.cuts = pieces, cuts
+
+    def __call__(self, j):
+        piece = self.pieces[bisect_right(self.cuts, j)]
+        return piece.symbol(j) if isinstance(piece, BaseSequence) else piece
+
+    def window(self, start, stop):
+        if stop <= start:
+            return np.empty(0, dtype=np.intp)
+        cuts, i = self.cuts, bisect_right(self.cuts, start)
+        parts = []
+        while True:
+            end = cuts[i] if i < len(cuts) and cuts[i] < stop else stop
+            piece = self.pieces[i]
+            if isinstance(piece, BaseSequence):
+                parts.append(piece.symbols(start, end))
+            else:
+                parts.append(np.full(end - start, piece, dtype=np.intp))
+            if end == stop:
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            start, i = end, i + 1
+
+
 def bracket(x, y):
     """The unique splice agreeing with x on j <= 0 and with y on j >= 0."""
     if x.symbol(0) != y.symbol(0):
         raise BracketUndefinedError(
             "bracket undefined: sequences disagree at index 0"
         )
-    return BaseSequence(x.space, _Bracket(x, y))
-
-
-class _Bracket:
-    """Symbol j is x's for j <= 0 and y's for j > 0; a window reads each side it touches once."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-
-    def __call__(self, j):
-        return self.x.symbol(j) if j <= 0 else self.y.symbol(j)
-
-    def window(self, start, stop):
-        if stop <= 1:
-            return self.x.symbols(start, stop)
-        if start >= 1:
-            return self.y.symbols(start, stop)
-        return np.concatenate([self.x.symbols(start, 1), self.y.symbols(1, stop)])
+    return splice(x.space, (x, y), (1,))
 
 
 @dataclass(frozen=True)
@@ -189,21 +215,6 @@ def periodic_point(space, word):
     return BaseSequence(space, _Periodic(word))
 
 
-class _Homoclinic:
-    """Symbol j is ``inserted`` at j == index and ``fixed`` elsewhere."""
-
-    __slots__ = ("fixed", "inserted", "index")
-
-    def __init__(self, fixed, inserted, index):
-        self.fixed, self.inserted, self.index = fixed, inserted, index
-
-    def __call__(self, j):
-        return self.inserted if j == self.index else self.fixed
-
-    def window(self, start, stop):
-        return np.where(np.arange(start, stop) == self.index, self.inserted, self.fixed)
-
-
 def homoclinic_point(space, p, insert_symbol, insert_index=1):
     """Homoclinic point of a fixed point: one inserted symbol, ``p`` elsewhere."""
     if p.period != 1:
@@ -214,7 +225,7 @@ def homoclinic_point(space, p, insert_symbol, insert_index=1):
         raise ConfigurationError("inserted symbol must differ from the fixed symbol")
     if not (space.admissible(i, l) and space.admissible(l, i)):
         raise ConfigurationError("transitions %d <-> %d are inadmissible" % (i, l))
-    return BaseSequence(space, _Homoclinic(i, l, int(insert_index)))
+    return splice(space, (i, l, i), (insert_index, insert_index + 1))
 
 
 @dataclass(frozen=True)

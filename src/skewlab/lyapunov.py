@@ -29,7 +29,7 @@ from . import skew
 from .base_shift import sample_sequence
 from .errors import ConfigurationError, check_counts, check_positive
 from .rng import derive_seed
-from .skew import accumulate_cocycle, iterate_cocycle, orbit_maps, random_fiber_point
+from .skew import accumulate_cocycle, orbit_maps, random_fiber_point
 
 DELTA_PINCH = 0.05
 
@@ -53,21 +53,6 @@ class OseledetsFrame:
     gap: float
     converged: bool
     depth_used: int
-
-
-def pointwise_exponent(sys, x, t, n):
-    """(1/n) log ||Df^n_x(t)||; negative n gives the backward exponent.
-
-    For n < 0 the value returned is -(1/|n|) log ||Df^n_x(t)||, i.e. the
-    estimate of the smaller exponent, which by det = 1 is the negative of
-    the forward one.
-    """
-    if n == 0:
-        raise ConfigurationError("n must be nonzero")
-    res = iterate_cocycle(sys, x, t, n)
-    if n > 0:
-        return res.log_norm / n
-    return -res.log_norm / abs(n)
 
 
 def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber_maps as fm
-from .base_shift import BaseSequence, distance, sample_sequence, symbol_rows
+from .base_shift import distance, sample_sequence, splice, symbol_rows
 from .errors import CertificateViolationError, ConfigurationError, check_finite
 from .rng import derive_seed
 
@@ -420,7 +420,7 @@ def generator_base_points(sys, n, seed, stream):
     """
     if sys.is_locally_constant:
         return [
-            BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
+            splice(sys.space, w, range(1, len(w)))
             for w in admissible_words(sys.space, sys.family.depth)
         ]
     return [
@@ -446,19 +446,6 @@ def c1_distance(sys_f, sys_g, n_base_samples=100, grid=32, n_random=200, seed=0)
     return worst
 
 
-def _perturbed_partner(sys, x, radius, seed, k):
-    """A sequence agreeing with x exactly for |j| < radius."""
-    other = sample_sequence(sys.space, sys.measure, derive_seed(seed, 13), k)
-    xs, os = x.symbol, other.symbol
-
-    def look(j):
-        if abs(j) < radius:
-            return xs(j)
-        return os(j)
-
-    return BaseSequence(sys.space, look)
-
-
 def holder_estimate(sys, n_pairs=100, seed=0, grid=16, n_random=100):
     """Worst sampled Holder quotient (H_hat, alpha) with a certificate check."""
     alpha = sys.holder_alpha
@@ -474,8 +461,10 @@ def holder_estimate(sys, n_pairs=100, seed=0, grid=16, n_random=100):
     witness = None
     for k in range(n_pairs):
         x = sample_sequence(sys.space, sys.measure, derive_seed(seed, 17), k)
+        # the partner agrees with x exactly for |j| < radius
         radius = k % 8
-        y = _perturbed_partner(sys, x, radius, seed, k)
+        other = sample_sequence(sys.space, sys.measure, derive_seed(seed, 13), k)
+        y = splice(sys.space, (other, x, other), (1 - radius, radius)) if radius else other
         d = distance(x, y)
         if d == 0.0:
             continue

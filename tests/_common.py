@@ -10,7 +10,7 @@ import skewlab.fiber_maps as fm
 from skewlab.holonomy import _fit_rate, stable_holonomy_jet
 from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
-from skewlab.skew import CocycleResult, accumulate_cocycle, orbit_maps
+from skewlab.skew import CocycleResult, accumulate_cocycle, fiber_c1_distance, orbit_maps
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -336,6 +336,12 @@ def scalar_check_twisting(sys, loop, params):
     )
 
 
+def _pair_sources(system, seed, k):
+    """The sampled point and the sequence its partner takes its far symbols from."""
+    seed = sl.derive_seed(seed, k)
+    return (sl.sample_sequence(system.space, system.measure, seed, i) for i in (0, 1))
+
+
 def stable_pair(system, seed, k, diff_index=-1):
     """A sampled point and a partner on its local stable set.
 
@@ -343,22 +349,9 @@ def stable_pair(system, seed, k, diff_index=-1):
     ``diff_index`` < 0, and takes independent symbols further in the past,
     so the pair distance is exactly metric_base**(-diff_index).
     """
-    space, measure = system.space, system.measure
-    x = sl.sample_sequence(space, measure, sl.derive_seed(seed, k), 0)
-    o = sl.sample_sequence(space, measure, sl.derive_seed(seed, k), 1)
-    xs, os_ = x.symbol, o.symbol
-    d = space.alphabet_size
-
-    def look(j):
-        if j >= 0:
-            return xs(j)
-        if j == diff_index:
-            return (xs(j) + 1) % d
-        if j > diff_index:
-            return xs(j)
-        return os_(j)
-
-    return x, sl.BaseSequence(space, look)
+    x, o = _pair_sources(system, seed, k)
+    flipped = (x.symbol(diff_index) + 1) % system.space.alphabet_size
+    return x, sl.splice(system.space, (o, flipped, x), (diff_index, diff_index + 1))
 
 
 def contraction_rate(sys, q, t, n=20):
@@ -387,22 +380,48 @@ def contraction_rate(sys, q, t, n=20):
 
 
 def unstable_pair(system, seed, k, diff_index=1):
-    space, measure = system.space, system.measure
-    x = sl.sample_sequence(space, measure, sl.derive_seed(seed, k), 0)
-    o = sl.sample_sequence(space, measure, sl.derive_seed(seed, k), 1)
-    xs, os_ = x.symbol, o.symbol
-    d = space.alphabet_size
+    """``stable_pair`` mirrored: the partner shares the past (j <= 0) and differs at ``diff_index`` > 0."""
+    x, o = _pair_sources(system, seed, k)
+    flipped = (x.symbol(diff_index) + 1) % system.space.alphabet_size
+    return x, sl.splice(system.space, (x, flipped, o), (diff_index, diff_index + 1))
+
+
+def closure_pair(system, seed, k, diff_index):
+    """``stable_pair`` (diff_index < 0) or ``unstable_pair`` (diff_index > 0), its partner a closure.
+
+    The partner has no window reader, so it is read one index at a time:
+    the scalar reference for the spliced partners.
+    """
+    x, o = _pair_sources(system, seed, k)
+    d = system.space.alphabet_size
 
     def look(j):
-        if j <= 0:
-            return xs(j)
         if j == diff_index:
-            return (xs(j) + 1) % d
-        if j < diff_index:
-            return xs(j)
-        return os_(j)
+            return (x.symbol(j) + 1) % d
+        shared = j > diff_index if diff_index < 0 else j < diff_index
+        return x.symbol(j) if shared else o.symbol(j)
 
-    return x, sl.BaseSequence(space, look)
+    return x, sl.BaseSequence(system.space, look)
+
+
+def scalar_holder_estimate(sys, n_pairs, seed, grid=16, n_random=100):
+    """``holder_estimate``'s (H_hat, alpha) with closure partners, read one index at a time."""
+    h_hat = 0.0
+    for k in range(n_pairs):
+        x = sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 17), k)
+        other = sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 13), k)
+        radius = k % 8
+        y = sl.BaseSequence(
+            sys.space, lambda j: x.symbol(j) if abs(j) < radius else other.symbol(j)
+        )
+        d = sl.distance(x, y)
+        if d == 0.0:
+            continue
+        gap = fiber_c1_distance(
+            sys.fiber_map_at(x), sys.fiber_map_at(y), grid, n_random, seed
+        )
+        h_hat = max(h_hat, gap / d ** sys.holder_alpha)
+    return h_hat, sys.holder_alpha
 
 
 def loop_inputs(system, z_symbol=1, z_index=1, i=2):

@@ -9,10 +9,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewlab as sl
-from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape, symbol_rows
+from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape, _Splice, symbol_rows
 from skewlab.errors import BracketUndefinedError, ConfigurationError
+from skewlab.skew import generator_base_points
 
-from _common import bernoulli2, golden_mean_base, scalar_symbol_rows, stream_with_hash, word
+from _common import (
+    bernoulli2,
+    closure_pair,
+    depth4_system,
+    golden_mean_base,
+    holder_system,
+    scalar_symbol_rows,
+    stable_pair,
+    stream_with_hash,
+    unstable_pair,
+    word,
+)
 
 
 def seq_from(space, past, future):
@@ -112,6 +124,8 @@ def test_bracket_window_reads_each_side_it_touches_once(space):
     y = sl.periodic_point(space, (x.symbol(0),))
     x, y = (sl.BaseSequence(space, _LoggedLookup(s, name, log)) for s, name in ((x, "x"), (y, "y")))
     z = sl.bracket(x, y)
+    # a bracket is the two-piece splice; w has four pieces, two of them fixed symbols
+    w = sl.splice(space, (x, 1, y, 0), (-3, 4, 9))
     for seq, (a, b), reads in [
         (z, (-5, 10), [("x", -5, 1), ("y", 1, 10)]),
         (z, (-70, 1), [("x", -70, 1)]),
@@ -119,11 +133,26 @@ def test_bracket_window_reads_each_side_it_touches_once(space):
         (z.shift(3), (-5, 0), [("x", -2, 1), ("y", 1, 3)]),
         (z.shift(-3), (4, 200), [("y", 1, 197)]),
         (z.shift(-3), (-10, 4), [("x", -13, 1)]),
+        (w, (-10, 20), [("x", -10, -3), ("y", 4, 9)]),
+        (w, (-3, 4), []),
+        (w, (-4, -2), [("x", -4, -3)]),
+        (w, (5, 8), [("y", 5, 8)]),
+        (w, (9, 30), []),
+        (w.shift(5), (-20, 0), [("x", -15, -3), ("y", 4, 5)]),
+        (w, (7, 7), []),
     ]:
         log.clear()
         got = seq.symbols(a, b)
         assert log == reads, (a, b)
-        assert got.tolist() == [seq.symbol(j) for j in range(a, b)]
+        assert got.dtype == np.intp and got.tolist() == [seq.symbol(j) for j in range(a, b)]
+
+
+def test_splice_checks_its_cuts(space):
+    x = sl.periodic_point(space, (0,))
+    for pieces, cuts in [((x, 1), ()), ((x,), (0,)), ((x, 1, 0), (2, 2)), ((x, 1, 0), (3, 1))]:
+        with pytest.raises(ConfigurationError, match="splice"):
+            sl.splice(space, pieces, cuts)
+    assert word(sl.splice(space, (1,), ()), -3, 3) == (1,) * 6
 
 
 def test_bracket_identity_and_error(space):
@@ -348,6 +377,15 @@ def _window_sequences():
 
         return make
 
+    def holder_partner(radius, k=5):
+        """``holder_estimate``'s partner of its k-th sampled point at the radius."""
+        holder = holder_system()
+        point = sl.sample_sequence(holder.space, holder.measure, sl.derive_seed(0, 17), k)
+        other = sl.sample_sequence(holder.space, holder.measure, sl.derive_seed(0, 13), k)
+        if not radius:
+            return other
+        return sl.splice(holder.space, (other, point, other), (1 - radius, radius))
+
     return {
         "bernoulli": lambda: sl.sample_sequence(space3, bern, 4, 1),
         # blocks -2..1 held
@@ -367,21 +405,35 @@ def _window_sequences():
         "bracket-one-side": lambda: sl.bracket(x, partner).shift(-5000),
         "bernoulli-shifted": lambda: sl.sample_sequence(space3, bern, 4, 1).shift(-70),
         "markov-shifted": lambda: sl.sample_sequence(golden, markov, 6, 2).shift(37),
+        # the word (0, 1, 1, 0) on [0, 4), its end symbols held beyond
+        "generator-depth4": lambda: generator_base_points(depth4_system(), 0, 0, 0)[6],
+        "partner-r0": lambda: holder_partner(0),
+        "partner-r1": lambda: holder_partner(1),
+        "partner-r7": lambda: holder_partner(7),
+        "splice-of-bracket": lambda: sl.splice(
+            space3, (sl.periodic_point(space3, (2, 1)), sl.bracket(x, partner), 0), (-70, 65)
+        ),
+        "splice-fixed-at-0": lambda: sl.splice(space3, (1, 2), (0,)),
+        "splice-shifted": lambda: sl.splice(
+            space3, (partner, 2, x, 0, partner), (-64, -1, 1, 130)
+        ).shift(-66),
     }
+
+
+_WINDOWS = [
+    (-130, -60), (-64, 64), (-1, 1), (63, 129), (0, 0), (5, 3), (-200, 200),
+    (127, 128), (-65, -63), (-128, -64), (4000, 4100), (3970, 4000), (3970, 4100),
+    (1, 2), (-67, -66), (2, 1), (-3, 17),
+]
 
 
 @pytest.mark.parametrize("name", list(_window_sequences()))
 def test_symbols_window_matches_symbol_lookups(name):
     make = _window_sequences()[name]
-    windows = [
-        (-130, -60), (-64, 64), (-1, 1), (63, 129), (0, 0), (5, 3), (-200, 200),
-        (127, 128), (-65, -63), (-128, -64), (4000, 4100), (3970, 4000), (3970, 4100),
-        (1, 2), (-67, -66), (2, 1), (-3, 17),
-    ]
     reused = make()
     if name == "bernoulli-evicted":
         assert set(reused._lookup.blocks) == {_MAX_BLOCKS - 2, -1, 0}
-    for a, b in windows:
+    for a, b in _WINDOWS:
         want = [make().symbol(j) for j in range(a, b)]
         for x in (make(), reused):
             tape = x._lookup
@@ -430,14 +482,34 @@ def test_bernoulli_window_slices_held_blocks_without_drawing(monkeypatch):
 
 def test_periodic_and_homoclinic_windows_read_no_single_symbol(monkeypatch):
     space = sl.ShiftSpace(3)
+    x = sl.sample_sequence(space, sl.BaseMeasure("bernoulli", probs=(0.2, 0.5, 0.3)), 4, 0)
+    holder = holder_system()
     xs = [
         sl.periodic_point(space, (0, 1, 1, 2, 0)),
         sl.homoclinic_point(space, sl.PeriodicPoint((2,)), 0, -3),
+        sl.bracket(x, sl.periodic_point(space, (x.symbol(0), 2))),
+        *generator_base_points(depth4_system(), 0, 0, 0),
+        stable_pair(holder, 29, 3, -4)[1],
+        unstable_pair(holder, 29, 3, 2)[1],
+        _window_sequences()["partner-r7"](),
     ]
     want = [[x.symbol(j) for j in range(-20, 20)] for x in xs]
-    for lookup in (sl.base_shift._Periodic, sl.base_shift._Homoclinic):
+    for lookup in (sl.base_shift._Periodic, _Splice):
         monkeypatch.setattr(lookup, "__call__", None)  # any one-index read raises
     assert [x.symbols(-20, 20).tolist() for x in xs] == want
+
+
+@pytest.mark.parametrize("diff_index", [*range(-6, 0), *range(1, 7)])
+def test_pair_partners_match_the_closure_reference(diff_index):
+    make = stable_pair if diff_index < 0 else unstable_pair
+    for system, k in [(holder_system(), 3), (holder_system(), 8), (depth4_system(), 5)]:
+        x, y = make(system, 29, k, diff_index)
+        ref_x, ref_y = closure_pair(system, 29, k, diff_index)
+        assert [word(y, a, b) for a, b in _WINDOWS] == [
+            tuple(ref_y.symbol(j) for j in range(a, b)) for a, b in _WINDOWS
+        ]
+        assert word(x, -200, 200) == word(ref_x, -200, 200)
+        assert sl.distance(x, y) == system.space.metric_base ** abs(diff_index)
 
 
 def test_bernoulli_symbols_stay_in_range_when_weights_sum_below_one():

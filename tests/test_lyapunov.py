@@ -46,14 +46,14 @@ from _common import (
 def test_pointwise_exponent_cat():
     system = cat_system()
     x = sl.periodic_point(system.space, (0,))
-    val = sl.pointwise_exponent(system, x, (0.3, 0.7), 10000)
+    val = sl.iterate_cocycle(system, x, (0.3, 0.7), 10000).log_norm / 10000
     assert abs(val - LOG_CAT) < 1e-3
 
 
 def test_pointwise_exponent_rotation_zero():
     system = rotation_system()
     x = sl.periodic_point(system.space, (0,))
-    assert abs(sl.pointwise_exponent(system, x, (0.3, 0.7), 1000)) < 1e-6
+    assert abs(sl.iterate_cocycle(system, x, (0.3, 0.7), 1000).log_norm / 1000) < 1e-6
 
 
 def test_pointwise_exponent_shear():
@@ -61,14 +61,7 @@ def test_pointwise_exponent_shear():
     system = lc_system(shear, shear)
     x = sl.periodic_point(system.space, (0,))
     n = 10000
-    assert 0.0 < sl.pointwise_exponent(system, x, (0.3, 0.7), n) <= math.log(n + 1) / n
-
-
-def test_pointwise_exponent_rejects_zero_steps():
-    system = cat_system()
-    x = sl.periodic_point(system.space, (0,))
-    with pytest.raises(ConfigurationError):
-        sl.pointwise_exponent(system, x, (0.3, 0.7), 0)
+    assert 0.0 < sl.iterate_cocycle(system, x, (0.3, 0.7), n).log_norm / n <= math.log(n + 1) / n
 
 
 def test_monotone_stabilization():
@@ -76,8 +69,8 @@ def test_monotone_stabilization():
     x = sl.periodic_point(system.space, (0,))
     t = (0.3, 0.7)
     gap = abs(
-        sl.pointwise_exponent(system, x, t, 10000)
-        - sl.pointwise_exponent(system, x, t, 20000)
+        sl.iterate_cocycle(system, x, t, 10000).log_norm / 10000
+        - sl.iterate_cocycle(system, x, t, 20000).log_norm / 20000
     )
     assert gap < 1e-3
 
@@ -244,8 +237,8 @@ def test_forward_backward_symmetry():
     system = cat_system()
     x = sl.sample_sequence(system.space, system.measure, 13, 0)
     t = (0.42, 0.17)
-    fwd = sl.pointwise_exponent(system, x, t, 1000)
-    bwd = sl.pointwise_exponent(system, x, t, -1000)
+    fwd = sl.iterate_cocycle(system, x, t, 1000).log_norm / 1000
+    bwd = -sl.iterate_cocycle(system, x, t, -1000).log_norm / 1000
     assert abs(fwd + bwd) < 1e-2
 
 

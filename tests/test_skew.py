@@ -27,6 +27,7 @@ from _common import (
     identity_map,
     lc_system,
     same_bits,
+    scalar_holder_estimate,
     scalar_iterate_cocycle,
     scalar_parameter,
     twisted_cat_system,
@@ -269,6 +270,12 @@ def test_generator_base_points():
     table = system.family.table
     xs = skew.generator_base_points(system, 5, 0, 11)
     assert [system.fiber_map_at(x) for x in xs] == [table[(0,)], table[(1,)]]
+    # a depth-4 word w is read on [0, 4) and held at its end symbols beyond
+    words = sl.admissible_words(sl.ShiftSpace(2), 4)
+    xs = skew.generator_base_points(depth4_system(), 0, 0, 11)
+    assert [word(x, -3, 8) for x in xs] == [
+        tuple(w[min(max(j, 0), 3)] for j in range(-3, 8)) for w in words
+    ]
     holder = holder_system()
     xs = skew.generator_base_points(holder, 3, 4, 11)
     stream = sl.derive_seed(4, 11)
@@ -318,6 +325,16 @@ def test_holder_estimate_certificate_holds():
     h_hat, alpha = sl.holder_estimate(system, n_pairs=60)
     assert alpha == 1.0
     assert 0.0 < h_hat <= system.family.holder_constant()
+
+
+@pytest.mark.parametrize("make_system", [holder_system, twisted_cat_system], ids=["holder", "lc"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_holder_estimate_matches_closure_partner_reference(make_system, seed):
+    # 24 pairs: every radius 0..7 three times
+    system = make_system()
+    got = sl.holder_estimate(system, n_pairs=24, seed=seed)
+    assert got == scalar_holder_estimate(system, 24, seed)
+    assert got[0] > 0.0
 
 
 def test_orbit_maps_holder_parameters_match_scalar_sum():

@@ -1,9 +1,14 @@
-"""Deletions leave nothing behind: no unused imports or private module names.
+"""Deletions leave nothing behind, and no sequence in ``src/`` is read one index at a time.
 
 Every name a module in ``src/skewlab``, ``tests`` or ``demos`` imports, and
 every module-level function, class or constant whose name starts with one
 underscore, must be read somewhere in that module.  ``__init__.py``
 re-exports names and is exempt.
+
+Every ``BaseSequence(...)`` that ``src/skewlab`` builds gets a lookup
+whose class defines ``window``, or re-wraps an existing ``_lookup``: a
+lambda or a closure has no window, so ``BaseSequence.symbols`` would read
+it one index at a time.
 """
 
 import ast
@@ -73,3 +78,85 @@ def test_unreferenced_finds_unused_imports_and_private_names():
         ("statistics", "import"), ("p", "import"), ("_UNUSED", "private constant"),
         ("_dead", "private FunctionDef"), ("_Gone", "private ClassDef"),
     ]
+
+
+def _lookup_classes(expr, assigned):
+    """The class names expr may evaluate to, through local names and conditionals; None if unknown."""
+    if isinstance(expr, ast.Name):
+        if expr.id in assigned:
+            return _lookup_classes(assigned[expr.id], {})
+        return {expr.id}
+    if isinstance(expr, ast.IfExp):
+        return _lookup_classes(expr.body, assigned) | _lookup_classes(expr.orelse, assigned)
+    return {None}
+
+
+def _own_nodes(scope):
+    """The nodes inside a module or function, not descending into nested functions."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unwindowed_sequences(source):
+    """Lines of the ``BaseSequence(...)`` calls whose lookup may lack a ``window`` method."""
+    tree = ast.parse(source)
+    windowed = {
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "window" for f in node.body)
+    }
+    lines = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.Lambda)):
+            continue
+        nodes = list(_own_nodes(scope))
+        assigned = {
+            node.targets[0].id: node.value for node in nodes
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        for call in nodes:
+            if not isinstance(call, ast.Call):
+                continue
+            if "BaseSequence" not in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                continue
+            args = call.args[1:2] + [k.value for k in call.keywords if k.arg == "lookup"]
+            lookup = args[0] if args else None
+            if isinstance(lookup, ast.Attribute) and lookup.attr == "_lookup":
+                continue
+            if not (isinstance(lookup, ast.Call) and _lookup_classes(lookup.func, assigned) <= windowed):
+                lines.append(call.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_src_sequences_have_window_lookups(path):
+    lines = unwindowed_sequences(path.read_text())
+    assert not lines, "%s: BaseSequence lookups without a window at lines %s" % (path.name, lines)
+
+
+def test_unwindowed_sequences_finds_lambdas_and_closures():
+    source = (
+        "class _Tape:\n    def __call__(self, j):\n        return 0\n"
+        "    def window(self, start, stop):\n        return []\n"
+        "class _Scalar:\n    def __call__(self, j):\n        return 0\n"
+        "def ok(space, x, fresh):\n"
+        "    tape = _Tape if fresh else _Tape\n"
+        "    BaseSequence(space, tape())\n"
+        "    BaseSequence(space, lookup=_Tape())\n"
+        "    return BaseSequence(space, x._lookup, 1)\n"
+        "def bad(space, x, fresh):\n"
+        "    def look(j):\n        return x.symbol(j)\n"
+        "    mixed = _Tape if fresh else _Scalar\n"
+        "    BaseSequence(space, lambda j: 0)\n"
+        "    BaseSequence(space, look)\n"
+        "    BaseSequence(space, _Scalar())\n"
+        "    BaseSequence(space, mixed())\n"
+        "    BaseSequence(space, lookup=look)\n"
+        "    sl.BaseSequence(space, look)\n"
+        "    return BaseSequence(space)\n"
+    )
+    assert unwindowed_sequences(source) == [18, 19, 20, 21, 22, 23, 24]
