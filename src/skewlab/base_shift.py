@@ -11,9 +11,10 @@ symbols are independent, so their tape keeps a bounded number of blocks and
 draws a dropped block again when it is read.  Markov symbols are picked one
 after another from each block's uniforms, outward from index 0; their tape
 also keeps a bounded number of blocks, plus one checkpoint symbol per block
-reached, from which it walks a dropped block again.  Both tapes pin the
-cumulative weight of their last positive-weight symbol to 1.0, so no
-uniform below 1 can pick a symbol past it.
+reached, from which it walks a dropped block again.  A new Markov tape has
+walked nothing.  Both tapes pin the cumulative weight of their last
+positive-weight symbol to 1.0, so no uniform below 1 can pick a symbol past
+it.
 
 ``BaseSequence.symbols`` reads a window of indices as a numpy array: a
 Bernoulli tape slices its cached blocks when it holds every block of the
@@ -26,13 +27,17 @@ sequence piece by its own window and a fixed symbol by ``np.full``; any
 other lookup (a hand-made sequence) is asked one index at a time.
 ``symbol_rows`` reads one window of many sequences:
 the rows of Bernoulli-sampled sequences of one measure come from one
-many-stream counter-RNG call (``rng.stream_uniforms``), and every other
-row is its sequence's own window.
+many-stream counter-RNG call (``rng.stream_uniforms``); two or more forward
+rows (window at index 0 or later) of Markov-sampled sequences of one
+measure are stepped together, one many-stream draw per block of 64 steps
+and one array gather per step, resuming from their tapes' checkpoints and
+leaving new ones; every other row is its sequence's own window.
 """
 
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -263,6 +268,16 @@ class BaseMeasure:
         else:
             raise ConfigurationError("unknown measure kind %r" % (self.kind,))
 
+    @cached_property
+    def _markov_cumulatives(self):
+        """``_cumulative`` of pi, of each row of P and of each row of its time reversal."""
+        P, pi = np.asarray(self.P), np.asarray(self.pi)
+        return (
+            _cumulative(self.pi),
+            [_cumulative(row) for row in P.tolist()],
+            [_cumulative(row) for row in ((pi[None, :] * P.T) / pi[:, None]).tolist()],
+        )
+
     @property
     def alphabet_size(self):
         if self.kind == "bernoulli":
@@ -372,20 +387,21 @@ class _MarkovTape:
     first symbol of block b + 1.  ``fwd[b]`` and ``bwd[-1 - b]`` keep that
     checkpoint symbol for every block reached, so the tape keeps at most
     _MAX_BLOCKS blocks, as the Bernoulli tape does, and walks a dropped
-    block again from its checkpoint.
+    block again from its checkpoint.  A new tape has walked nothing: ``bwd``
+    gets the symbol at index 0 when the first backward block is walked.
+    ``key`` is the stream's ``derive_seed(seed, stream_id)``, which
+    ``symbol_rows`` draws by when it steps many tapes' forward rows at once.
     """
 
     def __init__(self, measure, seed, stream_id):
-        P = np.asarray(measure.P)
-        pi = np.asarray(measure.pi)
-        self.cum_pi = _cumulative(measure.pi)
-        self.cum_fwd = [_cumulative(row) for row in P.tolist()]
-        self.cum_bwd = [_cumulative(row) for row in ((pi[None, :] * P.T) / pi[:, None]).tolist()]
+        self.measure = measure
+        self.cum_pi, self.cum_fwd, self.cum_bwd = measure._markov_cumulatives
         self.seed = seed
         self.stream_id = stream_id
+        self.key = derive_seed(seed, stream_id)
         self.blocks = {}
         self.fwd = [None]  # block 0 opens with a draw from pi
-        self.bwd = [self._block(0)[0]]
+        self.bwd = []
 
     def __call__(self, j):
         try:
@@ -403,6 +419,8 @@ class _MarkovTape:
     def _block(self, b):
         """Block b, walked from its checkpoint, recording the checkpoints out to it."""
         marks, k = (self.fwd, b) if b >= 0 else (self.bwd, -1 - b)
+        if not marks:  # block -1 walks back from the symbol at index 0
+            marks.append(self(0))
         if k < len(marks) - 1:  # reached before and dropped
             block = self._walk(b, marks[k])
         for c in range(len(marks) - 1, k + 1):
@@ -448,18 +466,25 @@ def symbol_rows(xs, start, stop):
 
     The rows of Bernoulli-sampled sequences of one measure come from one
     counter-RNG call (``rng.stream_uniforms``): each row is its own stream,
-    read from start plus the row's shift offset.  Every other row is its
-    sequence's own ``symbols`` window.
+    read from start plus the row's shift offset.  The rows of Markov-sampled
+    sequences of one measure whose window, after the offset, starts at
+    index 0 or later are stepped together (``_step_markov_rows``) when
+    there are two or more of them.  Every other row is its sequence's own
+    ``symbols`` window.
     """
     n = max(stop - start, 0)
-    groups, own = {}, []  # id(measure) -> (cumulative weights, row numbers, keys, starts)
+    # by id(measure): (cumulative weights, row numbers, keys, starts) of Bernoulli rows,
+    # and (row number, tape, first index) of each Markov row
+    groups, walks, own = {}, {}, []
     for i, x in enumerate(xs):
-        tape = x._lookup
+        tape, first = x._lookup, start + x.offset
         if type(tape) is _BernoulliTape:
             cum, at, keys, starts = groups.setdefault(id(tape.measure), (tape.cum, [], [], []))
             at.append(i)
             keys.append(tape.key)
-            starts.append(start + x.offset)
+            starts.append(first)
+        elif type(tape) is _MarkovTape and first >= 0 and n:
+            walks.setdefault(id(tape.measure), []).append((i, tape, first))
         else:
             own.append(i)
     # drawn before the rows are allocated, so a read holds at most two arrays of its size
@@ -470,9 +495,78 @@ def symbol_rows(xs, start, stop):
     rows = np.empty((len(xs), n), dtype=np.intp)
     for at, syms in drawn:
         rows[at] = syms
+    for walk in walks.values():
+        if len(walk) > 1:
+            _step_markov_rows(walk, n, rows)
+        else:  # a lone row's own walk is the faster one
+            own.append(walk[0][0])
     for i in own:
         rows[i] = xs[i].symbols(start, stop)
     return rows
+
+
+def _step_markov_rows(walk, n, out):
+    """Write the windows [first, first + n) of forward Markov rows of one measure into out.
+
+    ``walk`` lists (row of out, tape, first) with first >= 0.  Each row
+    starts from its tape's last forward checkpoint at or below its window;
+    a row at block 0 starts in an extra state d, "draw from pi".  Every row
+    then takes its next block at once: one ``stream_uniforms`` draw of
+    _BLOCK uniforms per row, one comparison pass giving the next state of
+    every row at every step for each of the d + 1 states, stored as a flat
+    pointer (state * rows + row), and one gather ``p = table[t][p]`` per
+    step.  The pass is exact: it counts the entries <= u of each cumulative
+    row, and since u < 1 and the row is nondecreasing up to its entries
+    pinned at 1.0, those entries form a prefix and their count is
+    ``bisect_right(cum, u)``, the tape's own pick.  Entries at 1.0 are never
+    <= u, so only the ones below 1 are compared.
+
+    The checkpoint of every block passed is appended to its tape's ``fwd``,
+    so a later read of the same rows resumes there.  Rows are ordered by the
+    blocks they walk, most first, so the rows still walking are a prefix,
+    and memory stays O(rows * _BLOCK) beyond out, whatever the offsets.
+    """
+    plan = []
+    for i, tape, first in walk:
+        b = min(first // _BLOCK, len(tape.fwd) - 1)
+        plan.append(((first + n - 1) // _BLOCK + 1 - b, b, i, tape, first))
+    plan.sort(key=lambda row: -row[0])
+    counts, begins, at, tapes, firsts = zip(*plan)
+    d = len(tapes[0].cum_pi)
+    cuts = [[c for c in cum if c < 1.0] for cum in (*tapes[0].cum_fwd, tapes[0].cum_pi)]
+    keys = [tape.key for tape in tapes]
+    state = np.array([d if t.fwd[b] is None else t.fwd[b] for t, b in zip(tapes, begins)])
+    column = np.array(begins) * _BLOCK - np.array(firsts)  # out's column of each row's next index
+    offset = np.array(at) * n  # where each row starts in out's flat buffer
+    flat = out.reshape(-1)
+    steps = np.arange(_BLOCK)[:, None]
+    m = len(plan)
+    for i in range(counts[0]):
+        while counts[m - 1] <= i:
+            m -= 1
+        u = stream_uniforms(keys[:m], [(b + i) * _BLOCK for b in begins[:m]], _BLOCK).T
+        nxt = np.zeros((_BLOCK, d + 1, m), dtype=np.intp)
+        for j, row_cuts in enumerate(cuts[:d]):
+            for c in row_cuts:
+                nxt[:, j] += u >= c
+        for c in cuts[d]:  # a row is in the pi state only before step 0
+            nxt[0, d] += u[0] >= c
+        rows = np.arange(m)
+        nxt *= m
+        nxt += rows
+        table = nxt.reshape(_BLOCK, -1)
+        walked = np.empty((_BLOCK, m), dtype=np.intp)
+        p = state[:m] * m + rows
+        for t in range(_BLOCK):
+            p = walked[t] = table[t][p]
+        walked //= m
+        cols = column[:m] + i * _BLOCK + steps
+        inside = (cols >= 0) & (cols < n)
+        flat[(offset[:m] + cols)[inside]] = walked[inside]
+        state = walked[-1]
+        for tape, b, s in zip(tapes, begins, state.tolist()):
+            if len(tape.fwd) == b + i + 1:
+                tape.fwd.append(s)
 
 
 def cylinder_measure(measure, word):

@@ -1,5 +1,6 @@
 """Shift spaces: metric, bracket, periodic/homoclinic points, measures."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewlab as sl
-from skewlab.base_shift import _BLOCK, _MAX_BLOCKS, _BernoulliTape, _Splice, symbol_rows
+from skewlab.base_shift import (
+    _BLOCK,
+    _MAX_BLOCKS,
+    _BernoulliTape,
+    _MarkovTape,
+    _Splice,
+    symbol_rows,
+)
 from skewlab.errors import BracketUndefinedError, ConfigurationError
+from skewlab.rng import stream_uniforms
 from skewlab.skew import generator_base_points
 
 from _common import (
@@ -472,6 +481,95 @@ def test_symbol_rows_match_each_sequence_window():
             assert got.tolist() == scalar_symbol_rows(xs, start, start + n).tolist()
 
 
+def _stepped_rows():
+    """Markov rows of two measures, shifted and repeated, among rows of other kinds."""
+    golden, markov = golden_mean_base(2)
+    space3, markov3 = golden_mean_base(3)
+    g = sl.sample_sequence(golden, markov, 6, 2)
+    h = sl.sample_sequence(space3, markov3, 6, 2)
+    return [
+        g,
+        sl.sample_sequence(sl.ShiftSpace(2), bernoulli2(), 6, 2),
+        g.shift(37),  # one tape at three offsets
+        h,
+        sl.sample_sequence(golden, markov, 6, 3).shift(-70),
+        sl.periodic_point(space3, (0, 1, 2, 0)),
+        h,  # one tape twice at one offset
+        g.shift(70),
+        sl.BaseSequence(space3, lambda j: (j * j + 1) % 3),
+        sl.sample_sequence(space3, markov3, 9, 0).shift(70),
+    ]
+
+
+@pytest.mark.parametrize("start", [0, 1, 63, 64, 65, 3000, -5])  # -5: windows across 0
+def test_stepped_markov_rows_match_each_window(start):
+    for n in (0, 1, 63, 64, 65, 1000):
+        got = symbol_rows(_stepped_rows(), start, start + n)
+        assert got.dtype == np.intp and got.shape == (10, n)
+        assert got.tolist() == scalar_symbol_rows(_stepped_rows(), start, start + n).tolist()
+
+
+def test_stepped_markov_rows_resume_from_their_checkpoints():
+    xs = _stepped_rows()
+    for start, n in [(0, 64), (64, 1000), (3000, 65), (1, 63), (1064, 1), (65, 1000), (-5, 80)]:
+        want = scalar_symbol_rows(_stepped_rows(), start, start + n)
+        assert symbol_rows(xs, start, start + n).tolist() == want.tolist(), (start, n)
+
+
+def test_stepped_rows_break_ties_as_bisect_right():
+    """A uniform equal to a cumulative weight picks the symbol after it."""
+    u = sl.counter_uniform(3, 0, 1)
+    measure = sl.BaseMeasure("markov", P=((u, 1.0 - u), (u, 1.0 - u)))
+    xs = [sl.sample_sequence(sl.ShiftSpace(2), measure, 3, k) for k in range(3)]
+    assert xs[0].symbol(1) == 1
+    assert symbol_rows(xs, 0, 3).tolist() == [x.symbols(0, 3).tolist() for x in xs]
+
+
+def test_stepped_reads_draw_each_block_of_their_window_once(monkeypatch):
+    """A read of [k, k + n) after one of [0, k) draws only the blocks it touches."""
+    golden, markov = golden_mean_base()
+    drawn = []
+
+    def counted(keys, starts, n):
+        drawn.extend(zip(keys, starts, itertools.repeat(n)))
+        return stream_uniforms(keys, starts, n)
+
+    monkeypatch.setattr(sl.base_shift, "stream_uniforms", counted)
+    monkeypatch.setattr(_MarkovTape, "_steps", None)  # no row walks alone
+    for k, n in itertools.product((64, 4096, 1310), (1, 64, 100, 1000)):
+        xs = [sl.sample_sequence(golden, markov, 5, j) for j in range(4)]
+        symbol_rows(xs, 0, k)
+        assert sorted(drawn) == sorted(
+            (x._lookup.key, b * _BLOCK, _BLOCK) for x in xs for b in range(-(-k // _BLOCK))
+        )
+        drawn.clear()
+        symbol_rows(xs, k, k + n)
+        first, last = k // _BLOCK, (k + n - 1) // _BLOCK
+        assert sorted(drawn) == sorted(
+            (x._lookup.key, b * _BLOCK, _BLOCK) for x in xs for b in range(first, last + 1)
+        )
+        if k % _BLOCK == 0:  # as orbit_keys' chunks of _MAX_CHUNK steps are
+            assert len(drawn) * _BLOCK <= len(xs) * (n + _BLOCK)
+        drawn.clear()
+
+
+def test_stepped_read_memory_stays_bounded_whatever_the_offsets():
+    golden, markov = golden_mean_base()
+    shift = 10 ** 5
+    xs = [sl.sample_sequence(golden, markov, 5, k) for k in range(4)]
+    xs[1] = xs[1].shift(shift)
+    tracemalloc.start()
+    try:
+        rows = symbol_rows(xs, 0, _BLOCK)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the shifted row walks shift / 64 blocks and keeps one checkpoint per block;
+    # walking it with all its symbols held would take 8 bytes per symbol
+    assert retained - rows.nbytes < 16 * (shift // _BLOCK + 1), retained
+    assert peak - retained < 24 * len(xs) * _BLOCK * 8, peak
+
+
 def test_bernoulli_window_slices_held_blocks_without_drawing(monkeypatch):
     x = _window_sequences()["bernoulli-warmed"]()
     want = [x.symbol(j) for j in range(-128, 128)]
@@ -523,17 +621,26 @@ def test_bernoulli_symbols_stay_in_range_when_weights_sum_below_one():
 
 
 _ROW_A, _ROW_B = (0.7, 0.2, 0.0, 0.1), (0.7, 0.2, 0.1, 0.0)
+_LARGEST_DRAWS = [
+    # forward: each row's sum ends below 1, on its last entry or before a zero
+    ((_ROW_A, _ROW_B, _ROW_B, _ROW_B), 1),
+    # backward: symmetric and doubly stochastic, so the time reversal is P
+    (((0.7, 0.2, 0.1), (0.2, 0.1, 0.7), (0.1, 0.7, 0.2)), -1),
+]
 
 
-@pytest.mark.parametrize(
-    "P, index",
-    [
-        # forward: each row's sum ends below 1, on its last entry or before a zero
-        ((_ROW_A, _ROW_B, _ROW_B, _ROW_B), 1),
-        # backward: symmetric and doubly stochastic, so the time reversal is P
-        (((0.7, 0.2, 0.1), (0.2, 0.1, 0.7), (0.1, 0.7, 0.2)), -1),
-    ],
-)
+def _largest_draw_rows(P, index):
+    """Sequences of eight seeds whose uniform at index is the largest draw."""
+    d = len(P)
+    space = sl.ShiftSpace(d, transitions=tuple(tuple(p > 0 for p in row) for row in P))
+    measure = sl.BaseMeasure("markov", P=P)
+    return space, [
+        sl.sample_sequence(space, measure, seed, stream_with_hash(seed, index, 2 ** 64 - 1))
+        for seed in range(8)
+    ]
+
+
+@pytest.mark.parametrize("P, index", _LARGEST_DRAWS)
 def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
     """The largest draw must pick an admissible successor of every row."""
     d = len(P)
@@ -547,6 +654,20 @@ def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
         assert all(0 <= s < d for s in word), word
         space.check_word(word)
         assert x.symbols(-3, 4).tolist() == word
+
+
+@pytest.mark.parametrize("P, index", [*_LARGEST_DRAWS, (_LARGEST_DRAWS[0][0], 0)])
+def test_largest_draw_rows_read_through_symbol_rows(P, index):
+    """The largest draw at index 0 is a pick from pi, at 1 a forward step, at -1 a backward one."""
+    space, xs = _largest_draw_rows(P, index)
+    for x in xs:
+        tape = x._lookup
+        assert sl.counter_uniform(tape.seed, tape.stream_id, index) == math.nextafter(1.0, 0.0)
+    words = [[x.symbol(j) for j in range(-3, 4)] for x in _largest_draw_rows(P, index)[1]]
+    for w in words:
+        space.check_word(w)
+    for start in (0, -3):  # stepped together, and each row's own window
+        assert symbol_rows(xs, start, 4).tolist() == [w[start + 3:] for w in words]
 
 
 def test_measure_validation():

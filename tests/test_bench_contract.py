@@ -11,15 +11,16 @@ import importlib.util
 import pathlib
 
 import skewlab as sl
-from skewlab import criterion
+from skewlab import config, criterion
+from skewlab.base_shift import _MarkovTape
 
 from _common import loop_inputs, twisted_cat_system
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location("_bench_" + name, BENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +29,7 @@ def _load_tracing():
 def test_traced_run_patches_live_names():
     # install raises AttributeError or KeyError on a patched name that is gone,
     # and the loop's h and H_at are wrapped when build_holonomy_loop returns
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
@@ -59,3 +60,21 @@ def test_bench_module_attributes_exist():
     assert ("holonomy", "unstable_holonomy_point") in used
     missing = sorted("%s.%s" % u for u in used if not hasattr(modules[u[0]], u[1]))
     assert not missing
+
+
+def test_markov_exponent_steps_its_rows_together(monkeypatch):
+    # the golden-mean exponent operation reads its orbits' symbols through
+    # symbol_rows, which steps the rows together and walks no tape alone
+    workloads = _load_bench("workloads")
+    text = workloads.MARKOV + "\n" + workloads.SHEAR_FIBER + "\n" + workloads.run_section(seed=5)
+    system = config.build_system(config.parse_config(text))
+    alone = []
+    steps = _MarkovTape._steps
+
+    def counted(*args):
+        alone.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(_MarkovTape, "_steps", staticmethod(counted))
+    assert sl.integrated_exponent(system, 32, 1000, seed=5).mean > 0.0
+    assert not alone

@@ -187,6 +187,17 @@ def test_integrated_exponent_groups_and_chunks_match_point_walk(
     assert reads == [min(group, n_orbits - k) for k in range(0, n_orbits, group)]
 
 
+@pytest.mark.parametrize("chunk", [1, 64, 100])
+@pytest.mark.parametrize("name", ["golden-mean", "depth2-golden-mean"])
+def test_golden_mean_exponent_steps_its_rows_together(name, chunk, monkeypatch):
+    """Each chunk resumes the Markov rows from the checkpoints the last one left."""
+    system = EXPONENT_SYSTEMS[name][0]()
+    want = scalar_integrated_exponent(system, 6, 300, 4)
+    monkeypatch.setattr(skew, "_MAX_CHUNK", chunk)
+    monkeypatch.setattr(sl.base_shift._MarkovTape, "_steps", None)  # no row walks alone
+    assert sl.integrated_exponent(system, 6, 300, seed=4) == want
+
+
 @pytest.mark.parametrize("make_system", [holder_system, twisted_cat_system])
 def test_integrated_exponent_memory_does_not_grow_with_n_orbits(make_system, monkeypatch):
     """Orbits' keys are read a group at a time, and become Python objects a row at a time."""
