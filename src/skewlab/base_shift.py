@@ -27,8 +27,8 @@ sequence piece by its own window and a fixed symbol by ``np.full``; any
 other lookup (a hand-made sequence) is asked one index at a time.
 ``symbol_rows`` reads one window of many sequences:
 the rows of Bernoulli-sampled sequences of one measure come from one
-many-stream counter-RNG call (``rng.stream_uniforms``); two or more forward
-rows (window at index 0 or later) of Markov-sampled sequences of one
+many-stream counter-RNG call (``rng.stream_uniforms``); the forward rows
+(window at index 0 or later) of Markov-sampled sequences of one
 measure are stepped together, one many-stream draw per block of 64 steps
 and one array gather per step, resuming from their tapes' checkpoints and
 leaving new ones; every other row is its sequence's own window.
@@ -468,9 +468,8 @@ def symbol_rows(xs, start, stop):
     counter-RNG call (``rng.stream_uniforms``): each row is its own stream,
     read from start plus the row's shift offset.  The rows of Markov-sampled
     sequences of one measure whose window, after the offset, starts at
-    index 0 or later are stepped together (``_step_markov_rows``) when
-    there are two or more of them.  Every other row is its sequence's own
-    ``symbols`` window.
+    index 0 or later are stepped together (``_step_markov_rows``).  Every
+    other row is its sequence's own ``symbols`` window.
     """
     n = max(stop - start, 0)
     # by id(measure): (cumulative weights, row numbers, keys, starts) of Bernoulli rows,
@@ -496,10 +495,7 @@ def symbol_rows(xs, start, stop):
     for at, syms in drawn:
         rows[at] = syms
     for walk in walks.values():
-        if len(walk) > 1:
-            _step_markov_rows(walk, n, rows)
-        else:  # a lone row's own walk is the faster one
-            own.append(walk[0][0])
+        _step_markov_rows(walk, n, rows)
     for i in own:
         rows[i] = xs[i].symbols(start, stop)
     return rows
@@ -512,19 +508,22 @@ def _step_markov_rows(walk, n, out):
     starts from its tape's last forward checkpoint at or below its window;
     a row at block 0 starts in an extra state d, "draw from pi".  Every row
     then takes its next block at once: one ``stream_uniforms`` draw of
-    _BLOCK uniforms per row, one comparison pass giving the next state of
-    every row at every step for each of the d + 1 states, stored as a flat
-    pointer (state * rows + row), and one gather ``p = table[t][p]`` per
-    step.  The pass is exact: it counts the entries <= u of each cumulative
-    row, and since u < 1 and the row is nondecreasing up to its entries
-    pinned at 1.0, those entries form a prefix and their count is
-    ``bisect_right(cum, u)``, the tape's own pick.  Entries at 1.0 are never
-    <= u, so only the ones below 1 are compared.
+    _BLOCK uniforms per row, one lookup giving the next state of every row
+    at every step from each of the d + 1 states, stored as a flat pointer
+    (row * (d + 1) + state), and one gather ``p = table[t][p]`` per step.
+
+    The lookup is exact.  u < 1 and each cumulative row is nondecreasing up
+    to its entries pinned at 1.0, so its entries <= u form a prefix, whose
+    length is ``bisect_right(cum, u)``, the tape's own pick.  Every entry
+    is one of the sorted cut points, the entries of all d + 1 rows, so that
+    length depends on u only through the number k of cut points <= u: one
+    ``searchsorted`` over the cut points gives k, and ``picks[k]`` holds
+    the pick of every state.
 
     The checkpoint of every block passed is appended to its tape's ``fwd``,
     so a later read of the same rows resumes there.  Rows are ordered by the
     blocks they walk, most first, so the rows still walking are a prefix,
-    and memory stays O(rows * _BLOCK) beyond out, whatever the offsets.
+    and memory stays O(rows * _BLOCK * d) beyond out, whatever the offsets.
     """
     plan = []
     for i, tape, first in walk:
@@ -532,12 +531,17 @@ def _step_markov_rows(walk, n, out):
         plan.append(((first + n - 1) // _BLOCK + 1 - b, b, i, tape, first))
     plan.sort(key=lambda row: -row[0])
     counts, begins, at, tapes, firsts = zip(*plan)
-    d = len(tapes[0].cum_pi)
-    cuts = [[c for c in cum if c < 1.0] for cum in (*tapes[0].cum_fwd, tapes[0].cum_pi)]
+    cums = [*tapes[0].cum_fwd, tapes[0].cum_pi]  # state d draws from pi
+    d = len(cums) - 1
+    cuts = np.sort(np.concatenate(cums))
+    picks = np.zeros((len(cuts) + 1, d + 1), dtype=np.intp)  # picks[0]: no cut <= u
+    for j, cum in enumerate(cums):
+        picks[1:, j] = np.searchsorted(cum, cuts, side="right")
     keys = [tape.key for tape in tapes]
     state = np.array([d if t.fwd[b] is None else t.fwd[b] for t, b in zip(tapes, begins)])
     column = np.array(begins) * _BLOCK - np.array(firsts)  # out's column of each row's next index
     offset = np.array(at) * n  # where each row starts in out's flat buffer
+    base = np.arange(len(plan)) * (d + 1)  # each row's pointer to its state 0
     flat = out.reshape(-1)
     steps = np.arange(_BLOCK)[:, None]
     m = len(plan)
@@ -545,21 +549,13 @@ def _step_markov_rows(walk, n, out):
         while counts[m - 1] <= i:
             m -= 1
         u = stream_uniforms(keys[:m], [(b + i) * _BLOCK for b in begins[:m]], _BLOCK).T
-        nxt = np.zeros((_BLOCK, d + 1, m), dtype=np.intp)
-        for j, row_cuts in enumerate(cuts[:d]):
-            for c in row_cuts:
-                nxt[:, j] += u >= c
-        for c in cuts[d]:  # a row is in the pi state only before step 0
-            nxt[0, d] += u[0] >= c
-        rows = np.arange(m)
-        nxt *= m
-        nxt += rows
-        table = nxt.reshape(_BLOCK, -1)
-        walked = np.empty((_BLOCK, m), dtype=np.intp)
-        p = state[:m] * m + rows
-        for t in range(_BLOCK):
-            p = walked[t] = table[t][p]
-        walked //= m
+        table = np.take(picks, np.searchsorted(cuts, u, side="right"), axis=0)
+        table += base[:m, None]
+        p, walked = base[:m] + state[:m], []
+        for nxt in table.reshape(_BLOCK, -1):
+            p = nxt[p]
+            walked.append(p)
+        walked = np.array(walked) - base[:m]
         cols = column[:m] + i * _BLOCK + steps
         inside = (cols >= 0) & (cols < n)
         flat[(offset[:m] + cols)[inside]] = walked[inside]

@@ -482,11 +482,12 @@ def test_symbol_rows_match_each_sequence_window():
 
 
 def _stepped_rows():
-    """Markov rows of two measures, shifted and repeated, among rows of other kinds."""
+    """Markov rows of three measures, shifted and repeated, among rows of other kinds."""
     golden, markov = golden_mean_base(2)
     space3, markov3 = golden_mean_base(3)
     g = sl.sample_sequence(golden, markov, 6, 2)
     h = sl.sample_sequence(space3, markov3, 6, 2)
+    k = sl.sample_sequence(*golden_mean_base(9), 6, 4)  # cut points at eighths and ninths
     return [
         g,
         sl.sample_sequence(sl.ShiftSpace(2), bernoulli2(), 6, 2),
@@ -498,6 +499,8 @@ def _stepped_rows():
         g.shift(70),
         sl.BaseSequence(space3, lambda j: (j * j + 1) % 3),
         sl.sample_sequence(space3, markov3, 9, 0).shift(70),
+        k,
+        k.shift(70),
     ]
 
 
@@ -505,7 +508,7 @@ def _stepped_rows():
 def test_stepped_markov_rows_match_each_window(start):
     for n in (0, 1, 63, 64, 65, 1000):
         got = symbol_rows(_stepped_rows(), start, start + n)
-        assert got.dtype == np.intp and got.shape == (10, n)
+        assert got.dtype == np.intp and got.shape == (12, n)
         assert got.tolist() == scalar_symbol_rows(_stepped_rows(), start, start + n).tolist()
 
 
@@ -626,18 +629,9 @@ _LARGEST_DRAWS = [
     ((_ROW_A, _ROW_B, _ROW_B, _ROW_B), 1),
     # backward: symmetric and doubly stochastic, so the time reversal is P
     (((0.7, 0.2, 0.1), (0.2, 0.1, 0.7), (0.1, 0.7, 0.2)), -1),
+    # from pi: the first symbol of the forward rows above
+    ((_ROW_A, _ROW_B, _ROW_B, _ROW_B), 0),
 ]
-
-
-def _largest_draw_rows(P, index):
-    """Sequences of eight seeds whose uniform at index is the largest draw."""
-    d = len(P)
-    space = sl.ShiftSpace(d, transitions=tuple(tuple(p > 0 for p in row) for row in P))
-    measure = sl.BaseMeasure("markov", P=P)
-    return space, [
-        sl.sample_sequence(space, measure, seed, stream_with_hash(seed, index, 2 ** 64 - 1))
-        for seed in range(8)
-    ]
 
 
 @pytest.mark.parametrize("P, index", _LARGEST_DRAWS)
@@ -646,6 +640,7 @@ def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
     d = len(P)
     space = sl.ShiftSpace(d, transitions=tuple(tuple(p > 0 for p in row) for row in P))
     measure = sl.BaseMeasure("markov", P=P)
+    xs, words = [], []
     for seed in range(8):
         stream = stream_with_hash(seed, index, 2 ** 64 - 1)
         assert sl.counter_uniform(seed, stream, index) == math.nextafter(1.0, 0.0)
@@ -654,18 +649,8 @@ def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
         assert all(0 <= s < d for s in word), word
         space.check_word(word)
         assert x.symbols(-3, 4).tolist() == word
-
-
-@pytest.mark.parametrize("P, index", [*_LARGEST_DRAWS, (_LARGEST_DRAWS[0][0], 0)])
-def test_largest_draw_rows_read_through_symbol_rows(P, index):
-    """The largest draw at index 0 is a pick from pi, at 1 a forward step, at -1 a backward one."""
-    space, xs = _largest_draw_rows(P, index)
-    for x in xs:
-        tape = x._lookup
-        assert sl.counter_uniform(tape.seed, tape.stream_id, index) == math.nextafter(1.0, 0.0)
-    words = [[x.symbol(j) for j in range(-3, 4)] for x in _largest_draw_rows(P, index)[1]]
-    for w in words:
-        space.check_word(w)
+        xs.append(sl.sample_sequence(space, measure, seed, stream))
+        words.append(word)
     for start in (0, -3):  # stepped together, and each row's own window
         assert symbol_rows(xs, start, 4).tolist() == [w[start + 3:] for w in words]
 
