@@ -37,7 +37,7 @@ leaving new ones; every other row is its sequence's own window.
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -284,8 +284,9 @@ class BaseMeasure:
             return len(self.probs)
         return len(self.pi)
 
+    @lru_cache(maxsize=64)
     def validate_support(self, space):
-        """Full support on the SFT is required for product structure."""
+        """Full support on the SFT is required for product structure; a passing pair is cached."""
         if self.alphabet_size != space.alphabet_size:
             raise ConfigurationError("measure and shift space alphabet mismatch")
         if self.kind == "bernoulli":

@@ -113,13 +113,6 @@ def elementwise(fn, *arrays):
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
-def mat_conorm(m):
-    """m(A) = ||A^{-1}||^{-1}: the smallest singular value."""
-    det = abs(mat_det(m))
-    n = mat_norm(m)
-    return det / n if n > 0.0 else 0.0
-
-
 def mat_sub_norm(m, n):
     return mat_norm((m[0] - n[0], m[1] - n[1], m[2] - n[2], m[3] - n[3]))
 

@@ -25,8 +25,8 @@ a set meets the same maps, so one walk of each orbit serves them all; each
 point keeps its own increments and stops, so both forms agree bit for bit.
 
 Fibre bunching, the condition under which these limits exist, is checked
-on arrays too: ``fiber_bunching_margin`` reads every base point's key at
-once and applies every generator and inverse to chunks of the fibre
+on the array pass that ``skew.c1_distance`` uses: every base point's key read
+at once, and every generator and inverse applied to chunks of the fibre
 sample, one family step each.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 from . import fiber_maps as fm
 from .base_shift import distance
 from .errors import ConfigurationError, NonConvergenceError, check_counts, check_positive
-from .skew import generator_base_points, orbit_keys, orbit_maps
+from .skew import fiber_chunks, generator_base_points, orbit_keys, orbit_maps
 
 @dataclass
 class BunchingReport:
@@ -98,9 +98,6 @@ class HolonomyQuery:
         return distance(self.x, self.y)
 
 
-_BUNCHING_CELLS = 1 << 12  # base points x fibre points per array step of the bunching margin
-
-
 def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
     """Evaluate both fiber-bunching inequalities at n_base base points.
 
@@ -108,17 +105,13 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     lambda^beta over a fiber_grid x fiber_grid grid and n_fiber random t,
     and the analogue for the inverted generator; the report carries the worst.
 
-    The base points' keys come from one ``orbit_keys`` read.  A chunk of
-    fibre points at a time, the family's ``apply_many`` applies every base
-    point's generator, then its inverse, to the chunk in one step each,
-    the keys a column against the row of fibre points: each fibre point's
-    sin and cos (Hölder family), and each generator's map of it (locally
-    constant family), are computed once per margin.  A chunk holds at most
-    _BUNCHING_CELLS base-by-fibre points (or one fibre point), so memory
-    does not grow with the fibre sample.  Each base point keeps running
-    maxima of both sups, which are exact in any order; the margins are
-    compared in Python floats, f then f^-1 for each base point in turn, as
-    one point at a time would.
+    The base points' keys come from one ``orbit_keys`` read, and each of
+    ``skew.fiber_chunks`` of the fibre sample takes one family step of every
+    generator, then one of every inverse: each fibre point's sin and cos
+    (Hölder family), and each generator's map of it (locally constant
+    family), are computed once per margin.  The margins are compared in
+    Python floats, f then f^-1 for each base point in turn, as one point
+    at a time would.
     """
     if not beta > 0:
         raise ConfigurationError("beta must be positive")
@@ -127,11 +120,10 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     if not base_points or len(u) == 0:
         raise ConfigurationError("fiber_bunching_margin sampled no base or fiber point")
     keys = next(orbit_keys(sys, base_points, 1))
-    chunk = max(1, _BUNCHING_CELLS // len(keys))
     sups = np.zeros((2, 2, len(keys)))  # [f, f^-1] x [sup ||Df||, sup m(Df)] per base point
-    for i in range(0, len(u), chunk):
+    for cu, cv in fiber_chunks(len(keys), u, v):
         for inverse, sup in zip((False, True), sups):
-            deriv = sys.family.apply_many(keys, u[i:i + chunk], v[i:i + chunk], inverse)[2]
+            deriv = sys.family.apply_many(keys, cu, cv, inverse)[2]
             np.maximum(sup, _row_sups(deriv), out=sup)
     scale = sys.space.metric_base ** beta
     worst = 0.0
@@ -156,7 +148,7 @@ def _row_sups(deriv):
     """(sup ||Df||, sup m(Df)) over each row of derivatives, as two arrays."""
     a, b, c, d = deriv
     norms = fm.mat_norms(a, b, c, d)
-    # m(A) = |det A| / ||A||, as fm.mat_conorm
+    # m(A) = ||A^-1||^-1, the smallest singular value, is |det A| / ||A||
     conorms = np.divide(
         abs(a * d - b * c), norms, out=np.zeros(norms.shape), where=norms > 0.0
     )

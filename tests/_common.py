@@ -10,7 +10,7 @@ import skewlab.fiber_maps as fm
 from skewlab.holonomy import _fit_rate, stable_holonomy_jet
 from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
-from skewlab.skew import CocycleResult, accumulate_cocycle, fiber_c1_distance, orbit_maps
+from skewlab.skew import CocycleResult, accumulate_cocycle, generator_base_points, orbit_maps
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -404,9 +404,45 @@ def closure_pair(system, seed, k, diff_index):
     return x, sl.BaseSequence(system.space, look)
 
 
+def mat_conorm(m):
+    """m(A) = ||A^{-1}||^{-1}: the smallest singular value."""
+    det = abs(fm.mat_det(m))
+    n = fm.mat_norm(m)
+    return det / n if n > 0.0 else 0.0
+
+
+def fiber_c1_distance(f, g, grid=64, n_random=1000, seed=0):
+    """sup over sampled fiber points of displacement + derivative gap, for one pair of maps."""
+    u, v = fm.sample_points(grid, n_random, seed, 1)
+    if len(u) == 0:
+        raise sl.ConfigurationError("fiber_c1_distance needs grid or n_random >= 1")
+    fu, fv, df = f.apply_many(u, v)
+    gu, gv, dg = g.apply_many(u, v)
+    du, dv = fm.torus_delta((fu, fv), (gu, gv))
+    gaps = fm.elementwise(math.hypot, du, dv) + fm.mat_norms(*(p - q for p, q in zip(df, dg)))
+    return float(gaps.max(initial=0.0))
+
+
+def scalar_c1_distance(sys_f, sys_g, n_base_samples=100, grid=32, n_random=200, seed=0):
+    """``c1_distance`` as one ``fiber_c1_distance`` per base point, through ``fiber_map_at``."""
+    worst = 0.0
+    for x in generator_base_points(sys_f, n_base_samples, seed, 11):
+        gap = fiber_c1_distance(
+            sys_f.fiber_map_at(x), sys_g.fiber_map_at(x), grid, n_random, seed
+        )
+        if gap > worst:
+            worst = gap
+    return worst
+
+
 def scalar_holder_estimate(sys, n_pairs, seed, grid=16, n_random=100):
-    """``holder_estimate``'s (H_hat, alpha) with closure partners, read one index at a time."""
+    """``holder_estimate``'s (H_hat, alpha) with closure partners, read one index at a time.
+
+    Raises ``holder_estimate``'s ``CertificateViolationError``, witness and
+    all, when H_hat exceeds the family's declared constant.
+    """
     h_hat = 0.0
+    witness = None
     for k in range(n_pairs):
         x = sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 17), k)
         other = sl.sample_sequence(sys.space, sys.measure, sl.derive_seed(seed, 13), k)
@@ -420,7 +456,14 @@ def scalar_holder_estimate(sys, n_pairs, seed, grid=16, n_random=100):
         gap = fiber_c1_distance(
             sys.fiber_map_at(x), sys.fiber_map_at(y), grid, n_random, seed
         )
-        h_hat = max(h_hat, gap / d ** sys.holder_alpha)
+        q = gap / d ** sys.holder_alpha
+        if q > h_hat:
+            h_hat, witness = q, (k, radius, d, gap)
+    if not sys.is_locally_constant and h_hat > sys.family.holder_constant():
+        raise sl.CertificateViolationError(
+            "sampled Holder quotient %.6g exceeds declared %.6g (witness %r)"
+            % (h_hat, sys.family.holder_constant(), witness)
+        )
     return h_hat, sys.holder_alpha
 
 

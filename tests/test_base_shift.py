@@ -27,6 +27,7 @@ from _common import (
     closure_pair,
     depth4_system,
     golden_mean_base,
+    golden_mean_system,
     holder_system,
     scalar_symbol_rows,
     stable_pair,
@@ -653,6 +654,21 @@ def test_markov_rows_ending_below_one_yield_admissible_symbols(P, index):
         words.append(word)
     for start in (0, -3):  # stepped together, and each row's own window
         assert symbol_rows(xs, start, 4).tolist() == [w[start + 3:] for w in words]
+
+
+def test_support_is_validated_once_per_passing_pair():
+    system = golden_mean_system()
+    validate = sl.BaseMeasure.validate_support
+    validate.cache_clear()
+    sl.integrated_exponent(system, 32, 1000)
+    # 32 sampled orbits, one real check of the (measure, space) pair
+    assert (validate.cache_info().misses, validate.cache_info().hits) == (1, 31)
+    # a pair that fails is checked, and raises, on every call
+    sft, _ = golden_mean_base()
+    for misses in (2, 3):
+        with pytest.raises(ConfigurationError, match="full shift"):
+            sl.sample_sequence(sft, bernoulli2(), 0)
+        assert validate.cache_info().misses == misses
 
 
 def test_measure_validation():

@@ -10,6 +10,7 @@ import skewlab as sl
 import skewlab.fiber_maps as fm
 from skewlab.errors import ConfigurationError, NonConvergenceError
 import skewlab.holonomy as holonomy
+import skewlab.skew as skew
 from skewlab.holonomy import (
     BunchingReport,
     ConvergenceDiagnostics,
@@ -25,6 +26,7 @@ from _common import (
     depth4_system,
     golden_mean_system,
     holder_system,
+    mat_conorm,
     rotation_system,
     stable_pair,
     twisted_cat_system,
@@ -95,7 +97,7 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, se
             for t in pts:
                 _, d = f.apply(t)
                 sup_norm = max(sup_norm, fm.mat_norm(d))
-                sup_conorm = max(sup_conorm, fm.mat_conorm(d))
+                sup_conorm = max(sup_conorm, mat_conorm(d))
             worst = max(worst, sup_norm / sup_conorm * sys.space.metric_base ** beta)
     return BunchingReport(beta, worst, worst < 1.0, {"n_base": len(base_points),
                                                      "n_fiber": len(pts)})
@@ -110,17 +112,17 @@ def test_bunching_margin_matches_scalar_reference(make_system, monkeypatch):
     system = make_system()
     cases = [(1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))]
     # base points at which the default 16 x 16 grid and 200 random points first split
-    split = holonomy._BUNCHING_CELLS // (16 * 16 + 200)
+    split = skew._FIBER_CELLS // (16 * 16 + 200)
     cases += [(1.0, dict(n_base=n)) for n in (1, split, split + 1)]
     # fibre samples one short of, equal to and one past a chunk of the default base sample
     n_base = sl.fiber_bunching_margin(system, 1.0).sample_counts["n_base"]
-    chunk = holonomy._BUNCHING_CELLS // n_base
+    chunk = skew._FIBER_CELLS // n_base
     cases += [(1.0, dict(fiber_grid=0, n_fiber=n)) for n in (chunk - 1, chunk, chunk + 1)]
     for beta, kw in cases:
         report = sl.fiber_bunching_margin(system, beta, **kw)
         assert report == _scalar_bunching_margin(system, beta, **kw)
     # more base points than cells: one fibre point per step
-    monkeypatch.setattr(holonomy, "_BUNCHING_CELLS", 1)
+    monkeypatch.setattr(skew, "_FIBER_CELLS", 1)
     kw = dict(n_base=7, n_fiber=4, fiber_grid=3)
     assert sl.fiber_bunching_margin(system, 1.0, **kw) == _scalar_bunching_margin(system, 1.0, **kw)
 

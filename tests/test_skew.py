@@ -10,9 +10,9 @@ import pytest
 
 import skewlab as sl
 import skewlab.fiber_maps as fm
-from skewlab.errors import ConfigurationError
+from skewlab.errors import CertificateViolationError, ConfigurationError
 import skewlab.skew as skew
-from skewlab.skew import fiber_c1_distance, orbit_batch, orbit_maps
+from skewlab.skew import orbit_batch, orbit_maps
 
 from _common import (
     LOG_CAT,
@@ -22,11 +22,13 @@ from _common import (
     cat_map,
     cat_system,
     depth4_system,
+    fiber_c1_distance,
     golden_mean_system,
     holder_system,
     identity_map,
     lc_system,
     same_bits,
+    scalar_c1_distance,
     scalar_holder_estimate,
     scalar_iterate_cocycle,
     scalar_parameter,
@@ -265,6 +267,53 @@ def test_c1_distance_golden_mean_covers_every_word():
     assert sl.c1_distance(sys_f, sys_g) == want
 
 
+C1_PAIRS = {
+    "holder": lambda: (holder_system(), holder_system(eps=0.1)),
+    "twisted-cat": lambda: (twisted_cat_system(), cat_system()),
+    "golden-mean": lambda: (golden_mean_system(0.0), golden_mean_system(0.7)),
+    "depth4": lambda: (depth4_system(), twisted_cat_system()),
+}
+
+
+def _fiber_cells_cases(n_rows):
+    """(_FIBER_CELLS, keywords) pairs at the chunk boundaries of n_rows base points.
+
+    The default constant on the default sample; then a 32-point sample with
+    the constant at 1 (one fibre point per step) and at one short of, equal
+    to and one past the cells of the whole sample against n_rows.
+    """
+    small = dict(grid=5, n_random=7)
+    whole = n_rows * (5 * 5 + 7)
+    return [(skew._FIBER_CELLS, {})] + [(c, small) for c in (1, whole - 1, whole, whole + 1)]
+
+
+@pytest.mark.parametrize("pair", list(C1_PAIRS))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_c1_distance_matches_scalar_reference(pair, seed, monkeypatch):
+    sys_f, sys_g = C1_PAIRS[pair]()
+    n_rows = len(skew.generator_base_points(sys_f, 100, seed, 11))
+    for cells, kw in _fiber_cells_cases(n_rows):
+        monkeypatch.setattr(skew, "_FIBER_CELLS", cells)
+        got = sl.c1_distance(sys_f, sys_g, seed=seed, **kw)
+        assert got == scalar_c1_distance(sys_f, sys_g, seed=seed, **kw), (cells, kw)
+        assert got > 0.0
+
+
+def test_c1_distance_memory_does_not_grow_with_the_fiber_sample():
+    """Fibre points go through the array steps in chunks, not all at once."""
+    # at once, 50 x 4,296 points would peak near 9x
+    sys_f, sys_g = holder_system(), holder_system(eps=0.1)
+    peaks = []
+    for grid in (16, 64):
+        tracemalloc.start()
+        try:
+            sl.c1_distance(sys_f, sys_g, n_base_samples=50, grid=grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
 def test_generator_base_points():
     system = golden_mean_system()
     table = system.family.table
@@ -327,14 +376,31 @@ def test_holder_estimate_certificate_holds():
     assert 0.0 < h_hat <= system.family.holder_constant()
 
 
-@pytest.mark.parametrize("make_system", [holder_system, twisted_cat_system], ids=["holder", "lc"])
+@pytest.mark.parametrize(
+    "make_system",
+    [holder_system, twisted_cat_system, depth4_system],
+    ids=["holder", "lc", "depth4"],
+)
 @pytest.mark.parametrize("seed", [0, 3])
-def test_holder_estimate_matches_closure_partner_reference(make_system, seed):
+def test_holder_estimate_matches_closure_partner_reference(make_system, seed, monkeypatch):
     # 24 pairs: every radius 0..7 three times
     system = make_system()
-    got = sl.holder_estimate(system, n_pairs=24, seed=seed)
-    assert got == scalar_holder_estimate(system, 24, seed)
-    assert got[0] > 0.0
+    for cells, kw in _fiber_cells_cases(24):
+        monkeypatch.setattr(skew, "_FIBER_CELLS", cells)
+        got = sl.holder_estimate(system, n_pairs=24, seed=seed, **kw)
+        assert got == scalar_holder_estimate(system, 24, seed, **kw), (cells, kw)
+        assert got[0] > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_holder_estimate_witness_matches_scalar_reference(seed, monkeypatch):
+    system = holder_system()
+    monkeypatch.setattr(system.family, "holder_constant", lambda: 1e-3)
+    with pytest.raises(CertificateViolationError, match=r"\(witness \(") as got:
+        sl.holder_estimate(system, n_pairs=24, seed=seed)
+    with pytest.raises(CertificateViolationError) as want:
+        scalar_holder_estimate(system, 24, seed)
+    assert str(got.value) == str(want.value)
 
 
 def test_orbit_maps_holder_parameters_match_scalar_sum():

@@ -5,6 +5,11 @@ every module-level function, class or constant whose name starts with one
 underscore, must be read somewhere in that module.  ``__init__.py``
 re-exports names and is exempt.
 
+Every public module-level function or class of ``src/skewlab`` must be
+read somewhere in ``src/skewlab``, ``bench`` or ``demos``, unless a
+keep-list gives the reason it stays: code that only the tests call
+belongs in ``tests/_common``.
+
 Every ``BaseSequence(...)`` that ``src/skewlab`` builds gets a lookup
 whose class defines ``window``, or re-wraps an existing ``_lookup``: a
 lambda or a closure has no window, so ``BaseSequence.symbols`` would read
@@ -78,6 +83,53 @@ def test_unreferenced_finds_unused_imports_and_private_names():
         ("statistics", "import"), ("p", "import"), ("_UNUSED", "private constant"),
         ("_dead", "private FunctionDef"), ("_Gone", "private ClassDef"),
     ]
+
+
+# public names that only the tests read, kept on purpose
+TEST_ONLY_KEEP = {
+    # the cylinder weights p_w that a cycle-expansion exponent oracle is to sum
+    "cylinder_measure",
+    # the canonical config text that a run record's config hash is to read
+    "serialize_config",
+    # the sampled check of the Holder family's declared certificate
+    "holder_estimate",
+}
+READERS = [p for d in (SRC, ROOT / "bench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
+
+
+def unread_public(defining, reading):
+    """The public module-level functions and classes in defining that nothing in reading reads.
+
+    A read is a loaded Name or Attribute of that name, anywhere.
+    """
+    read = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for source in reading for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        node.name for source in defining for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_every_public_name_in_src_is_read_outside_the_tests():
+    unread = unread_public([p.read_text() for p in MODULES], [p.read_text() for p in READERS])
+    assert unread == sorted(TEST_ONLY_KEEP), (
+        "only the tests read %s; now read elsewhere, drop from the keep-list: %s"
+        % (sorted(set(unread) - TEST_ONLY_KEEP), sorted(TEST_ONLY_KEEP - set(unread)))
+    )
+
+
+def test_unread_public_finds_what_only_the_tests_read():
+    defining = [
+        "def used():\n    pass\ndef _private():\n    pass\nclass Read:\n    pass\n",
+        "class Unread:\n    pass\ndef via_attr():\n    pass\ndef stored():\n    pass\n"
+        "def lonely():\n    used()\nCONSTANT = 1\n",
+    ]
+    reading = ["import m\nused()\nx = m.via_attr\nm.stored = 1\nRead\nstored = 2\n"]
+    assert unread_public(defining, reading) == ["Unread", "lonely", "stored"]
 
 
 def _lookup_classes(expr, assigned):
