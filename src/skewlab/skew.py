@@ -13,9 +13,12 @@ walk's first window is one reach of the family wide.
 ``base_shift.symbol_rows`` call and has the family turn them into one key
 per orbit and step (a generator index, looked up in a trie of the table's
 words, or the standard-map parameter).  The exponent walks each orbit's
-keys: ``family.key_maps`` gives the map of each key to
-``accumulate_cocycle``, and ``table_cocycle`` multiplies a key's
-derivative matrix per step when every generator's derivative is constant.
+keys: ``table_cocycle`` multiplies a key's derivative matrix per step when
+every generator of a table has a constant derivative; ``keyed_cocycle``
+moves a fiber point through any other table, stepping a toral generator,
+or a toral map after a twist while the point is off the twist's disc,
+inline on floats; and a Holder family's ``key_maps`` gives the map of
+each key to ``accumulate_cocycle``.
 ``orbit_batch`` walks many orbits forward together on arrays, applying a
 whole step from the keys with the family's ``apply_many``; that step also
 runs inverted, and on a column of keys against a row of fibre points
@@ -48,6 +51,29 @@ def admissible_words(space, length):
     for _ in range(length - 1):
         words = [w + (b,) for w in words for b in symbols if space.admissible(w[-1], b)]
     return words
+
+
+def _step_plan(f):
+    """(a, b, c, d, disc) when f is a toral map M, or Composite([M, twist]); else None.
+
+    (a, b, c, d) is M's matrix, and disc is None for M or the twist's
+    (center u, center v, ``_near_sq``).  ``keyed_cocycle`` steps a point
+    off the disc as M alone, which is f's step bit for bit: off its disc
+    the twist returns (t, IDENTITY), and the composite's products I.I and
+    M.I are exact for integer entries whose zeros are +0.0.  A matrix
+    whose float determinant is not exactly 1 (entries past 2**26) has a
+    det defect, so it steps through ``apply``, which takes it.
+    """
+    disc = None
+    if type(f) is fm.Composite and len(f.factors) == 2:
+        f, twist = f.factors
+        if type(twist) is not fm.LocalizedTwist:
+            return None
+        disc = (twist.center[0], twist.center[1], twist._near_sq)
+    if type(f) is not fm.ToralAutomorphism:
+        return None
+    a, b, c, d = f.matrix
+    return (a, b, c, d, disc) if a * d - b * c == 1.0 else None
 
 
 class LocallyConstantFamily:
@@ -93,6 +119,8 @@ class LocallyConstantFamily:
         derivs = [tuple(f.apply_many(empty, empty)[2]) for f in self._maps]
         constant = not any(isinstance(e, np.ndarray) for d in derivs for e in d)
         self.derivatives = derivs if constant else None
+        # index -> the step ``keyed_cocycle`` takes inline, or None (``_step_plan``)
+        self.plans = [_step_plan(f) for f in self._maps]
 
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions whose words start at syms[0], ..."""
@@ -115,10 +143,6 @@ class LocallyConstantFamily:
         # some word has no generator: window_maps raises, naming the first
         for row in syms.reshape(-1, syms.shape[-1]).tolist():
             self.window_maps(row, n)
-
-    def key_maps(self, keys):
-        """The generator of each index in keys, lazily."""
-        return map(self._maps.__getitem__, keys)
 
     def apply_many(self, keys, u, v, inverse=False):
         """One step of every orbit: orbit i applies generator keys[i], or its inverse.
@@ -396,6 +420,49 @@ def table_cocycle(table, rows):
     # accumulate_cocycle's running maximum, taken over the generators met
     defects = (abs(a * d - b * c - 1.0) for a, b, c, d in map(table.__getitem__, met))
     return log_norm, max(0.0, *defects)
+
+
+def keyed_cocycle(family, rows, t):
+    """Log norm and det defect of ``accumulate_cocycle`` along one orbit from the fiber point t.
+
+    For a locally constant family: rows are the orbit's generator indices
+    as in ``table_cocycle``.  An index with a plan (``family.plans``) is
+    stepped inline on floats as its toral matrix, unless the point lies on
+    its twist's disc, by ``LocalizedTwist.apply``'s own squared-offset test;
+    there, and for an index with no plan, the generator's ``apply`` steps
+    it.  The product order, the renormalization and the defect are
+    ``accumulate_cocycle``'s, so both values are equal bit for bit.
+    """
+    plans, maps = family.plans, family._maps
+    u, v = t
+    p, q, r, s = fm.IDENTITY  # running product, row-major
+    log_acc = 0.0
+    det_defect = 0.0
+    k = 0
+    for keys in rows:
+        for k, key in enumerate(keys, k + 1):
+            plan = plans[key]
+            if plan is not None:
+                a, b, c, d, disc = plan
+                if disc is not None:
+                    cu, cv, near = disc
+                    y1 = (u - cu + 0.5) % 1.0 - 0.5
+                    y2 = (v - cv + 0.5) % 1.0 - 0.5
+                    if not y1 * y1 + y2 * y2 > near:
+                        plan = None
+            if plan is None:
+                (u, v), (a, b, c, d) = maps[key].apply((u, v))
+                defect = abs(a * d - b * c - 1.0)
+                if defect > det_defect:
+                    det_defect = defect
+            else:
+                u, v = (a * u + b * v) % 1.0, (c * u + d * v) % 1.0
+            p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            if k % RENORM_EVERY == 0:
+                nb = fm.mat_norm((p, q, r, s))
+                log_acc += math.log(nb)
+                p, q, r, s = p / nb, q / nb, r / nb, s / nb
+    return log_acc + math.log(fm.mat_norm((p, q, r, s))), det_defect
 
 
 def iterate_cocycle(sys, x, t, n):

@@ -141,17 +141,25 @@ EXPONENT_SYSTEMS = {  # name -> (system, walks fiber points)
 @pytest.mark.parametrize("name", list(EXPONENT_SYSTEMS))
 def test_integrated_exponent_matches_point_walk(name, n_steps, monkeypatch):
     # constant derivatives multiply the table's matrices and walk no fiber
-    # point; a derivative that depends on the point walks one per orbit
+    # point; a derivative that depends on the point walks one per orbit,
+    # by key for a table and through accumulate_cocycle for the Holder family
     make_system, walks = EXPONENT_SYSTEMS[name]
     system = make_system()
     calls = []
+    keyed_cocycle = skew.keyed_cocycle
 
     def counted(maps, t):
         maps = list(maps)
         calls.append(len(maps))
         return accumulate_cocycle(maps, t)
 
+    def counted_keyed(family, rows, t):
+        rows = [list(row) for row in rows]
+        calls.append(sum(map(len, rows)))
+        return keyed_cocycle(family, rows, t)
+
     monkeypatch.setattr(lyapunov, "accumulate_cocycle", counted)
+    monkeypatch.setattr(skew, "keyed_cocycle", counted_keyed)
     est = sl.integrated_exponent(system, 3, n_steps, seed=4)
     assert calls == ([n_steps] * 3 if walks else [])
     assert est == scalar_integrated_exponent(system, 3, n_steps, 4)

@@ -299,6 +299,26 @@ def test_c1_distance_matches_scalar_reference(pair, seed, monkeypatch):
         assert got > 0.0
 
 
+def test_c1_sups_match_each_one_point_gap_on_holder_pairs():
+    """With one fibre point each sup is one gap, so every gap is compared, not a maximum.
+
+    A last-bit change in the displacement's hypot (numpy's for math's)
+    moves some of these 2,560 values.
+    """
+    system = holder_system()
+    for seed in range(40):
+        xs, ys = (
+            [sl.sample_sequence(system.space, system.measure, sl.derive_seed(seed, s), k)
+             for k in range(64)]
+            for s in (17, 13)
+        )
+        sups = skew._c1_sups(system, xs, system, ys, grid=0, n_random=1, seed=seed)
+        assert sups == [
+            fiber_c1_distance(system.fiber_map_at(x), system.fiber_map_at(y), 0, 1, seed)
+            for x, y in zip(xs, ys)
+        ], seed
+
+
 def test_c1_distance_memory_does_not_grow_with_the_fiber_sample():
     """Fibre points go through the array steps in chunks, not all at once."""
     # at once, 50 x 4,296 points would peak near 9x
@@ -455,6 +475,78 @@ def _shared_map_system():
     """Both words map to one object, so every orbit meets the same generator."""
     f = cat_map()
     return lc_system(f, f)
+
+
+def _twist(first=False):
+    twist = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
+    return fm.Composite([twist, cat_map()] if first else [cat_map(), twist])
+
+
+KEYED_SYSTEMS = {  # name -> (system, whether a twisted generator has a step plan)
+    "twisted-cat": (twisted_cat_system, True),
+    "golden-mean": (golden_mean_system, True),
+    "twist-angle-0": (lambda: twisted_cat_system(T=0.0), True),
+    "depth4": (depth4_system, True),
+    "twist-first": (lambda: lc_system(cat_map(), _twist(first=True)), False),
+    "three-factors": (
+        lambda: lc_system(cat_map(), fm.Composite([identity_map(), *_twist().factors])),
+        False,
+    ),
+    "bare-twist": (lambda: lc_system(cat_map(), _twist().factors[1]), False),
+    "stdmap": (lambda: lc_system(cat_map(), fm.StandardMap(0.7)), False),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 17, 4100])  # 4100 crosses a 4096-step chunk
+@pytest.mark.parametrize("name", list(KEYED_SYSTEMS))
+def test_keyed_cocycle_matches_accumulate_cocycle_per_orbit(name, n_steps, monkeypatch):
+    """Each orbit's log norm and defect, before any mean, against the generators' own walk.
+
+    A planned generator's twist runs ``apply`` only on the steps whose point
+    is on its disc; an unplanned one runs it on every step it owns.
+    """
+    make_system, planned = KEYED_SYSTEMS[name]
+    system = make_system()
+    assert system.family.derivatives is None
+    applied = []
+    twist_apply = fm.LocalizedTwist.apply
+
+    def counted(self, t):
+        applied.append(t)
+        return twist_apply(self, t)
+
+    monkeypatch.setattr(fm.LocalizedTwist, "apply", counted)
+    keyed_applies = walk_applies = 0
+    for i in range(3):
+        x = sl.sample_sequence(system.space, system.measure, 7, i)
+        t = sl.random_fiber_point(8, i)
+        rows = [row[0].tolist() for row in skew.orbit_keys(system, [x], n_steps)]
+        applied.clear()
+        got = skew.keyed_cocycle(system.family, rows, t)
+        keyed_applies += len(applied)
+        applied.clear()
+        maps = (f for f, _ in orbit_maps(system, x, n=n_steps))
+        _, log_norm, _, defect = skew.accumulate_cocycle(maps, t)
+        walk_applies += len(applied)
+        assert repr(got) == repr((log_norm, defect)), i
+    if not planned:
+        assert keyed_applies == walk_applies
+    elif n_steps == 4100:
+        assert 0 < keyed_applies < walk_applies
+
+
+def test_step_plans_cover_toral_maps_and_toral_after_twist():
+    twisted = _twist()
+    family = sl.LocallyConstantFamily(
+        1, {0: cat_map(), 1: twisted, 2: _twist(first=True), 3: fm.StandardMap(0.7)}
+    )
+    tw = twisted.factors[1]
+    assert family.plans == [
+        (2.0, 1.0, 1.0, 1.0, None),
+        (2.0, 1.0, 1.0, 1.0, (tw.center[0], tw.center[1], tw._near_sq)),
+        None,
+        None,
+    ]
 
 
 @pytest.mark.parametrize(
