@@ -469,9 +469,8 @@ def symbol_rows(xs, start, stop):
     counter-RNG call (``rng.stream_uniforms``): each row is its own stream,
     read from start plus the row's shift offset.  The rows of Markov-sampled
     sequences of one measure whose window, after the offset, starts at
-    index 0 or later are stepped together (``_step_markov_rows``), when
-    there are two or more: the tape's own walk reads a lone row faster.
-    Every other row is its sequence's own ``symbols`` window.
+    index 0 or later are stepped together (``_step_markov_rows``).  Every
+    other row is its sequence's own ``symbols`` window.
     """
     n = max(stop - start, 0)
     # by id(measure): (cumulative weights, row numbers, keys, starts) of Bernoulli rows,
@@ -497,10 +496,7 @@ def symbol_rows(xs, start, stop):
     for at, syms in drawn:
         rows[at] = syms
     for walk in walks.values():
-        if len(walk) > 1:
-            _step_markov_rows(walk, n, rows)
-        else:
-            own.append(walk[0][0])
+        _step_markov_rows(walk, n, rows)
     for i in own:
         rows[i] = xs[i].symbols(start, stop)
     return rows

@@ -273,14 +273,19 @@ class LocalizedTwist(FiberMap):
         self.center = (center[0] % 1.0, center[1] % 1.0)
         self.radius = float(radius)
         self.angle = float(angle)
-        reach = BUMP_SUPPORT * self.radius  # _near_sq: its square, widened for rounding
-        self._near_sq = reach * reach * (1.0 + 1e-9)
+        reach = BUMP_SUPPORT * self.radius
+        # (center u, center v, squared reach widened for rounding): the support test
+        self.disc = (self.center[0], self.center[1], reach * reach * (1.0 + 1e-9))
 
     def apply(self, t):
-        """Fixes t when its squared offset is off the support, as in ``apply_many``."""
-        y1 = (t[0] - self.center[0] + 0.5) % 1.0 - 0.5
-        y2 = (t[1] - self.center[1] + 0.5) % 1.0 - 0.5
-        if y1 * y1 + y2 * y2 > self._near_sq:
+        """Fixes t when its squared offset is off the support, as in ``apply_many``.
+
+        ``skew.keyed_cocycle`` makes this same test on ``disc`` inline.
+        """
+        cu, cv, near_sq = self.disc
+        y1 = (t[0] - cu + 0.5) % 1.0 - 0.5
+        y2 = (t[1] - cv + 0.5) % 1.0 - 0.5
+        if y1 * y1 + y2 * y2 > near_sq:
             return t, IDENTITY
         r = math.hypot(y1, y2)
         s = r / self.radius
@@ -291,7 +296,7 @@ class LocalizedTwist(FiberMap):
         cp, sp = math.cos(phi), math.sin(phi)
         z1 = cp * y1 - sp * y2
         z2 = sp * y1 + cp * y2
-        image = ((self.center[0] + z1) % 1.0, (self.center[1] + z2) % 1.0)
+        image = ((cu + z1) % 1.0, (cv + z2) % 1.0)
         if drho == 0.0:
             return image, (cp, -sp, sp, cp)
         # D = Rot(phi) + (J Rot(phi) y) grad(phi)^T, grad(phi) = angle*rho'(s) y/(R r)
@@ -310,7 +315,7 @@ class LocalizedTwist(FiberMap):
         covers its rounding, so ``apply`` makes the exact support test.
         """
         y1, y2 = torus_delta((u, v), self.center)
-        near = np.flatnonzero(y1 * y1 + y2 * y2 <= self._near_sq)
+        near = np.flatnonzero(y1 * y1 + y2 * y2 <= self.disc[2])
         out_u, out_v = u.copy(), v.copy()
         a, d = np.ones(u.shape), np.ones(u.shape)
         b, c = np.zeros(u.shape), np.zeros(u.shape)

@@ -57,10 +57,10 @@ def _step_plan(f):
     """(a, b, c, d, disc) when f is a toral map M, or Composite([M, twist]); else None.
 
     (a, b, c, d) is M's matrix, and disc is None for M or the twist's
-    (center u, center v, ``_near_sq``).  ``keyed_cocycle`` steps a point
-    off the disc as M alone, which is f's step bit for bit: off its disc
-    the twist returns (t, IDENTITY), and the composite's products I.I and
-    M.I are exact for integer entries whose zeros are +0.0.  A matrix
+    ``LocalizedTwist.disc``.  ``keyed_cocycle`` steps a point off the disc
+    as M alone, which is f's step bit for bit: off its disc the twist
+    returns (t, IDENTITY), and the composite's products I.I and M.I are
+    exact for integer entries whose zeros are +0.0.  A matrix
     whose float determinant is not exactly 1 (entries past 2**26) has a
     det defect, so it steps through ``apply``, which takes it.
     """
@@ -69,7 +69,7 @@ def _step_plan(f):
         f, twist = f.factors
         if type(twist) is not fm.LocalizedTwist:
             return None
-        disc = (twist.center[0], twist.center[1], twist._near_sq)
+        disc = twist.disc
     if type(f) is not fm.ToralAutomorphism:
         return None
     a, b, c, d = f.matrix

@@ -520,33 +520,6 @@ def test_stepped_markov_rows_resume_from_their_checkpoints():
         assert symbol_rows(xs, start, start + n).tolist() == want.tolist(), (start, n)
 
 
-@pytest.mark.parametrize("start", [0, 64, 3000])
-def test_lone_markov_row_reads_its_own_tape(start, monkeypatch):
-    """One row of a measure walks its tape alone; two of one measure are stepped."""
-    golden, markov = golden_mean_base()
-    space3, markov3 = golden_mean_base(3)
-    stepped = []
-
-    def counted(walk, n, out):
-        stepped.append(sorted(i for i, _, _ in walk))
-        return step_markov_rows(walk, n, out)
-
-    step_markov_rows = sl.base_shift._step_markov_rows
-    monkeypatch.setattr(sl.base_shift, "_step_markov_rows", counted)
-    lone, fresh = (sl.sample_sequence(golden, markov, 5, 0) for _ in range(2))
-    got = symbol_rows([lone], start, start + 1000).tolist()
-    assert stepped == []
-    assert got == [[fresh.symbol(j) for j in range(start, start + 1000)]]
-    xs = [
-        sl.sample_sequence(golden, markov, 5, 1),
-        sl.sample_sequence(space3, markov3, 5, 2),
-        sl.sample_sequence(space3, markov3, 5, 3).shift(70),
-    ]
-    want = scalar_symbol_rows(xs, start, start + 100).tolist()
-    assert symbol_rows(xs, start, start + 100).tolist() == want
-    assert stepped == [[1, 2]]
-
-
 def test_stepped_rows_break_ties_as_bisect_right():
     """A uniform equal to a cumulative weight picks the symbol after it."""
     u = sl.counter_uniform(3, 0, 1)

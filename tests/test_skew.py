@@ -535,18 +535,43 @@ def test_keyed_cocycle_matches_accumulate_cocycle_per_orbit(name, n_steps, monke
         assert 0 < keyed_applies < walk_applies
 
 
+def _float_det_zero():
+    """Integer determinant 1, float determinant 0.0: 2**54 - 1 rounds to 2**54."""
+    return fm.ToralAutomorphism((2**27, 2**27 - 1, 2**27 + 1, 2**27))
+
+
 def test_step_plans_cover_toral_maps_and_toral_after_twist():
     twisted = _twist()
-    family = sl.LocallyConstantFamily(
-        1, {0: cat_map(), 1: twisted, 2: _twist(first=True), 3: fm.StandardMap(0.7)}
-    )
-    tw = twisted.factors[1]
+    big = _float_det_zero()
+    family = sl.LocallyConstantFamily(1, {
+        0: cat_map(), 1: twisted, 2: _twist(first=True), 3: fm.StandardMap(0.7),
+        4: big, 5: fm.Composite([big, twisted.factors[1]]),
+    })
     assert family.plans == [
         (2.0, 1.0, 1.0, 1.0, None),
-        (2.0, 1.0, 1.0, 1.0, (tw.center[0], tw.center[1], tw._near_sq)),
+        (2.0, 1.0, 1.0, 1.0, twisted.factors[1].disc),
+        None,
+        None,
         None,
         None,
     ]
+
+
+@pytest.mark.parametrize("keys", [[0], [1, 0, 1, 1], [1] * 20 + [0] + [1] * 20, [0, 1] * 4])
+def test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix(keys):
+    """A matrix whose float determinant is not 1 steps through ``apply``, defect and all.
+
+    The keys are chosen by hand: the matrix grows a product by about 2**28
+    a step, so a sampled orbit overflows ``mat_norm`` within one
+    renormalization block, in both walks alike.
+    """
+    gens = {0: _float_det_zero(), 1: _twist()}
+    family = sl.LocallyConstantFamily(1, gens)
+    assert family.derivatives is None
+    for t in [(0.3, 0.2), (0.7, 0.9)]:
+        got = skew.keyed_cocycle(family, [keys[:3], keys[3:]], t)
+        _, log_norm, _, defect = skew.accumulate_cocycle([gens[k] for k in keys], t)
+        assert repr(got) == repr((log_norm, defect)) and defect == 1.0, t
 
 
 @pytest.mark.parametrize(

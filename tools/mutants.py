@@ -12,10 +12,11 @@ checks that the named tests pass there, applies the mutant, and runs them
 again.  The mutant is killed when pytest reports failed tests; it
 survives when they all pass.  The script prints one line per mutant and
 exits 1 when a mutant survives, its text does not occur exactly once, or
-a run errs, 2 for a name not in the register, else 0.  It needs only the standard library and the test
-suite's own dependencies.  It is not part of the test suite, since each
-mutant runs pytest twice; ``tests/test_mutant_register.py`` checks that
-every old text still occurs exactly once and every named test exists.
+a run errs, 2 for a name not in the register, else 0.  It needs only the
+standard library and the test suite's own dependencies.  It is not part
+of the test suite, since each mutant runs pytest twice;
+``tests/test_mutant_register.py`` checks that every old text still occurs
+exactly once and every named test exists.
 """
 
 import collections
@@ -70,12 +71,15 @@ MUTANTS = [
         "                defect = 0.0\n",
         ["tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit"],
     ),
-    Mutant(
-        "lone-markov-row-stepped",
-        "src/skewlab/base_shift.py",
-        "        if len(walk) > 1:\n",
-        "        if len(walk) > 0:\n",
-        ["tests/test_base_shift.py::test_lone_markov_row_reads_its_own_tape"],
+    Mutant(  # a matrix with a float det defect planned, so its defect is lost
+        "keyed-det-guard-dropped",
+        "src/skewlab/skew.py",
+        "    return (a, b, c, d, disc) if a * d - b * c == 1.0 else None\n",
+        "    return (a, b, c, d, disc)\n",
+        [
+            "tests/test_skew.py::test_step_plans_cover_toral_maps_and_toral_after_twist",
+            "tests/test_skew.py::test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix",
+        ],
     ),
 ]
 
