@@ -83,10 +83,16 @@ def mat_det(m):
     return m[0] * m[3] - m[1] * m[2]
 
 
+_SCALE_ABOVE = 1e150  # past this t, t * t would overflow
+
+
 def mat_norm(m):
-    """Spectral norm of a 2x2 matrix, in closed form."""
+    """Spectral norm of a 2x2 matrix, in closed form; scaled by its largest entry past _SCALE_ABOVE."""
     a, b, c, d = m
     t = a * a + b * b + c * c + d * d
+    if t > _SCALE_ABOVE:
+        w = max(abs(a), abs(b), abs(c), abs(d))
+        return w * mat_norm((a / w, b / w, c / w, d / w))
     det = a * d - b * c
     disc = t * t - 4.0 * det * det
     if disc < 0.0:
@@ -95,8 +101,13 @@ def mat_norm(m):
 
 
 def mat_norms(a, b, c, d):
-    """``mat_norm`` over arrays of the four entries."""
+    """``mat_norm`` over arrays of the four entries, each scaled as ``mat_norm`` scales it."""
     t = a * a + b * b + c * c + d * d
+    big = t > _SCALE_ABOVE  # an array, or one bool for float entries
+    if big.any() if isinstance(big, np.ndarray) else big:
+        w = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))
+        w = np.where(big, w, 1.0)[()]
+        return w * mat_norms(a / w, b / w, c / w, d / w)
     det = a * d - b * c
     disc = np.maximum(t * t - 4.0 * det * det, 0.0)
     return np.sqrt(0.5 * (t + np.sqrt(disc)))
@@ -280,7 +291,7 @@ class LocalizedTwist(FiberMap):
     def apply(self, t):
         """Fixes t when its squared offset is off the support, as in ``apply_many``.
 
-        ``skew.keyed_cocycle`` makes this same test on ``disc`` inline.
+        ``skew.accumulate_cocycle`` makes this same test on ``disc`` inline.
         """
         cu, cv, near_sq = self.disc
         y1 = (t[0] - cu + 0.5) % 1.0 - 0.5

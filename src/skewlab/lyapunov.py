@@ -8,9 +8,10 @@ Monte Carlo orbits are addressed by counter-based streams derived from
 constant family has a constant derivative (toral maps and their
 compositions), the fiber cocycle is a random product of those matrices,
 the same at every fiber point: the walk multiplies the matrices
-(``skew.table_cocycle``) and draws no fiber point.  Any other table
-walks a fiber point by key (``skew.keyed_cocycle``), with its toral steps
-inline and a twist's ``apply`` only on the twist's disc.  The
+(``skew.table_cocycle``) and draws no fiber point.  Any other family
+walks a fiber point through ``skew.accumulate_cocycle``, one step per key
+from the family's ``key_steps``: a table's toral steps are taken inline,
+and a twist's ``apply`` runs only on the twist's disc.  The
 return map g of a periodic point runs on arrays: the pinching grid and
 the Oseledets frames step all their fiber points at once through
 ``g.apply_many``, equal bit for bit to one point at a time.  Once g's
@@ -63,8 +64,8 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     One ``skew.orbit_keys`` read serves each group of orbits whose keys fit
     ``skew._MAX_BATCH_CELLS``; a longer orbit streams its chunks alone.
     Each orbit walks its keys: ``skew.table_cocycle`` with a derivative
-    table, else a Lebesgue-sampled fiber point, by ``skew.keyed_cocycle``
-    for any other table and through ``family.key_maps`` for a Holder family.
+    table, else a Lebesgue-sampled fiber point through
+    ``accumulate_cocycle``, with the family's ``key_steps``.
     """
     check_counts(n_orbits=n_orbits, n_steps=n_steps)
     base_seed = derive_seed(seed, 1)
@@ -82,16 +83,13 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
         # a group's chunks fit the budget together; a lone orbit streams its own
         orbits = zip(*chunks) if len(xs) > 1 else [(c[0] for c in chunks)]
         for i, chunk_rows in enumerate(orbits, start):
-            rows = (row.tolist() for row in chunk_rows)
             if table is not None:
+                rows = (row.tolist() for row in chunk_rows)
                 log_norm, defects[i] = skew.table_cocycle(table, rows)
-            elif sys.is_locally_constant:
-                t = random_fiber_point(fiber_seed, i)
-                log_norm, defects[i] = skew.keyed_cocycle(sys.family, rows, t)
             else:
-                maps = itertools.chain.from_iterable(map(sys.family.key_maps, rows))
+                steps = itertools.chain.from_iterable(map(sys.family.key_steps, chunk_rows))
                 t = random_fiber_point(fiber_seed, i)
-                _, log_norm, _, defects[i] = accumulate_cocycle(maps, t)
+                _, log_norm, _, defects[i] = accumulate_cocycle(steps, t)
             values[i] = log_norm / n_steps
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0

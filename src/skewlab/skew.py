@@ -14,11 +14,13 @@ walk's first window is one reach of the family wide.
 per orbit and step (a generator index, looked up in a trie of the table's
 words, or the standard-map parameter).  The exponent walks each orbit's
 keys: ``table_cocycle`` multiplies a key's derivative matrix per step when
-every generator of a table has a constant derivative; ``keyed_cocycle``
-moves a fiber point through any other table, stepping a toral generator,
-or a toral map after a twist while the point is off the twist's disc,
-inline on floats; and a Holder family's ``key_maps`` gives the map of
-each key to ``accumulate_cocycle``.
+every generator of a table has a constant derivative; any other family
+gives ``accumulate_cocycle`` one step per key from its ``key_steps``.  A
+step is one tuple (a, b, c, d, disc, f): a table plans each generator once
+(``_step_plan``), so a toral generator, or a toral map after a twist while
+the point is off the twist's disc, is stepped inline on floats, and f's
+``apply`` takes every other step; ``unplanned`` makes the steps of bare
+maps, such as a Holder family's or ``orbit_maps``' for ``iterate_cocycle``.
 ``orbit_batch`` walks many orbits forward together on arrays, applying a
 whole step from the keys with the family's ``apply_many``; that step also
 runs inverted, and on a column of keys against a row of fibre points
@@ -28,6 +30,7 @@ take that step on ``fiber_chunks`` of the sample, with a running maximum
 per base point, which is exact in any order.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,26 +57,33 @@ def admissible_words(space, length):
 
 
 def _step_plan(f):
-    """(a, b, c, d, disc) when f is a toral map M, or Composite([M, twist]); else None.
+    """The step (a, b, c, d, disc, f) that ``accumulate_cocycle`` takes for the generator f.
 
-    (a, b, c, d) is M's matrix, and disc is None for M or the twist's
-    ``LocalizedTwist.disc``.  ``keyed_cocycle`` steps a point off the disc
-    as M alone, which is f's step bit for bit: off its disc the twist
-    returns (t, IDENTITY), and the composite's products I.I and M.I are
-    exact for integer entries whose zeros are +0.0.  A matrix
-    whose float determinant is not exactly 1 (entries past 2**26) has a
-    det defect, so it steps through ``apply``, which takes it.
+    A toral map M gives (a, b, c, d, None, None), M's matrix, stepped
+    inline.  Composite([M, twist]) gives M's matrix, the twist's
+    ``LocalizedTwist.disc`` and f: a point off the disc is stepped inline as
+    M alone, which is f's step bit for bit (off its disc the twist returns
+    (t, IDENTITY), and the composite's products I.I and M.I are exact for
+    integer entries whose zeros are +0.0), and f's ``apply`` steps a point
+    on it.  Any other map gives (None, None, None, None, None, f), and so
+    does a matrix whose float determinant is not exactly 1 (entries from
+    about 2**26.5 on): it has a det defect, which ``apply`` takes.
     """
-    disc = None
+    m, disc = f, None
     if type(f) is fm.Composite and len(f.factors) == 2:
-        f, twist = f.factors
-        if type(twist) is not fm.LocalizedTwist:
-            return None
-        disc = twist.disc
-    if type(f) is not fm.ToralAutomorphism:
-        return None
-    a, b, c, d = f.matrix
-    return (a, b, c, d, disc) if a * d - b * c == 1.0 else None
+        if type(f.factors[1]) is fm.LocalizedTwist:
+            m, disc = f.factors[0], f.factors[1].disc
+    if type(m) is fm.ToralAutomorphism:
+        a, b, c, d = m.matrix
+        if a * d - b * c == 1.0:
+            return a, b, c, d, disc, (f if disc else None)
+    return None, None, None, None, None, f
+
+
+def unplanned(maps):
+    """The steps (None, None, None, None, None, f) of ``accumulate_cocycle`` for each map f."""
+    none = itertools.repeat(None)
+    return zip(none, none, none, none, none, maps)
 
 
 class LocallyConstantFamily:
@@ -119,8 +129,9 @@ class LocallyConstantFamily:
         derivs = [tuple(f.apply_many(empty, empty)[2]) for f in self._maps]
         constant = not any(isinstance(e, np.ndarray) for d in derivs for e in d)
         self.derivatives = derivs if constant else None
-        # index -> the step ``keyed_cocycle`` takes inline, or None (``_step_plan``)
-        self.plans = [_step_plan(f) for f in self._maps]
+        # index -> the generator's step in ``accumulate_cocycle`` (``_step_plan``),
+        # in an object array, so that a row of keys gathers its steps in one index
+        self.plans = np.fromiter(map(_step_plan, self._maps), object, len(self._maps))
 
     def window_maps(self, syms, n):
         """(map, inverse) at the n positions whose words start at syms[0], ..."""
@@ -129,6 +140,10 @@ class LocallyConstantFamily:
             return list(map(self._pairs.__getitem__, words))
         except KeyError as exc:
             raise ConfigurationError("no generator for word %r" % (exc.args[0],))
+
+    def key_steps(self, keys):
+        """The step of ``accumulate_cocycle`` for each generator index in the array keys."""
+        return self.plans[keys].tolist()
 
     def window_keys(self, syms, n):
         """Generator indices at the n positions whose words start at syms[..., 0], ..."""
@@ -214,9 +229,9 @@ class HolderFamily:
         Ks = self.window_keys(syms, n).tolist()
         return [(f, f.inverse()) for f in map(fm.StandardMap, Ks)]
 
-    def key_maps(self, keys):
-        """StandardMap(K) for each parameter K in keys, lazily."""
-        return map(fm.StandardMap, keys)
+    def key_steps(self, keys):
+        """The step of ``accumulate_cocycle`` for each parameter K in the array keys: StandardMap(K)."""
+        return unplanned(map(fm.StandardMap, keys.tolist()))
 
     def apply_many(self, keys, u, v, inverse=False):
         """One step of every orbit: orbit i applies StandardMap(keys[i]), or its inverse.
@@ -367,21 +382,36 @@ def fiber_chunks(n_rows, u, v):
 RENORM_EVERY = 16  # steps between renormalizations of a running derivative product
 
 
-def accumulate_cocycle(maps, t):
-    """Endpoint, log norm, normalized tail and det defect of a map sequence.
+def accumulate_cocycle(steps, t):
+    """Endpoint, log norm, normalized tail and det defect of a walk from the fiber point t.
 
+    Each step is a tuple (a, b, c, d, disc, f): a family's ``key_steps``
+    (``_step_plan``), or ``unplanned`` maps.  With no f, or with the point
+    off the disc by ``LocalizedTwist.apply``'s own squared-offset test, the
+    point takes the step of the matrix (a, b, c, d) inline on floats, with
+    no det defect; otherwise f's ``apply`` takes it.
     The running derivative product is renormalized by its norm every
     RENORM_EVERY steps; the factored-out norms go into a log
     accumulator, so the result is exact up to round-off for up to 1e7 steps.
     """
+    u, v = t
     p, q, r, s = fm.IDENTITY  # running product, row-major
     log_acc = 0.0
     det_defect = 0.0
-    for k, f in enumerate(maps, 1):
-        t, (a, b, c, d) = f.apply(t)
-        defect = abs(a * d - b * c - 1.0)
-        if defect > det_defect:
-            det_defect = defect
+    for k, (a, b, c, d, disc, f) in enumerate(steps, 1):
+        if disc is not None:
+            cu, cv, near = disc
+            y1 = (u - cu + 0.5) % 1.0 - 0.5
+            y2 = (v - cv + 0.5) % 1.0 - 0.5
+            if y1 * y1 + y2 * y2 > near:
+                f = None
+        if f is None:
+            u, v = (a * u + b * v) % 1.0, (c * u + d * v) % 1.0
+        else:
+            (u, v), (a, b, c, d) = f.apply((u, v))
+            defect = abs(a * d - b * c - 1.0)
+            if defect > det_defect:
+                det_defect = defect
         p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
         if k % RENORM_EVERY == 0:
             nb = fm.mat_norm((p, q, r, s))
@@ -390,7 +420,7 @@ def accumulate_cocycle(maps, t):
     tail_norm = fm.mat_norm((p, q, r, s))
     log_norm = log_acc + math.log(tail_norm)
     tail = (p / tail_norm, q / tail_norm, r / tail_norm, s / tail_norm)
-    return t, log_norm, tail, det_defect
+    return (u, v), log_norm, tail, det_defect
 
 
 def table_cocycle(table, rows):
@@ -422,56 +452,13 @@ def table_cocycle(table, rows):
     return log_norm, max(0.0, *defects)
 
 
-def keyed_cocycle(family, rows, t):
-    """Log norm and det defect of ``accumulate_cocycle`` along one orbit from the fiber point t.
-
-    For a locally constant family: rows are the orbit's generator indices
-    as in ``table_cocycle``.  An index with a plan (``family.plans``) is
-    stepped inline on floats as its toral matrix, unless the point lies on
-    its twist's disc, by ``LocalizedTwist.apply``'s own squared-offset test;
-    there, and for an index with no plan, the generator's ``apply`` steps
-    it.  The product order, the renormalization and the defect are
-    ``accumulate_cocycle``'s, so both values are equal bit for bit.
-    """
-    plans, maps = family.plans, family._maps
-    u, v = t
-    p, q, r, s = fm.IDENTITY  # running product, row-major
-    log_acc = 0.0
-    det_defect = 0.0
-    k = 0
-    for keys in rows:
-        for k, key in enumerate(keys, k + 1):
-            plan = plans[key]
-            if plan is not None:
-                a, b, c, d, disc = plan
-                if disc is not None:
-                    cu, cv, near = disc
-                    y1 = (u - cu + 0.5) % 1.0 - 0.5
-                    y2 = (v - cv + 0.5) % 1.0 - 0.5
-                    if not y1 * y1 + y2 * y2 > near:
-                        plan = None
-            if plan is None:
-                (u, v), (a, b, c, d) = maps[key].apply((u, v))
-                defect = abs(a * d - b * c - 1.0)
-                if defect > det_defect:
-                    det_defect = defect
-            else:
-                u, v = (a * u + b * v) % 1.0, (c * u + d * v) % 1.0
-            p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-            if k % RENORM_EVERY == 0:
-                nb = fm.mat_norm((p, q, r, s))
-                log_acc += math.log(nb)
-                p, q, r, s = p / nb, q / nb, r / nb, s / nb
-    return log_acc + math.log(fm.mat_norm((p, q, r, s))), det_defect
-
-
 def iterate_cocycle(sys, x, t, n):
     """Orbit endpoint and log operator norm of the derivative product.
 
     Negative n follows the backward orbit with inverted generators.
     """
     maps = map(operator.itemgetter(0), orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
-    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
+    t, log_norm, tail, det_defect = accumulate_cocycle(unplanned(maps), t)
     return CocycleResult(t, log_norm, tail, int(n), det_defect)
 
 

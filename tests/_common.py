@@ -10,7 +10,9 @@ import skewlab.fiber_maps as fm
 from skewlab.holonomy import _fit_rate, stable_holonomy_jet
 from skewlab.lyapunov import oseledets_frames
 from skewlab.rng import _GOLDEN, _MASK, _M1, _M2
-from skewlab.skew import CocycleResult, accumulate_cocycle, generator_base_points, orbit_maps
+from skewlab.skew import (
+    CocycleResult, accumulate_cocycle, generator_base_points, orbit_maps, unplanned,
+)
 
 CAT = (2, 1, 1, 1)
 ROT90 = (0, -1, 1, 0)
@@ -162,7 +164,7 @@ def scalar_iterate_cocycle(sys, x, t, n):
         maps = [map_at(k) for k in range(n)]
     else:
         maps = [map_at(-k - 1).inverse() for k in range(-n)]
-    t, log_norm, tail, det_defect = accumulate_cocycle(maps, t)
+    t, log_norm, tail, det_defect = accumulate_cocycle(unplanned(maps), t)
     return CocycleResult(t, log_norm, tail, n, det_defect)
 
 
@@ -229,7 +231,7 @@ def scalar_exponent_grid(sys, p, grid, n_steps):
         for j in range(grid):
             t = ((i + 0.5) / grid, (j + 0.5) / grid)
             maps = itertools.repeat(g, n_steps)
-            out[i, j] = accumulate_cocycle(maps, t)[1] / n_steps
+            out[i, j] = accumulate_cocycle(unplanned(maps), t)[1] / n_steps
     return out
 
 

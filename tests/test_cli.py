@@ -116,6 +116,14 @@ def test_exponent_identity_is_zero(tmp_path, capsys):
     assert "exponent mean=" in capsys.readouterr().out
 
 
+def test_exponent_of_a_large_matrix_exits_0(tmp_path, capsys):
+    # 16 steps of this matrix overflowed mat_norm: a math domain error and a traceback
+    cfg = IDENTITY_CFG.replace("toral:1,0,0,1", "toral:70000,1,69999,1")
+    rc = main(["exponent", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert float(_read_csv(tmp_path / "exponent.csv")[0]["lambda_plus_mean"]) > 11.0
+
+
 def test_exponent_runs_on_a_deep_table_with_few_words(tmp_path, capsys):
     # the words were found among all 2**40 candidates, and looked up in a 2**40-entry array
     start = time.perf_counter()

@@ -392,6 +392,18 @@ def test_mat_norms_match_numpy_svd(a, b, c, d):
     assert abs(conorm - sv[1]) < tol
 
 
+def test_mat_norm_of_a_huge_matrix_is_finite_and_small_ones_keep_their_bits():
+    """Squared entries past 1e150 are scaled by the largest entry; t * t overflowed to inf."""
+    big = (2e100, 1e100, 1e100, 1e100)
+    small = (1e-3, 2.0, 3.0, 4e74)  # t just under 1e150: no scaling
+    want = 1e100 * fm.mat_norm((2.0, 1.0, 1.0, 1.0))
+    assert fm.mat_norm(big) == pytest.approx(want, rel=4e-16)
+    norms = fm.mat_norms(*(np.array([x, y, 1.0]) for x, y in zip(big, small)))
+    assert norms[0] == pytest.approx(want, rel=4e-16)
+    assert [norms[1], norms[2]] == [fm.mat_norm(small), fm.mat_norm((1.0,) * 4)]
+    assert fm.mat_norms(*big) == pytest.approx(want, rel=4e-16)
+
+
 def test_torus_distance_wraps():
     assert fm.torus_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)
     assert fm.torus_distance((0.2, 0.3), (0.2, 0.3)) == 0.0

@@ -74,8 +74,12 @@ def test_bunching_rejects_empty_samples():
     assert report.worst_margin == pytest.approx(CAT_RATIO * 0.5, rel=1e-9)
 
 
-def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
-    """fiber_bunching_margin one fiber point at a time (the reference)."""
+def _scalar_row_sups(sys, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
+    """fiber_bunching_margin's sups one fiber point at a time (the reference).
+
+    One row per base point, [(sup ||Df||, sup m(Df)) of f, the same of f^-1],
+    and the number of fibre points.
+    """
     if sys.is_locally_constant:
         base_points = [
             sl.BaseSequence(sys.space, lambda j, w=w: w[min(max(j, 0), len(w) - 1)])
@@ -89,8 +93,9 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, se
     side = fiber_grid
     pts = [((i + 0.5) / side, (j + 0.5) / side) for i in range(side) for j in range(side)]
     pts.extend(sl.random_fiber_point(seed, i, stream=3) for i in range(n_fiber))
-    worst = 0.0
+    rows = []
     for x in base_points:
+        row = []
         for f in next(orbit_maps(sys, x, n=1)):
             sup_norm = 0.0
             sup_conorm = 0.0
@@ -98,16 +103,28 @@ def _scalar_bunching_margin(sys, beta, n_base=50, n_fiber=200, fiber_grid=16, se
                 _, d = f.apply(t)
                 sup_norm = max(sup_norm, fm.mat_norm(d))
                 sup_conorm = max(sup_conorm, mat_conorm(d))
+            row.append((sup_norm, sup_conorm))
+        rows.append(row)
+    return rows, len(pts)
+
+
+def _scalar_bunching_margin(sys, beta, **kw):
+    """fiber_bunching_margin one fiber point at a time (the reference)."""
+    rows, n_fiber = _scalar_row_sups(sys, **kw)
+    worst = 0.0
+    for row in rows:
+        for sup_norm, sup_conorm in row:
             worst = max(worst, sup_norm / sup_conorm * sys.space.metric_base ** beta)
-    return BunchingReport(beta, worst, worst < 1.0, {"n_base": len(base_points),
-                                                     "n_fiber": len(pts)})
+    return BunchingReport(beta, worst, worst < 1.0, {"n_base": len(rows), "n_fiber": n_fiber})
 
 
-@pytest.mark.parametrize(
-    "make_system",
-    [twisted_cat_system, rotation_system, golden_mean_system, holder_system,
-     lambda: holder_system(metric_base=0.5, eps=0.3), depth4_system],
-)
+BUNCHING_SYSTEMS = [
+    twisted_cat_system, rotation_system, golden_mean_system, holder_system,
+    lambda: holder_system(metric_base=0.5, eps=0.3), depth4_system,
+]
+
+
+@pytest.mark.parametrize("make_system", BUNCHING_SYSTEMS)
 def test_bunching_margin_matches_scalar_reference(make_system, monkeypatch):
     system = make_system()
     cases = [(1.0, {}), (0.7, dict(n_base=7, n_fiber=31, fiber_grid=5, seed=4))]
@@ -125,6 +142,32 @@ def test_bunching_margin_matches_scalar_reference(make_system, monkeypatch):
     monkeypatch.setattr(skew, "_FIBER_CELLS", 1)
     kw = dict(n_base=7, n_fiber=4, fiber_grid=3)
     assert sl.fiber_bunching_margin(system, 1.0, **kw) == _scalar_bunching_margin(system, 1.0, **kw)
+
+
+@pytest.mark.parametrize("cells", [skew._FIBER_CELLS, 1])
+@pytest.mark.parametrize("make_system", BUNCHING_SYSTEMS)
+def test_bunching_row_sups_match_each_base_points_scalar_sups(make_system, cells, monkeypatch):
+    """Every base point's sups of f and f^-1, before the worst margin is taken.
+
+    ``_row_sups`` runs on the keys and fibre chunks of ``fiber_bunching_margin``
+    with a running maximum per base point, each compared by ``==`` with the
+    one-point maxima of the reference.
+    """
+    monkeypatch.setattr(skew, "_FIBER_CELLS", cells)
+    system = make_system()
+    base_points = skew.generator_base_points(system, 50, 0, 23)
+    u, v = fm.sample_points(16, 200, 0, 1003)
+    keys = next(skew.orbit_keys(system, base_points, 1))
+    sups = np.zeros((2, 2, len(keys)))
+    for cu, cv in skew.fiber_chunks(len(keys), u, v):
+        for inverse, sup in zip((False, True), sups):
+            deriv = system.family.apply_many(keys, cu, cv, inverse)[2]
+            np.maximum(sup, holonomy._row_sups(deriv), out=sup)
+    rows, n_fiber = _scalar_row_sups(system)
+    assert n_fiber == len(u) and len(rows) == len(base_points)
+    for i, row in enumerate(rows):
+        got = [tuple(sups[inverse, :, i].tolist()) for inverse in (0, 1)]
+        assert got == row, i
 
 
 def _bunching_peaks(system, runs):

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -20,7 +21,7 @@ from skewlab.lyapunov import (
     projective_gap,
     return_map_exponent_grid,
 )
-from skewlab.skew import accumulate_cocycle
+from skewlab.skew import accumulate_cocycle, unplanned
 
 from _common import (
     BATCH_IDS,
@@ -62,6 +63,37 @@ def test_pointwise_exponent_shear():
     x = sl.periodic_point(system.space, (0,))
     n = 10000
     assert 0.0 < sl.iterate_cocycle(system, x, (0.3, 0.7), n).log_norm / n <= math.log(n + 1) / n
+
+
+BIG = (70000, 1, 69999, 1)  # det 1; 16 steps take the product past 1e77, its t * t past 1e308
+
+
+def _exact_log_norm(m, n):
+    """log ||M^n|| from Python integers: det M^n = 1, so ||M^n||^2 = (t + sqrt(t^2 - 4)) / 2."""
+    a, b, c, d = m
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(n):
+        p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    t = p * p + q * q + r * r + s * s
+    return (math.log(t + math.isqrt(t * t - 4)) - math.log(2)) / 2
+
+
+def test_exponent_of_a_large_matrix_matches_its_exact_norm():
+    """The table walk and the return-map grid renormalize a product whose squared norm overflowed.
+
+    Each step rounds the product's entries by 2**-53 relative, so after
+    100 steps the log norm is off by about 1e-14 of its 1,116.
+    """
+    big = fm.ToralAutomorphism(BIG)
+    system = lc_system(big, big)
+    for n_steps in (16, 100):
+        exact = _exact_log_norm(BIG, n_steps) / n_steps
+        assert math.isclose(sl.integrated_exponent(system, 2, n_steps).mean, exact, rel_tol=1e-13)
+    grid = return_map_exponent_grid(system, sl.PeriodicPoint((0,)), 2, 100)
+    assert np.allclose(grid, _exact_log_norm(BIG, 100) / 100, rtol=1e-13, atol=0.0)
+    twist = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
+    twisted = sl.integrated_exponent(lc_system(big, fm.Composite([big, twist])), 2, 100)
+    assert math.isfinite(twisted.mean)
 
 
 def test_monotone_stabilization():
@@ -141,25 +173,18 @@ EXPONENT_SYSTEMS = {  # name -> (system, walks fiber points)
 @pytest.mark.parametrize("name", list(EXPONENT_SYSTEMS))
 def test_integrated_exponent_matches_point_walk(name, n_steps, monkeypatch):
     # constant derivatives multiply the table's matrices and walk no fiber
-    # point; a derivative that depends on the point walks one per orbit,
-    # by key for a table and through accumulate_cocycle for the Holder family
+    # point; a derivative that depends on the point walks one per orbit
+    # through accumulate_cocycle, one step per key
     make_system, walks = EXPONENT_SYSTEMS[name]
     system = make_system()
     calls = []
-    keyed_cocycle = skew.keyed_cocycle
 
-    def counted(maps, t):
-        maps = list(maps)
-        calls.append(len(maps))
-        return accumulate_cocycle(maps, t)
-
-    def counted_keyed(family, rows, t):
-        rows = [list(row) for row in rows]
-        calls.append(sum(map(len, rows)))
-        return keyed_cocycle(family, rows, t)
+    def counted(steps, t):
+        steps = list(steps)
+        calls.append(len(steps))
+        return accumulate_cocycle(steps, t)
 
     monkeypatch.setattr(lyapunov, "accumulate_cocycle", counted)
-    monkeypatch.setattr(skew, "keyed_cocycle", counted_keyed)
     est = sl.integrated_exponent(system, 3, n_steps, seed=4)
     assert calls == ([n_steps] * 3 if walks else [])
     assert est == scalar_integrated_exponent(system, 3, n_steps, 4)
@@ -345,7 +370,7 @@ def _gap(a, b):
 def _scalar_frame(sys, p, t, depth, delta_pinch=DELTA_PINCH, gap_steps=400):
     """One point with the scalar cocycle, each depth walked on its own."""
     g = sl.return_map(sys, p)
-    gap = accumulate_cocycle(itertools.repeat(g, gap_steps), t)[1] / gap_steps
+    gap = accumulate_cocycle(unplanned(itertools.repeat(g, gap_steps)), t)[1] / gap_steps
     if gap < delta_pinch:
         return OseledetsFrame(0.0, 0.0, gap, False, depth)
     g_inv = g.inverse()

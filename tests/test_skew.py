@@ -497,13 +497,19 @@ KEYED_SYSTEMS = {  # name -> (system, whether a twisted generator has a step pla
 }
 
 
+def _key_steps(family, rows):
+    return itertools.chain.from_iterable(map(family.key_steps, rows))
+
+
 @pytest.mark.parametrize("n_steps", [1, 17, 4100])  # 4100 crosses a 4096-step chunk
 @pytest.mark.parametrize("name", list(KEYED_SYSTEMS))
 def test_keyed_cocycle_matches_accumulate_cocycle_per_orbit(name, n_steps, monkeypatch):
-    """Each orbit's log norm and defect, before any mean, against the generators' own walk.
+    """Each orbit's walk by key against its maps' walk: endpoint, log norm, tail and defect.
 
-    A planned generator's twist runs ``apply`` only on the steps whose point
-    is on its disc; an unplanned one runs it on every step it owns.
+    The family's planned steps (``key_steps``) are walked against the
+    generators met along the orbit, ``unplanned``, every step through
+    ``apply``.  A planned generator's twist runs ``apply`` only on the steps
+    whose point is on its disc; an unplanned one runs it on every step it owns.
     """
     make_system, planned = KEYED_SYSTEMS[name]
     system = make_system()
@@ -520,15 +526,15 @@ def test_keyed_cocycle_matches_accumulate_cocycle_per_orbit(name, n_steps, monke
     for i in range(3):
         x = sl.sample_sequence(system.space, system.measure, 7, i)
         t = sl.random_fiber_point(8, i)
-        rows = [row[0].tolist() for row in skew.orbit_keys(system, [x], n_steps)]
+        rows = [row[0] for row in skew.orbit_keys(system, [x], n_steps)]
         applied.clear()
-        got = skew.keyed_cocycle(system.family, rows, t)
+        got = skew.accumulate_cocycle(_key_steps(system.family, rows), t)
         keyed_applies += len(applied)
         applied.clear()
         maps = (f for f, _ in orbit_maps(system, x, n=n_steps))
-        _, log_norm, _, defect = skew.accumulate_cocycle(maps, t)
+        want = skew.accumulate_cocycle(skew.unplanned(maps), t)
         walk_applies += len(applied)
-        assert repr(got) == repr((log_norm, defect)), i
+        assert repr(got) == repr(want), i
     if not planned:
         assert keyed_applies == walk_applies
     elif n_steps == 4100:
@@ -543,17 +549,12 @@ def _float_det_zero():
 def test_step_plans_cover_toral_maps_and_toral_after_twist():
     twisted = _twist()
     big = _float_det_zero()
-    family = sl.LocallyConstantFamily(1, {
-        0: cat_map(), 1: twisted, 2: _twist(first=True), 3: fm.StandardMap(0.7),
-        4: big, 5: fm.Composite([big, twisted.factors[1]]),
-    })
-    assert family.plans == [
-        (2.0, 1.0, 1.0, 1.0, None),
-        (2.0, 1.0, 1.0, 1.0, twisted.factors[1].disc),
-        None,
-        None,
-        None,
-        None,
+    others = [_twist(first=True), fm.StandardMap(0.7), big, fm.Composite([big, twisted.factors[1]])]
+    family = sl.LocallyConstantFamily(1, dict(enumerate([cat_map(), twisted, *others])))
+    assert family.plans.tolist() == [
+        (2.0, 1.0, 1.0, 1.0, None, None),
+        (2.0, 1.0, 1.0, 1.0, twisted.factors[1].disc, twisted),
+        *((None, None, None, None, None, f) for f in others),
     ]
 
 
@@ -561,17 +562,16 @@ def test_step_plans_cover_toral_maps_and_toral_after_twist():
 def test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix(keys):
     """A matrix whose float determinant is not 1 steps through ``apply``, defect and all.
 
-    The keys are chosen by hand: the matrix grows a product by about 2**28
-    a step, so a sampled orbit overflows ``mat_norm`` within one
-    renormalization block, in both walks alike.
+    The keys are chosen by hand, so that the matrix's steps fall before,
+    between and after the twist's, within a row and across rows.
     """
     gens = {0: _float_det_zero(), 1: _twist()}
     family = sl.LocallyConstantFamily(1, gens)
     assert family.derivatives is None
     for t in [(0.3, 0.2), (0.7, 0.9)]:
-        got = skew.keyed_cocycle(family, [keys[:3], keys[3:]], t)
-        _, log_norm, _, defect = skew.accumulate_cocycle([gens[k] for k in keys], t)
-        assert repr(got) == repr((log_norm, defect)) and defect == 1.0, t
+        got = skew.accumulate_cocycle(_key_steps(family, np.split(keys, [3])), t)
+        want = skew.accumulate_cocycle(skew.unplanned([gens[k] for k in keys]), t)
+        assert repr(got) == repr(want) and want[3] == 1.0, t
 
 
 @pytest.mark.parametrize(

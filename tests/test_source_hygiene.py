@@ -5,10 +5,10 @@ every module-level function, class or constant whose name starts with one
 underscore, must be read somewhere in that module.  ``__init__.py``
 re-exports names and is exempt.
 
-Every public module-level function or class of ``src/skewlab`` must be
-read somewhere in ``src/skewlab``, ``bench`` or ``demos``, unless a
-keep-list gives the reason it stays: code that only the tests call
-belongs in ``tests/_common``.
+Every public module-level function or class of ``src/skewlab``, and every
+public method of its classes, must be read somewhere in ``src/skewlab``,
+``bench`` or ``demos``, unless a keep-list gives the reason it stays: code
+that only the tests call belongs in ``tests/_common``.
 
 Every ``BaseSequence(...)`` that ``src/skewlab`` builds gets a lookup
 whose class defines ``window``, or re-wraps an existing ``_lookup``: a
@@ -97,16 +97,21 @@ TEST_ONLY_KEEP = {
 READERS = [p for d in (SRC, ROOT / "bench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
 
 
+def _read_names(reading):
+    """The names of the loaded Names and Attributes in the reading sources."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for source in reading for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unread_public(defining, reading):
     """The public module-level functions and classes in defining that nothing in reading reads.
 
     A read is a loaded Name or Attribute of that name, anywhere.
     """
-    read = {
-        getattr(node, "id", None) or getattr(node, "attr", None)
-        for source in reading for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    read = _read_names(reading)
     return sorted(
         node.name for source in defining for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -130,6 +135,51 @@ def test_unread_public_finds_what_only_the_tests_read():
     ]
     reading = ["import m\nused()\nx = m.via_attr\nm.stored = 1\nRead\nstored = 2\n"]
     assert unread_public(defining, reading) == ["Unread", "lonely", "stored"]
+
+
+# public methods, as "Class.method", that only the tests read, kept on purpose: none
+TEST_ONLY_METHODS_KEEP = set()
+
+
+def unread_methods(defining, reading):
+    """"Class.method" for each public method of a class in defining that nothing in reading reads.
+
+    A read is a loaded Name or Attribute of the method's name, or a string
+    equal to it (``bench/tracing.py`` patches methods by name), anywhere.
+    """
+    read = _read_names(reading) | {
+        node.value for source in reading for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return sorted(
+        "%s.%s" % (cls.name, node.name)
+        for source in defining for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_every_public_method_in_src_is_read_outside_the_tests():
+    unread = unread_methods([p.read_text() for p in MODULES], [p.read_text() for p in READERS])
+    assert unread == sorted(TEST_ONLY_METHODS_KEEP), (
+        "only the tests read %s; now read elsewhere, drop from the keep-list: %s"
+        % (sorted(set(unread) - TEST_ONLY_METHODS_KEEP),
+           sorted(TEST_ONLY_METHODS_KEEP - set(unread)))
+    )
+
+
+def test_unread_methods_finds_what_only_the_tests_read():
+    defining = [
+        "class Family:\n    def key_steps(self):\n        pass\n"
+        "    def key_maps(self):\n        pass\n    def _private(self):\n        pass\n"
+        "    @property\n    def depth(self):\n        pass\n"
+        "    def patched(self):\n        pass\n"
+        "def key_maps():\n    pass\n",
+    ]
+    reading = ["family.key_steps(keys)\nx = family.depth\npatch(Family, 'patched')\n"]
+    assert unread_methods(defining, reading) == ["Family.key_maps"]
 
 
 def _lookup_classes(expr, assigned):

@@ -41,15 +41,18 @@ MUTANTS = [
     Mutant(  # every step through apply: the same values, more twist calls
         "keyed-no-plans",
         "src/skewlab/skew.py",
-        "            plan = plans[key]\n",
-        "            plan = None\n",
-        ["tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit"],
+        "map(_step_plan, self._maps)",
+        "((None, None, None, None, None, f) for f in self._maps)",
+        [
+            "tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit",
+            "tests/test_skew.py::test_step_plans_cover_toral_maps_and_toral_after_twist",
+        ],
     ),
     Mutant(
         "keyed-twist-never-applied",
         "src/skewlab/skew.py",
-        "                    if not y1 * y1 + y2 * y2 > near:\n",
-        "                    if False:\n",
+        "            if y1 * y1 + y2 * y2 > near:\n",
+        "            if True:\n",
         [
             "tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit",
             "tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk",
@@ -62,24 +65,39 @@ MUTANTS = [
         "u, v = (a * u + c * v) % 1.0, (b * u + d * v) % 1.0",
         ["tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit"],
     ),
-    Mutant(
+    Mutant(  # the walk's own defect: the table product keeps its own
         "keyed-defect-dropped",
         "src/skewlab/skew.py",
-        "                (u, v), (a, b, c, d) = maps[key].apply((u, v))\n"
-        "                defect = abs(a * d - b * c - 1.0)\n",
-        "                (u, v), (a, b, c, d) = maps[key].apply((u, v))\n"
-        "                defect = 0.0\n",
-        ["tests/test_skew.py::test_keyed_cocycle_matches_accumulate_cocycle_per_orbit"],
+        "            defect = abs(a * d - b * c - 1.0)\n",
+        "            defect = 0.0\n",
+        [
+            "tests/test_skew.py::test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix",
+            "tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk",
+        ],
     ),
     Mutant(  # a matrix with a float det defect planned, so its defect is lost
         "keyed-det-guard-dropped",
         "src/skewlab/skew.py",
-        "    return (a, b, c, d, disc) if a * d - b * c == 1.0 else None\n",
-        "    return (a, b, c, d, disc)\n",
+        "        if a * d - b * c == 1.0:\n",
+        "        if True:\n",
         [
             "tests/test_skew.py::test_step_plans_cover_toral_maps_and_toral_after_twist",
             "tests/test_skew.py::test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix",
         ],
+    ),
+    Mutant(  # the walk's product, which both sides of the per-orbit test share
+        "walk-product-row",
+        "src/skewlab/skew.py",
+        "\n        p, q, r, s = a * p + b * r, a * q + b * s,",
+        "\n        p, q, r, s = a * p + b * r, a * q + b * r,",
+        ["tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk"],
+    ),
+    Mutant(  # m(A) as 1 / ||A||, dropping the rounding of det A
+        "bunching-conorm-det-one",
+        "src/skewlab/holonomy.py",
+        "abs(a * d - b * c), norms, out=",
+        "1.0, norms, out=",
+        ["tests/test_holonomy.py::test_bunching_row_sups_match_each_base_points_scalar_sups"],
     ),
 ]
 
