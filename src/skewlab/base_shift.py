@@ -28,10 +28,11 @@ other lookup (a hand-made sequence) is asked one index at a time.
 ``symbol_rows`` reads one window of many sequences:
 the rows of Bernoulli-sampled sequences of one measure come from one
 many-stream counter-RNG call (``rng.stream_uniforms``); the forward rows
-(window at index 0 or later) of Markov-sampled sequences of one
-measure are stepped together, one many-stream draw per block of 64 steps
-and one array gather per step, resuming from their tapes' checkpoints and
-leaving new ones; every other row is its sequence's own window.
+(window at index 0 or later) of Markov-sampled sequences that share a
+measure, a first index and a checkpoint block are stepped together in
+lockstep, one many-stream draw per block of 64 steps and one array gather
+per step, resuming from their tapes' checkpoint and leaving new ones;
+every other row is its sequence's own window.
 """
 
 import itertools
@@ -468,13 +469,14 @@ def symbol_rows(xs, start, stop):
     The rows of Bernoulli-sampled sequences of one measure come from one
     counter-RNG call (``rng.stream_uniforms``): each row is its own stream,
     read from start plus the row's shift offset.  The rows of Markov-sampled
-    sequences of one measure whose window, after the offset, starts at
-    index 0 or later are stepped together (``_step_markov_rows``).  Every
-    other row is its sequence's own ``symbols`` window.
+    sequences whose window, after the offset, starts at index 0 or later
+    are stepped together (``_step_markov_rows``), a group for each measure,
+    first index and checkpoint block the tape resumes from.  Every other
+    row is its sequence's own ``symbols`` window.
     """
     n = max(stop - start, 0)
-    # by id(measure): (cumulative weights, row numbers, keys, starts) of Bernoulli rows,
-    # and (row number, tape, first index) of each Markov row
+    # by id(measure): (cumulative weights, row numbers, keys, starts) of Bernoulli rows;
+    # by (id(measure), first index, checkpoint block): (row numbers, tapes) of Markov rows
     groups, walks, own = {}, {}, []
     for i, x in enumerate(xs):
         tape, first = x._lookup, start + x.offset
@@ -484,7 +486,10 @@ def symbol_rows(xs, start, stop):
             keys.append(tape.key)
             starts.append(first)
         elif type(tape) is _MarkovTape and first >= 0 and n:
-            walks.setdefault(id(tape.measure), []).append((i, tape, first))
+            b = min(first // _BLOCK, len(tape.fwd) - 1)
+            at, tapes = walks.setdefault((id(tape.measure), first, b), ([], []))
+            at.append(i)
+            tapes.append(tape)
         else:
             own.append(i)
     # drawn before the rows are allocated, so a read holds at most two arrays of its size
@@ -495,23 +500,22 @@ def symbol_rows(xs, start, stop):
     rows = np.empty((len(xs), n), dtype=np.intp)
     for at, syms in drawn:
         rows[at] = syms
-    for walk in walks.values():
-        _step_markov_rows(walk, n, rows)
+    for (_, first, b), (at, tapes) in walks.items():
+        _step_markov_rows(tapes, at, first, b, rows)
     for i in own:
         rows[i] = xs[i].symbols(start, stop)
     return rows
 
 
-def _step_markov_rows(walk, n, out):
-    """Write the windows [first, first + n) of forward Markov rows of one measure into out.
+def _step_markov_rows(tapes, at, first, b, out):
+    """Write the tapes' windows [first, first + n), n out's width, into out's rows at.
 
-    ``walk`` lists (row of out, tape, first) with first >= 0.  Each row
-    starts from its tape's last forward checkpoint at or below its window;
-    a row at block 0 starts in an extra state d, "draw from pi".  Every row
-    then takes its next block at once: one ``stream_uniforms`` draw of
-    _BLOCK uniforms per row, one lookup giving the next state of every row
-    at every step from each of the d + 1 states, stored as a flat pointer
-    (row * (d + 1) + state), and one gather ``p = table[t][p]`` per step.
+    The tapes share a measure and hold the checkpoint ``fwd[b]``, from which
+    they walk in lockstep (block 0 from an extra state d, "draw from pi").
+    Each block takes one ``stream_uniforms`` draw of _BLOCK uniforms per
+    tape, one lookup giving the next state of every tape at every step from
+    each of the d + 1 states, stored as a flat pointer (row * (d + 1) +
+    state), and one gather ``p = table[t][p]`` per step.
 
     The lookup is exact.  u < 1 and each cumulative row is nondecreasing up
     to its entries pinned at 1.0, so its entries <= u form a prefix, whose
@@ -522,16 +526,10 @@ def _step_markov_rows(walk, n, out):
     the pick of every state.
 
     The checkpoint of every block passed is appended to its tape's ``fwd``,
-    so a later read of the same rows resumes there.  Rows are ordered by the
-    blocks they walk, most first, so the rows still walking are a prefix,
-    and memory stays O(rows * _BLOCK * d) beyond out, whatever the offsets.
+    so a later read resumes there, and memory stays O(tapes * _BLOCK * d)
+    beyond out.
     """
-    plan = []
-    for i, tape, first in walk:
-        b = min(first // _BLOCK, len(tape.fwd) - 1)
-        plan.append(((first + n - 1) // _BLOCK + 1 - b, b, i, tape, first))
-    plan.sort(key=lambda row: -row[0])
-    counts, begins, at, tapes, firsts = zip(*plan)
+    n = out.shape[1]
     cums = [*tapes[0].cum_fwd, tapes[0].cum_pi]  # state d draws from pi
     d = len(cums) - 1
     cuts = np.sort(np.concatenate(cums))
@@ -539,30 +537,23 @@ def _step_markov_rows(walk, n, out):
     for j, cum in enumerate(cums):
         picks[1:, j] = np.searchsorted(cum, cuts, side="right")
     keys = [tape.key for tape in tapes]
-    state = np.array([d if t.fwd[b] is None else t.fwd[b] for t, b in zip(tapes, begins)])
-    column = np.array(begins) * _BLOCK - np.array(firsts)  # out's column of each row's next index
-    offset = np.array(at) * n  # where each row starts in out's flat buffer
-    base = np.arange(len(plan)) * (d + 1)  # each row's pointer to its state 0
-    flat = out.reshape(-1)
-    steps = np.arange(_BLOCK)[:, None]
-    m = len(plan)
-    for i in range(counts[0]):
-        while counts[m - 1] <= i:
-            m -= 1
-        u = stream_uniforms(keys[:m], [(b + i) * _BLOCK for b in begins[:m]], _BLOCK).T
+    state = np.array([d if t.fwd[b] is None else t.fwd[b] for t in tapes])
+    base = np.arange(len(tapes)) * (d + 1)  # each row's pointer to its state 0
+    for c in range(b, (first + n - 1) // _BLOCK + 1):
+        u = stream_uniforms(keys, [c * _BLOCK] * len(keys), _BLOCK).T
         table = np.take(picks, np.searchsorted(cuts, u, side="right"), axis=0)
-        table += base[:m, None]
-        p, walked = base[:m] + state[:m], []
+        table += base[:, None]
+        p, walked = base + state, []
         for nxt in table.reshape(_BLOCK, -1):
             p = nxt[p]
             walked.append(p)
-        walked = np.array(walked) - base[:m]
-        cols = column[:m] + i * _BLOCK + steps
-        inside = (cols >= 0) & (cols < n)
-        flat[(offset[:m] + cols)[inside]] = walked[inside]
+        walked = np.array(walked) - base
+        col = c * _BLOCK - first  # out's column of block c's first index
+        if col > -_BLOCK:
+            out[at, max(col, 0):col + _BLOCK] = walked[max(-col, 0):n - col].T
         state = walked[-1]
-        for tape, b, s in zip(tapes, begins, state.tolist()):
-            if len(tape.fwd) == b + i + 1:
+        for tape, s in zip(tapes, state.tolist()):
+            if len(tape.fwd) == c + 1:
                 tape.fwd.append(s)
 
 

@@ -102,7 +102,8 @@ def mat_norm(m):
 
 def mat_norms(a, b, c, d):
     """``mat_norm`` over arrays of the four entries, each scaled as ``mat_norm`` scales it."""
-    t = a * a + b * b + c * c + d * d
+    with np.errstate(over="ignore"):  # a t past the float range is inf, and scales
+        t = a * a + b * b + c * c + d * d
     big = t > _SCALE_ABOVE  # an array, or one bool for float entries
     if big.any() if isinstance(big, np.ndarray) else big:
         w = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))

@@ -89,7 +89,7 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
             else:
                 steps = itertools.chain.from_iterable(map(sys.family.key_steps, chunk_rows))
                 t = random_fiber_point(fiber_seed, i)
-                _, log_norm, _, defects[i] = accumulate_cocycle(steps, t)
+                _, log_norm, defects[i] = accumulate_cocycle(steps, t)
             values[i] = log_norm / n_steps
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0

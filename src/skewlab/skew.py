@@ -254,7 +254,6 @@ class HolderFamily:
 class CocycleResult:
     end_point: tuple
     log_norm: float
-    matrix_tail: tuple
     steps: int
     det_defect: float
 
@@ -383,7 +382,7 @@ RENORM_EVERY = 16  # steps between renormalizations of a running derivative prod
 
 
 def accumulate_cocycle(steps, t):
-    """Endpoint, log norm, normalized tail and det defect of a walk from the fiber point t.
+    """Endpoint, log norm and det defect of a walk from the fiber point t.
 
     Each step is a tuple (a, b, c, d, disc, f): a family's ``key_steps``
     (``_step_plan``), or ``unplanned`` maps.  With no f, or with the point
@@ -417,10 +416,7 @@ def accumulate_cocycle(steps, t):
             nb = fm.mat_norm((p, q, r, s))
             log_acc += math.log(nb)
             p, q, r, s = p / nb, q / nb, r / nb, s / nb
-    tail_norm = fm.mat_norm((p, q, r, s))
-    log_norm = log_acc + math.log(tail_norm)
-    tail = (p / tail_norm, q / tail_norm, r / tail_norm, s / tail_norm)
-    return (u, v), log_norm, tail, det_defect
+    return (u, v), log_acc + math.log(fm.mat_norm((p, q, r, s))), det_defect
 
 
 def table_cocycle(table, rows):
@@ -458,8 +454,8 @@ def iterate_cocycle(sys, x, t, n):
     Negative n follows the backward orbit with inverted generators.
     """
     maps = map(operator.itemgetter(0), orbit_maps(sys, x, backward=n < 0, n=abs(int(n))))
-    t, log_norm, tail, det_defect = accumulate_cocycle(unplanned(maps), t)
-    return CocycleResult(t, log_norm, tail, int(n), det_defect)
+    t, log_norm, det_defect = accumulate_cocycle(unplanned(maps), t)
+    return CocycleResult(t, log_norm, int(n), det_defect)
 
 
 def generator_base_points(sys, n, seed, stream):

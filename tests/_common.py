@@ -164,8 +164,8 @@ def scalar_iterate_cocycle(sys, x, t, n):
         maps = [map_at(k) for k in range(n)]
     else:
         maps = [map_at(-k - 1).inverse() for k in range(-n)]
-    t, log_norm, tail, det_defect = accumulate_cocycle(unplanned(maps), t)
-    return CocycleResult(t, log_norm, tail, n, det_defect)
+    t, log_norm, det_defect = accumulate_cocycle(unplanned(maps), t)
+    return CocycleResult(t, log_norm, n, det_defect)
 
 
 def _reference_twist_apply(tw, t):

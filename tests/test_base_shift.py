@@ -520,6 +520,25 @@ def test_stepped_markov_rows_resume_from_their_checkpoints():
         assert symbol_rows(xs, start, start + n).tolist() == want.tolist(), (start, n)
 
 
+def test_stepped_rows_of_one_window_resume_from_each_tapes_own_checkpoint():
+    """Two tapes of one measure read one window, one of them read to block 5 before."""
+    golden, markov = golden_mean_base()
+
+    def pair():
+        return [sl.sample_sequence(golden, markov, 7, k) for k in range(2)]
+
+    for start, n in [(5 * _BLOCK, 100), (5 * _BLOCK + 9, 1000), (0, _BLOCK)]:
+        for order in (1, -1):
+            xs = pair()
+            symbol_rows(xs[:1], 0, 6 * _BLOCK)
+            assert len(xs[0]._lookup.fwd) == 7 and len(xs[1]._lookup.fwd) == 1
+            walked = pair()  # the tapes' own walks of the same reads
+            walked[0].symbols(0, 6 * _BLOCK)
+            want = scalar_symbol_rows(walked[::order], start, start + n)
+            assert symbol_rows(xs[::order], start, start + n).tolist() == want.tolist()
+            assert [x._lookup.fwd for x in xs] == [x._lookup.fwd for x in walked]
+
+
 def test_stepped_rows_break_ties_as_bisect_right():
     """A uniform equal to a cumulative weight picks the symbol after it."""
     u = sl.counter_uniform(3, 0, 1)

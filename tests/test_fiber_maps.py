@@ -404,6 +404,21 @@ def test_mat_norm_of_a_huge_matrix_is_finite_and_small_ones_keep_their_bits():
     assert fm.mat_norms(*big) == pytest.approx(want, rel=4e-16)
 
 
+def test_mat_norms_of_mixed_huge_and_ordinary_entries_keep_their_bits():
+    """Squares past the float range give t = inf, which scales as the scalar norm does."""
+    rows = [
+        (1e200, 1.0, 1.0, 1e200),  # a * a overflows
+        (-3e180, 2.0, 5e179, 1.0),
+        (7e153, 7e153, 7e153, 7e153),  # each square is finite, their sum is not
+        (1e-3, 2.0, 3.0, 4e74),  # t just under 1e150: no scaling
+        (2.0, 1.0, 1.0, 1.0),
+        (0.0, 0.0, 0.0, 0.0),
+    ]
+    norms = fm.mat_norms(*(np.array(e) for e in zip(*rows)))
+    assert same_bits(norms.tolist(), [fm.mat_norm(m) for m in rows])
+    assert same_bits(fm.mat_norms(*rows[0]), fm.mat_norm(rows[0]))
+
+
 def test_torus_distance_wraps():
     assert fm.torus_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)
     assert fm.torus_distance((0.2, 0.3), (0.2, 0.3)) == 0.0

@@ -38,6 +38,7 @@ from _common import (
     identity_map,
     lc_system,
     rotation_system,
+    same_bits,
     scalar_exponent_grid,
     scalar_integrated_exponent,
     twisted_cat_system,
@@ -94,6 +95,16 @@ def test_exponent_of_a_large_matrix_matches_its_exact_norm():
     twist = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
     twisted = sl.integrated_exponent(lc_system(big, fm.Composite([big, twist])), 2, 100)
     assert math.isfinite(twisted.mean)
+
+
+def test_twisted_grid_of_a_huge_matrix_matches_the_point_walk():
+    """Entries of 2**32 square past the float range within one renormalization."""
+    big = fm.ToralAutomorphism((2 ** 32, 1, 2 ** 32 - 1, 1))
+    twist = fm.LocalizedTwist((0.25, 0.25), 0.2, 0.5)
+    system = lc_system(big, fm.Composite([big, twist]))
+    p = sl.PeriodicPoint((1,))
+    grid = return_map_exponent_grid(system, p, 4, 64)
+    assert same_bits(grid, scalar_exponent_grid(system, p, 4, 64))
 
 
 def test_monotone_stabilization():

@@ -10,6 +10,10 @@ public method of its classes, must be read somewhere in ``src/skewlab``,
 ``bench`` or ``demos``, unless a keep-list gives the reason it stays: code
 that only the tests call belongs in ``tests/_common``.
 
+Every field of a ``@dataclass`` in ``src/skewlab`` must be read somewhere
+in ``src/skewlab``, ``bench``, ``demos``, ``tests`` or ``tools``: a field
+that nothing reads is an output computed for no one.
+
 Every ``BaseSequence(...)`` that ``src/skewlab`` builds gets a lookup
 whose class defines ``window``, or re-wraps an existing ``_lookup``: a
 lambda or a closure has no window, so ``BaseSequence.symbols`` would read
@@ -141,16 +145,21 @@ def test_unread_public_finds_what_only_the_tests_read():
 TEST_ONLY_METHODS_KEEP = set()
 
 
+def _read_names_and_strings(reading):
+    """``_read_names``, and every string constant in the reading sources."""
+    return _read_names(reading) | {
+        node.value for source in reading for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
 def unread_methods(defining, reading):
     """"Class.method" for each public method of a class in defining that nothing in reading reads.
 
     A read is a loaded Name or Attribute of the method's name, or a string
     equal to it (``bench/tracing.py`` patches methods by name), anywhere.
     """
-    read = _read_names(reading) | {
-        node.value for source in reading for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
+    read = _read_names_and_strings(reading)
     return sorted(
         "%s.%s" % (cls.name, node.name)
         for source in defining for cls in ast.parse(source).body
@@ -180,6 +189,47 @@ def test_unread_methods_finds_what_only_the_tests_read():
     ]
     reading = ["family.key_steps(keys)\nx = family.depth\npatch(Family, 'patched')\n"]
     assert unread_methods(defining, reading) == ["Family.key_maps"]
+
+
+FIELD_READERS = READERS + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
+
+
+def _is_dataclass(cls):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)) for d in decorators)
+
+
+def unread_fields(defining, reading):
+    """"Class.field" for each field of a dataclass in defining that nothing in reading reads.
+
+    A read is a loaded Name or Attribute of the field's name, or a string
+    equal to it, anywhere, as for methods.
+    """
+    read = _read_names_and_strings(reading)
+    return sorted(
+        "%s.%s" % (cls.name, node.target.id)
+        for source in defining for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    )
+
+
+def test_every_dataclass_field_in_src_is_read():
+    unread = unread_fields([p.read_text() for p in MODULES], [p.read_text() for p in FIELD_READERS])
+    assert not unread, "nothing reads the dataclass fields %s" % unread
+
+
+def test_unread_fields_finds_fields_nothing_reads():
+    defining = [
+        "@dataclass(frozen=True)\nclass Result:\n    end: tuple\n    tail: tuple\n"
+        "    steps: int = 0\n    named: int = 1\n"
+        "@dataclasses.dataclass\nclass Other:\n    lost: float\n"
+        "class Plain:\n    hint: int\n",
+    ]
+    reading = ["r = f()\nx = r.end + r.steps\ngetattr(r, 'named')\n"]
+    assert unread_fields(defining, reading) == ["Other.lost", "Result.tail"]
 
 
 def _lookup_classes(expr, assigned):

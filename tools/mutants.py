@@ -92,6 +92,28 @@ MUTANTS = [
         "\n        p, q, r, s = a * p + b * r, a * q + b * r,",
         ["tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk"],
     ),
+    Mutant(  # Markov rows at other offsets join a group and read its window
+        "markov-group-any-first",
+        "src/skewlab/base_shift.py",
+        "walks.setdefault((id(tape.measure), first, b), ([], []))",
+        "walks.setdefault(next((k for k in walks if k[0] == id(tape.measure) and k[2] == b),"
+        " (id(tape.measure), first, b)), ([], []))",
+        [
+            "tests/test_base_shift.py::test_stepped_markov_rows_match_each_window",
+            "tests/test_base_shift.py::test_stepped_markov_rows_resume_from_their_checkpoints",
+        ],
+    ),
+    Mutant(  # Markov rows resume from the checkpoint block of their group's first tape
+        "markov-group-any-checkpoint",
+        "src/skewlab/base_shift.py",
+        "walks.setdefault((id(tape.measure), first, b), ([], []))",
+        "walks.setdefault(next((k for k in walks if k[:2] == (id(tape.measure), first)),"
+        " (id(tape.measure), first, b)), ([], []))",
+        [
+            "tests/test_base_shift.py::"
+            "test_stepped_rows_of_one_window_resume_from_each_tapes_own_checkpoint",
+        ],
+    ),
     Mutant(  # m(A) as 1 / ||A||, dropping the rounding of det A
         "bunching-conorm-det-one",
         "src/skewlab/holonomy.py",
