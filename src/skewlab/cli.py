@@ -165,7 +165,7 @@ def cmd_sweep(cfg, out_dir):
     word = cfg.get_word("sweep", "generator_word")
     if word not in system.family.table:
         raise ConfigurationError("sweep.generator_word %r names no generator" % (word,))
-    radius = cfg.get_float("sweep", "radius", 0.2)
+    radius = cfg.get("sweep", "radius", float, 0.2)
     if not 0.0 < radius <= 0.25:  # the range LocalizedTwist takes
         raise ConfigurationError("sweep.radius must lie in (0, 1/4], got %r" % radius)
     rows = perturbation_sweep(

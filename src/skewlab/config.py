@@ -54,27 +54,20 @@ class ExperimentConfig:
             return default
         return sec[key]
 
-    def get_float(self, section, key, default=None, required=False):
+    def get(self, section, key, typ, default=None, required=False):
+        """The value of key as typ (int or float), default when unset."""
         v = self.raw(section, key, default, required)
-        if v is None or isinstance(v, float):
+        if v is None or isinstance(v, typ):
             return v
         try:
-            return float(v)
+            return typ(v)
         except ValueError:
-            raise ConfigurationError("%s.%s must be a number, got %r" % (section, key, v))
-
-    def get_int(self, section, key, default=None, required=False):
-        v = self.raw(section, key, default, required)
-        if v is None or isinstance(v, int):
-            return v
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigurationError("%s.%s must be an integer, got %r" % (section, key, v))
+            kind = "an integer" if typ is int else "a number"
+            raise ConfigurationError("%s.%s must be %s, got %r" % (section, key, kind, v))
 
     def get_run(self, key):
         """The [run] value of key, typed by RUN_KEYS, or None when unset."""
-        return (self.get_int if RUN_KEYS[key][0] is int else self.get_float)("run", key)
+        return self.get("run", key, RUN_KEYS[key][0])
 
     def get_list(self, section, key, conv=float, default=None, required=False):
         v = self.raw(section, key, None, required)
@@ -151,7 +144,7 @@ def _validate(cfg):
     kind = cfg.raw("base", "type", required=True)
     if kind not in ("bernoulli", "markov"):
         raise ConfigurationError("[base].type must be bernoulli or markov")
-    d = cfg.get_int("base", "d", required=True)
+    d = cfg.get("base", "d", int, required=True)
     if kind == "bernoulli":
         probs = cfg.get_list("base", "probs", float, required=True)
         if len(probs) != d:
@@ -259,7 +252,7 @@ def _count_words(space, length):
 
 def build_system(cfg):
     """Assemble the SkewSystem described by a parsed config."""
-    d = cfg.get_int("base", "d", required=True)
+    d = cfg.get("base", "d", int, required=True)
     trans = cfg.get_list("base", "transitions", int)
     transitions = None
     if trans is not None:
@@ -271,7 +264,7 @@ def build_system(cfg):
     space = ShiftSpace(
         alphabet_size=d,
         transitions=transitions,
-        metric_base=cfg.get_float("base", "metric_base", 0.5),
+        metric_base=cfg.get("base", "metric_base", float, 0.5),
     )
     if cfg.raw("base", "type") == "bernoulli":
         measure = BaseMeasure("bernoulli", probs=tuple(cfg.get_list("base", "probs", float)))
@@ -283,7 +276,7 @@ def build_system(cfg):
     family_kind = cfg.raw("skew", "family", "locally_constant")
     if family_kind == "locally_constant":
         generators = build_generators(cfg)
-        depth = cfg.get_int("skew", "depth", 1)
+        depth = cfg.get("skew", "depth", int, 1)
         if depth < 1:
             raise ConfigurationError("[skew].depth must be >= 1, got %d" % depth)
         # count the words before listing them: the listing holds every word, and
@@ -312,11 +305,11 @@ def build_system(cfg):
         family = LocallyConstantFamily(depth, table)
     elif family_kind == "holder":
         family = HolderFamily(
-            K0=cfg.get_float("skew", "K0", 0.5),
-            eps=cfg.get_float("skew", "eps", 0.05),
-            alpha=cfg.get_float("skew", "alpha", 1.0),
+            K0=cfg.get("skew", "K0", float, 0.5),
+            eps=cfg.get("skew", "eps", float, 0.05),
+            alpha=cfg.get("skew", "alpha", float, 1.0),
             space=space,
-            window=cfg.get_int("skew", "window", 16),
+            window=cfg.get("skew", "window", int, 16),
         )
     else:
         raise ConfigurationError("[skew].family must be locally_constant or holder")
@@ -326,9 +319,9 @@ def build_system(cfg):
 def criterion_inputs(cfg, system):
     """Periodic point, homoclinic point and transition time; bad values' errors name the key."""
     p = PeriodicPoint(cfg.get_word("criterion", "p_word"))
-    z_symbol = cfg.get_int("criterion", "z_symbol", required=True)
-    z_index = cfg.get_int("criterion", "z_index", 1)
-    i = cfg.get_int("criterion", "i", z_index + 1)
+    z_symbol = cfg.get("criterion", "z_symbol", int, required=True)
+    z_index = cfg.get("criterion", "z_index", int, 1)
+    i = cfg.get("criterion", "i", int, z_index + 1)
     key = "p_word"
     try:
         p_seq = p.point(system.space)

@@ -255,10 +255,9 @@ def check_twisting(sys, loop, params=TwistingParams()):
                 for vec in (tu, ts)
                 for target in (eu, es)
             ])
-            first = j_t[pt] == 0
-            better = ~first & (sep > min_sep[pt])
-            j_t[pt[first | (better & (sep > params.epsilon_twist))]] = j
-            min_sep[pt[first | better]] = sep[first | better]
+            # an active point has min_sep <= epsilon_twist, so a separating return improves it
+            j_t[pt[(j_t[pt] == 0) | (sep > params.epsilon_twist)]] = j
+            min_sep[pt] = np.maximum(min_sep[pt], sep)
         keep = min_sep[active] <= params.epsilon_twist
         active, cu, cv = active[keep], cu[keep], cv[keep]
         tu, ts = (tuple(w[keep] for w in vec) for vec in (tu, ts))

@@ -109,9 +109,7 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     ``skew.fiber_chunks`` of the fibre sample takes one family step of every
     generator, then one of every inverse: each fibre point's sin and cos
     (Hölder family), and each generator's map of it (locally constant
-    family), are computed once per margin.  The margins are compared in
-    Python floats, f then f^-1 for each base point in turn, as one point
-    at a time would.
+    family), are computed once per margin.
     """
     if not beta > 0:
         raise ConfigurationError("beta must be positive")
@@ -125,14 +123,7 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
         for inverse, sup in zip((False, True), sups):
             deriv = sys.family.apply_many(keys, cu, cv, inverse)[2]
             np.maximum(sup, _row_sups(deriv), out=sup)
-    scale = sys.space.metric_base ** beta
-    worst = 0.0
-    ratios = [zip(*sup.tolist()) for sup in sups]  # (sup_norm, sup_conorm) per base point
-    for pair in zip(*ratios):
-        for sup_norm, sup_conorm in pair:
-            margin = sup_norm / sup_conorm * scale
-            if margin > worst:
-                worst = margin
+    worst = float((sups[:, 0] / sups[:, 1] * sys.space.metric_base ** beta).max(initial=0.0))
     return BunchingReport(
         beta=beta,
         worst_margin=worst,

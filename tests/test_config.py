@@ -35,15 +35,15 @@ seed = 7
 def test_parse_basic_config():
     cfg = parse_config(BASIC)
     assert cfg.raw("base", "type") == "bernoulli"
-    assert cfg.get_int("base", "d") == 2
-    assert cfg.get_float("base", "metric_base") == 0.5
+    assert cfg.get("base", "d", int) == 2
+    assert cfg.get("base", "metric_base", float) == 0.5
     assert cfg.get_list("base", "probs") == [0.5, 0.5]
-    assert cfg.get_int("run", "seed") == 7
+    assert cfg.get("run", "seed", int) == 7
 
 
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config(BASIC.replace("seed = 7", "seed = 7  # the run seed\n\n"))
-    assert cfg.get_int("run", "seed") == 7
+    assert cfg.get("run", "seed", int) == 7
 
 
 def test_unknown_section_reports_line_number():
