@@ -101,9 +101,12 @@ class HolonomyQuery:
 def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
     """Evaluate both fiber-bunching inequalities at n_base base points.
 
-    The margin at a base point is (sup_t ||Df(t)|| / sup_t m(Df(t))) *
-    lambda^beta over a fiber_grid x fiber_grid grid and n_fiber random t,
-    and the analogue for the inverted generator; the report carries the worst.
+    The margin at a base point is sup_t ||Df(t)|| / inf_t m(Df(t)) *
+    lambda^beta, with m(A) = ||A^-1||^-1 and t over a fiber_grid x
+    fiber_grid grid and n_fiber random points: the sup of
+    ||Df(xi)|| ||Df(eta)^-1|| lambda^beta over every pair of sampled fibre
+    points xi, eta.  The same margin for the inverted generator is checked
+    too; the report carries the worst.
 
     The base points' keys come from one ``orbit_keys`` read, and each of
     ``skew.fiber_chunks`` of the fibre sample takes one family step of every
@@ -118,11 +121,13 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
     if not base_points or len(u) == 0:
         raise ConfigurationError("fiber_bunching_margin sampled no base or fiber point")
     keys = next(orbit_keys(sys, base_points, 1))
-    sups = np.zeros((2, 2, len(keys)))  # [f, f^-1] x [sup ||Df||, sup m(Df)] per base point
+    sups = np.zeros((2, 2, len(keys)))  # [f, f^-1] x [sup ||Df||, inf m(Df)] per base point
+    sups[:, 1] = np.inf
     for cu, cv in fiber_chunks(len(keys), u, v):
-        for inverse, sup in zip((False, True), sups):
-            deriv = sys.family.apply_many(keys, cu, cv, inverse)[2]
-            np.maximum(sup, _row_sups(deriv), out=sup)
+        for inverse, (sup, inf) in zip((False, True), sups):
+            norms, conorms = _row_sups(sys.family.apply_many(keys, cu, cv, inverse)[2])
+            np.maximum(sup, norms, out=sup)
+            np.minimum(inf, conorms, out=inf)
     worst = float((sups[:, 0] / sups[:, 1] * sys.space.metric_base ** beta).max(initial=0.0))
     return BunchingReport(
         beta=beta,
@@ -136,14 +141,14 @@ def fiber_bunching_margin(sys, beta=1.0, n_base=50, n_fiber=200, fiber_grid=16, 
 
 
 def _row_sups(deriv):
-    """(sup ||Df||, sup m(Df)) over each row of derivatives, as two arrays."""
+    """(sup ||Df||, inf m(Df)) over each row of derivatives, as two arrays."""
     a, b, c, d = deriv
     norms = fm.mat_norms(a, b, c, d)
     # m(A) = ||A^-1||^-1, the smallest singular value, is |det A| / ||A||
     conorms = np.divide(
         abs(a * d - b * c), norms, out=np.zeros(norms.shape), where=norms > 0.0
     )
-    return norms.max(axis=1), conorms.max(axis=1)
+    return norms.max(axis=1), conorms.min(axis=1)
 
 
 def _stop_ok(sys, increments, tol):

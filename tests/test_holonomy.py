@@ -77,7 +77,7 @@ def test_bunching_rejects_empty_samples():
 def _scalar_row_sups(sys, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
     """fiber_bunching_margin's sups one fiber point at a time (the reference).
 
-    One row per base point, [(sup ||Df||, sup m(Df)) of f, the same of f^-1],
+    One row per base point, [(sup ||Df||, inf m(Df)) of f, the same of f^-1],
     and the number of fibre points.
     """
     if sys.is_locally_constant:
@@ -98,12 +98,12 @@ def _scalar_row_sups(sys, n_base=50, n_fiber=200, fiber_grid=16, seed=0):
         row = []
         for f in next(orbit_maps(sys, x, n=1)):
             sup_norm = 0.0
-            sup_conorm = 0.0
+            inf_conorm = math.inf
             for t in pts:
                 _, d = f.apply(t)
                 sup_norm = max(sup_norm, fm.mat_norm(d))
-                sup_conorm = max(sup_conorm, mat_conorm(d))
-            row.append((sup_norm, sup_conorm))
+                inf_conorm = min(inf_conorm, mat_conorm(d))
+            row.append((sup_norm, inf_conorm))
         rows.append(row)
     return rows, len(pts)
 
@@ -113,8 +113,8 @@ def _scalar_bunching_margin(sys, beta, **kw):
     rows, n_fiber = _scalar_row_sups(sys, **kw)
     worst = 0.0
     for row in rows:
-        for sup_norm, sup_conorm in row:
-            worst = max(worst, sup_norm / sup_conorm * sys.space.metric_base ** beta)
+        for sup_norm, inf_conorm in row:
+            worst = max(worst, sup_norm / inf_conorm * sys.space.metric_base ** beta)
     return BunchingReport(beta, worst, worst < 1.0, {"n_base": len(rows), "n_fiber": n_fiber})
 
 
@@ -147,11 +147,11 @@ def test_bunching_margin_matches_scalar_reference(make_system, monkeypatch):
 @pytest.mark.parametrize("cells", [skew._FIBER_CELLS, 1])
 @pytest.mark.parametrize("make_system", BUNCHING_SYSTEMS)
 def test_bunching_row_sups_match_each_base_points_scalar_sups(make_system, cells, monkeypatch):
-    """Every base point's sups of f and f^-1, before the worst margin is taken.
+    """Every base point's sup and inf of f and f^-1, before the worst margin is taken.
 
     ``_row_sups`` runs on the keys and fibre chunks of ``fiber_bunching_margin``
-    with a running maximum per base point, each compared by ``==`` with the
-    one-point maxima of the reference.
+    with a running maximum of the norm and minimum of the conorm per base
+    point, each compared by ``==`` with the one-point extrema of the reference.
     """
     monkeypatch.setattr(skew, "_FIBER_CELLS", cells)
     system = make_system()
@@ -159,15 +159,56 @@ def test_bunching_row_sups_match_each_base_points_scalar_sups(make_system, cells
     u, v = fm.sample_points(16, 200, 0, 1003)
     keys = next(skew.orbit_keys(system, base_points, 1))
     sups = np.zeros((2, 2, len(keys)))
+    sups[:, 1] = np.inf
     for cu, cv in skew.fiber_chunks(len(keys), u, v):
-        for inverse, sup in zip((False, True), sups):
-            deriv = system.family.apply_many(keys, cu, cv, inverse)[2]
-            np.maximum(sup, holonomy._row_sups(deriv), out=sup)
+        for inverse, (sup, inf) in zip((False, True), sups):
+            norms, conorms = holonomy._row_sups(system.family.apply_many(keys, cu, cv, inverse)[2])
+            np.maximum(sup, norms, out=sup)
+            np.minimum(inf, conorms, out=inf)
     rows, n_fiber = _scalar_row_sups(system)
     assert n_fiber == len(u) and len(rows) == len(base_points)
     for i, row in enumerate(rows):
         got = [tuple(sups[inverse, :, i].tolist()) for inverse in (0, 1)]
         assert got == row, i
+
+
+def _pairwise_bunching_margin(sys, beta=1.0):
+    """The bunching margin from its definition, one base and one fibre point at a time.
+
+    For each base point and for f and f^-1, sup over fibre points t of
+    ||Df(t)|| times sup over t of ||Df(t)^-1||, the inverse's norm taken
+    from the adjugate, times lambda^beta: the sup over every pair xi, eta of
+    ||Df(xi)|| ||Df(eta)^-1|| lambda^beta that the bunching inequality bounds.
+    """
+    pts = list(zip(*(c.tolist() for c in fm.sample_points(16, 200, 0, 1003))))
+    worst = 0.0
+    for x in skew.generator_base_points(sys, 50, 0, 23):
+        for f in next(orbit_maps(sys, x, n=1)):
+            sup_norm = sup_inverse_norm = 0.0
+            for t in pts:
+                a, b, c, d = f.apply(t)[1]
+                sup_norm = max(sup_norm, fm.mat_norm((a, b, c, d)))
+                inverse_norm = fm.mat_norm((d, -b, -c, a)) / abs(a * d - b * c)
+                sup_inverse_norm = max(sup_inverse_norm, inverse_norm)
+            worst = max(worst, sup_norm * sup_inverse_norm * sys.space.metric_base ** beta)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "make_system", BUNCHING_SYSTEMS + [lambda: holder_system(metric_base=0.25)]
+)
+def test_bunching_margin_bounds_every_pair_of_fibre_points(make_system):
+    """The margin is sup ||Df|| / inf m(Df) lambda^beta, not sup ||Df|| / sup m(Df).
+
+    At metric_base 0.25 the Hölder system's ||Df|| varies enough over the
+    fibre that dividing by the sup of m(Df) reported 0.76, satisfied, where
+    the pairs reach 1.16.
+    """
+    system = make_system()
+    report = sl.fiber_bunching_margin(system, beta=1.0)
+    expected = _pairwise_bunching_margin(system)
+    assert report.worst_margin == pytest.approx(expected, rel=1e-12)
+    assert report.satisfied == (expected < 1.0)
 
 
 def _bunching_peaks(system, runs):
