@@ -2,11 +2,13 @@
 
 Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
 comment; lists are comma-separated; fiber maps are given as
-``kind:param1,param2,...`` specs under indexed keys g0, g1, ...  The format
-is deliberately diff-friendly so configs double as experiment provenance.
+``kind:param1,param2,...`` specs under indexed keys g0, g1, ..., each index
+in ASCII decimal without a leading zero.  The format is deliberately
+diff-friendly so configs double as experiment provenance.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import fiber_maps as fm
@@ -29,7 +31,7 @@ RUN_KEYS = {
 
 _ALLOWED_KEYS = {
     "base": {"type", "d", "probs", "P", "metric_base", "transitions"},
-    "fiber": None,  # g0..gN, validated by pattern
+    "fiber": None,  # g0..gN: the index in ASCII decimal, without a leading zero
     "skew": {"family", "depth", "assign", "K0", "eps", "alpha", "window"},
     "run": RUN_KEYS,
     "criterion": {"p_word", "z_symbol", "z_index", "i"},
@@ -121,7 +123,7 @@ def parse_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         allowed = _ALLOWED_KEYS[section]
         if allowed is None:
-            if not (key.startswith("g") and key[1:].isdigit()):
+            if not re.fullmatch("g(0|[1-9][0-9]*)", key):
                 raise ConfigurationError(
                     "line %d: unknown key %s.%s" % (lineno, section, key)
                 )

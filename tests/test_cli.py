@@ -306,6 +306,11 @@ def test_run_grid_leaves_the_bunching_fiber_grid_alone(tmp_path, capsys, command
         ("sweep", "T_values = 0", "T_values = nan", "sweep.T_values"),
         ("sweep", "T_values = 0", "T_values = ", "sweep.T_values"),
         *(
+            ("criterion", "g2 = compose:0,1", "g2 = compose:0,1\n%s = stdmap:0.5" % key,
+             "unknown key fiber." + key)
+            for key in ("g01", "g\u00b2", "g\u0661")
+        ),
+        *(
             (command, line, bad, key)
             for command in ("criterion", "sweep")
             for line, bad, key in (
@@ -330,7 +335,8 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, line
     # raised AttributeError at any other T; an empty T_values list wrote a
     # header-only sweep.csv and exited 0; a p_word, z_symbol, z_index or i
     # that cannot build the holonomy loop gave the library's error without
-    # the key
+    # the key; a [fiber] key g01 or g١ (an Arabic-Indic one) silently
+    # replaced g1, and g² ended in a ValueError traceback
     cfg = (TWISTED_CRITERION_CFG + SWEEP_AND_POINT_CFG).replace(line, bad)
     assert bad in cfg
     rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])

@@ -66,6 +66,16 @@ def test_duplicate_key_rejected_naming_both_lines():
         parse_config(BASIC + "[run]\nseed = 8\n")
 
 
+@pytest.mark.parametrize("key", ["g01", "g\u00b2", "g\u0661"])
+def test_generator_key_must_spell_its_index_in_ascii_decimal(key):
+    # g01 and g١ (an Arabic-Indic one) silently replaced g1; g² ended in a
+    # ValueError traceback
+    text = BASIC.replace("g1 = toral:2,1,1,1", "g1 = toral:2,1,1,1\n%s = stdmap:0.5" % key)
+    line = text.splitlines().index("%s = stdmap:0.5" % key) + 1
+    with pytest.raises(ConfigurationError, match=r"line %d: unknown key fiber\.%s$" % (line, key)):
+        parse_config(text)
+
+
 @pytest.mark.parametrize(
     "section,key",
     [("run", "probe_bins"), ("run", "probe_iters"),
