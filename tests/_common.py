@@ -413,6 +413,42 @@ def mat_conorm(m):
     return det / n if n > 0.0 else 0.0
 
 
+def cycle_expansion_exponent(matrices, space, measure, max_length):
+    """Top exponent of products of positive 2x2 matrices by cycle expansion.
+
+    Pollicott (Invent. Math. 2010): for every admissible word w with weight
+    p_w (``cylinder_measure``), A_w the product of its matrices, lambda_w its
+    leading eigenvalue and r_w = 1 / (1 - det A_w / lambda_w^2), the
+    determinant d(z, t) = exp(-sum_n z^n / n sum_{|w| = n} p_w r_w
+    lambda_w^t) = sum_n a_n(t) z^n vanishes at z = exp(-P(t)), so the
+    exponent P'(0) is sum_n a_n'(0) / sum_n n a_n(0).  The series is cut
+    after words of max_length.  No orbit is walked and no transfer operator
+    iterated; a parabolic A_w (det A_w / lambda_w^2 = 1) divides by zero.
+    """
+    # B_n = 1/n sum_{|w| = n} p_w r_w lambda_w^t at t = 0, and its t-derivative
+    B, dB = [0.0], [0.0]
+    for n in range(1, max_length + 1):
+        total = dtotal = 0.0
+        for w in sl.admissible_words(space, n):
+            p, q, r, s = 1.0, 0.0, 0.0, 1.0
+            for symbol in w:  # A_w = A_{w[n-1]} ... A_{w[0]}
+                a, b, c, d = matrices[symbol]
+                p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            trace, det = p + s, p * s - q * r
+            lam = (trace + math.sqrt(trace * trace - 4.0 * det)) / 2.0
+            weight = sl.cylinder_measure(measure, w) / (1.0 - det / (lam * lam))
+            total += weight
+            dtotal += weight * math.log(lam)
+        B.append(total / n)
+        dB.append(dtotal / n)
+    # d = exp(-sum B_n z^n): n a_n = -sum_k k B_k a_{n-k}, and a' = -a * (sum dB_n z^n)
+    coef = [1.0]
+    for n in range(1, max_length + 1):
+        coef.append(-sum(k * B[k] * coef[n - k] for k in range(1, n + 1)) / n)
+    dcoef = [-sum(dB[k] * coef[n - k] for k in range(1, n + 1)) for n in range(max_length + 1)]
+    return sum(dcoef) / sum(n * a_n for n, a_n in enumerate(coef))
+
+
 def fiber_c1_distance(f, g, grid=64, n_random=1000, seed=0):
     """sup over sampled fiber points of displacement + derivative gap, for one pair of maps."""
     u, v = fm.sample_points(grid, n_random, seed, 1)

@@ -91,7 +91,7 @@ def test_unreferenced_finds_unused_imports_and_private_names():
 
 # public names that only the tests read, kept on purpose
 TEST_ONLY_KEEP = {
-    # the cylinder weights p_w that a cycle-expansion exponent oracle is to sum
+    # the cylinder weights p_w that the tests' cycle-expansion exponent oracle sums
     "cylinder_measure",
     # the canonical config text that a run record's config hash is to read
     "serialize_config",
