@@ -121,6 +121,64 @@ MUTANTS = [
         "1.0, norms, out=",
         ["tests/test_holonomy.py::test_bunching_row_sups_match_each_base_points_scalar_sups"],
     ),
+    Mutant(  # the worst margin of f alone, forgetting f^-1
+        "bunching-margin-f-only",
+        "src/skewlab/holonomy.py",
+        "(sups[:, 0] / sups[:, 1] * sys",
+        "(sups[0, 0] / sups[0, 1] * sys",
+        [
+            "tests/test_holonomy.py::test_bunching_margin_matches_scalar_reference",
+            "tests/test_holonomy.py::test_bunching_margin_bounds_every_pair_of_fibre_points",
+        ],
+    ),
+    Mutant(  # the running bound of m(Df) a supremum, as before the bunching fix
+        "bunching-conorm-running-sup",
+        "src/skewlab/holonomy.py",
+        "np.minimum(inf, conorms, out=inf)",
+        "np.maximum(inf, conorms, out=inf)",
+        [
+            "tests/test_holonomy.py::test_bunching_margin_matches_scalar_reference",
+            "tests/test_holonomy.py::test_bunching_margin_bounds_every_pair_of_fibre_points",
+        ],
+    ),
+    Mutant(  # each chunk's bound of m(Df) its largest conorm
+        "bunching-conorm-row-max",
+        "src/skewlab/holonomy.py",
+        "conorms.min(axis=1)",
+        "conorms.max(axis=1)",
+        [
+            "tests/test_holonomy.py::test_bunching_row_sups_match_each_base_points_scalar_sups",
+            "tests/test_holonomy.py::test_bunching_margin_bounds_every_pair_of_fibre_points",
+        ],
+    ),
+    Mutant(  # j_t set only on a first return, never at a later separating one
+        "twisting-first-return-only",
+        "src/skewlab/criterion.py",
+        "j_t[pt[(j_t[pt] == 0) | (sep > params.epsilon_twist)]] = j",
+        "j_t[pt[j_t[pt] == 0]] = j",
+        ["tests/test_criterion.py::test_check_twisting_matches_scalar_transport"],
+    ),
+    Mutant(  # min_sep the latest return's separation, not the best one
+        "twisting-latest-separation",
+        "src/skewlab/criterion.py",
+        "np.maximum(min_sep[pt], sep)",
+        "sep",
+        ["tests/test_criterion.py::test_check_twisting_matches_scalar_transport"],
+    ),
+    Mutant(  # the probe's score without the last point's defect
+        "probe-last-point-dropped",
+        "src/skewlab/criterion.py",
+        ".sum(axis=1).max()",
+        ".sum(axis=1)[:-1].max()",
+        ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
+    ),
+    Mutant(  # bins pushed to one bin overwrite each other's mass
+        "probe-push-assigns",
+        "src/skewlab/criterion.py",
+        "np.add.at(pushed, (np.arange(n)[:, None], to), hists[:n])",
+        "pushed[np.arange(n)[:, None], to] = hists[:n]",
+        ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
+    ),
 ]
 
 
