@@ -31,7 +31,7 @@ RUN_KEYS = {
 
 _ALLOWED_KEYS = {
     "base": {"type", "d", "probs", "P", "metric_base", "transitions"},
-    "fiber": None,  # g0..gN: the index in ASCII decimal, without a leading zero
+    "fiber": None,  # g0..gN, validated by pattern
     "skew": {"family", "depth", "assign", "K0", "eps", "alpha", "window"},
     "run": RUN_KEYS,
     "criterion": {"p_word", "z_symbol", "z_index", "i"},
