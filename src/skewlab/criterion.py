@@ -228,11 +228,10 @@ def check_twisting(sys, loop, params=TwistingParams()):
             "twisting is not applicable"
         )
     positions = np.array([t for t, _ in K])
-    # the frame directions as unit vectors: (e_u, e_s) for each sample point
-    angles = np.array([(f.e_u, f.e_s) for _, f in K])
-    eu, es = (
-        (fm.elementwise(math.cos, a), fm.elementwise(math.sin, a)) for a in angles.T
-    )
+    # the frame directions as unit vectors (ex, ey), stacked: row 0 holds
+    # e_u and row 1 e_s, one column per sample point
+    angles = np.array([(f.e_u, f.e_s) for _, f in K]).T
+    ex, ey = (fm.elementwise(fn, angles.ravel()).reshape(2, -1) for fn in (math.cos, math.sin))
     j_t = np.zeros(len(K), dtype=int)  # 0 until the first return
     min_sep = np.zeros(len(K))
     active = np.arange(len(K))
@@ -240,27 +239,28 @@ def check_twisting(sys, loop, params=TwistingParams()):
     # push the pair through the per-step linear parts with per-step
     # normalization: the same projective action as the matrix product,
     # but stable when the product becomes numerically rank-one
-    tu, ts = eu, es
+    tx, ty = ex, ey
     for j in range(1, params.j_max + 1):
         if not len(active):
             break
         cu, cv, H = loop.apply_many(cu, cv)
-        tu = fm.mat_vec_unit(H, tu)
-        ts = fm.mat_vec_unit(H, ts)
+        x, y = fm.mat_vec(H, (tx, ty))
+        norm = fm.elementwise(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
+        tx, ty = x / norm, y / norm
         hit, k = _nearest(positions, cu, cv, params.eps_K)
         if len(hit):
             pt = active[hit]
-            sep = np.minimum.reduce([
-                projective_distance(tuple(w[hit] for w in vec), tuple(e[k] for e in target))
-                for vec in (tu, ts)
-                for target in (eu, es)
-            ])
+            # each of the pair against each frame direction at the return,
+            # as rows (e_u, e_u), (e_u, e_s), (e_s, e_u), (e_s, e_s) of one call
+            vecs = tuple(np.repeat(w[:, hit], 2, axis=0).ravel() for w in (tx, ty))
+            targets = tuple(np.tile(e[:, k], (2, 1)).ravel() for e in (ex, ey))
+            sep = projective_distance(vecs, targets).reshape(4, -1).min(axis=0)
             # an active point has min_sep <= epsilon_twist, so a separating return improves it
             j_t[pt[(j_t[pt] == 0) | (sep > params.epsilon_twist)]] = j
             min_sep[pt] = np.maximum(min_sep[pt], sep)
         keep = min_sep[active] <= params.epsilon_twist
         active, cu, cv = active[keep], cu[keep], cv[keep]
-        tu, ts = (tuple(w[keep] for w in vec) for vec in (tu, ts))
+        tx, ty = tx[:, keep], ty[:, keep]
     per_point = [
         (j, s) if j else (None, None) for j, s in zip(j_t.tolist(), min_sep.tolist())
     ]

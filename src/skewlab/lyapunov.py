@@ -8,12 +8,14 @@ Monte Carlo orbits are addressed by counter-based streams derived from
 constant family has a constant derivative (toral maps and their
 compositions), the fiber cocycle is a random product of those matrices,
 the same at every fiber point: the walk multiplies the matrices
-(``skew.table_cocycle``) and draws no fiber point.  Any other family
-walks a fiber point through ``skew.accumulate_cocycle``, one step per key
-from the family's ``key_steps``: a table's toral steps are taken inline,
-and a twist's ``apply`` runs only on the twist's disc.  The
-return map g of a periodic point runs on arrays: the pinching grid and
-the Oseledets frames step all their fiber points at once through
+(``skew.table_cocycle``) and draws no fiber point.  A Holder family walks
+a fiber point through ``skew.standard_map_cocycle``, which steps the
+standard map inline from each parameter K.  Any other table walks a fiber
+point through ``skew.accumulate_cocycle``, one step per key from the
+family's ``key_steps``: its toral steps are taken inline, and a twist's
+``apply`` runs only on the twist's disc.  The walk is chosen once per
+call.  The return map g of a periodic point runs on arrays: the pinching
+grid and the Oseledets frames step all their fiber points at once through
 ``g.apply_many``, equal bit for bit to one point at a time.  Once g's
 derivative comes back as floats, it is the same matrix at every point
 (a toral return map), and the points stop walking: every later step
@@ -30,9 +32,9 @@ import numpy as np
 from . import fiber_maps as fm
 from . import skew
 from .base_shift import sample_sequence
-from .errors import ConfigurationError, check_counts, check_positive
+from .errors import ConfigurationError, SkewlabError, check_counts, check_positive
 from .rng import derive_seed
-from .skew import accumulate_cocycle, orbit_maps, random_fiber_point
+from .skew import accumulate_cocycle, orbit_maps, random_fiber_point, standard_map_cocycle
 
 DELTA_PINCH = 0.05
 
@@ -64,13 +66,27 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     One ``skew.orbit_keys`` read serves each group of orbits whose keys fit
     ``skew._MAX_BATCH_CELLS``; a longer orbit streams its chunks alone.
     Each orbit walks its keys: ``skew.table_cocycle`` with a derivative
-    table, else a Lebesgue-sampled fiber point through
-    ``accumulate_cocycle``, with the family's ``key_steps``.
+    table, else a Lebesgue-sampled fiber point, through
+    ``standard_map_cocycle`` for a Holder family and ``accumulate_cocycle``
+    with the family's ``key_steps`` for a table.  An orbit whose log norm
+    is not finite (a product that overflows within RENORM_EVERY steps,
+    such as that of a standard map with |K| past about 1e19) raises
+    ``SkewlabError``, naming the orbit.
     """
     check_counts(n_orbits=n_orbits, n_steps=n_steps)
     base_seed = derive_seed(seed, 1)
     fiber_seed = derive_seed(seed, 2)
-    table = sys.family.derivatives if sys.is_locally_constant else None
+    family = sys.family
+    if not sys.is_locally_constant:
+        def walk(rows, i):
+            return standard_map_cocycle(rows, random_fiber_point(fiber_seed, i))[1:]
+    elif family.derivatives is None:
+        def walk(rows, i):
+            steps = itertools.chain.from_iterable(map(family.key_steps, rows))
+            return accumulate_cocycle(steps, random_fiber_point(fiber_seed, i))[1:]
+    else:
+        def walk(rows, i):
+            return skew.table_cocycle(family.derivatives, (row.tolist() for row in rows))
     group = max(1, skew._MAX_BATCH_CELLS // n_steps)
     values = np.empty(n_orbits)
     defects = np.empty(n_orbits)
@@ -83,13 +99,12 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
         # a group's chunks fit the budget together; a lone orbit streams its own
         orbits = zip(*chunks) if len(xs) > 1 else [(c[0] for c in chunks)]
         for i, chunk_rows in enumerate(orbits, start):
-            if table is not None:
-                rows = (row.tolist() for row in chunk_rows)
-                log_norm, defects[i] = skew.table_cocycle(table, rows)
-            else:
-                steps = itertools.chain.from_iterable(map(sys.family.key_steps, chunk_rows))
-                t = random_fiber_point(fiber_seed, i)
-                _, log_norm, defects[i] = accumulate_cocycle(steps, t)
+            log_norm, defects[i] = walk(chunk_rows, i)
+            if not math.isfinite(log_norm):
+                raise SkewlabError(
+                    "orbit %d: the log norm of its derivative product is %r, not finite"
+                    % (i, log_norm)
+                )
             values[i] = log_norm / n_steps
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0

@@ -14,13 +14,15 @@ walk's first window is one reach of the family wide.
 per orbit and step (a generator index, looked up in a trie of the table's
 words, or the standard-map parameter).  The exponent walks each orbit's
 keys: ``table_cocycle`` multiplies a key's derivative matrix per step when
-every generator of a table has a constant derivative; any other family
-gives ``accumulate_cocycle`` one step per key from its ``key_steps``.  A
-step is one tuple (a, b, c, d, disc, f): a table plans each generator once
-(``_step_plan``), so a toral generator, or a toral map after a twist while
-the point is off the twist's disc, is stepped inline on floats, and f's
-``apply`` takes every other step; ``unplanned`` makes the steps of bare
-maps, such as a Holder family's or ``orbit_maps``' for ``iterate_cocycle``.
+every generator of a table has a constant derivative;
+``standard_map_cocycle`` steps a Holder family's standard maps inline from
+their parameters; any other table gives ``accumulate_cocycle`` one step
+per key from its ``key_steps``.  A step is one tuple (a, b, c, d, disc,
+f): a table plans each generator once (``_step_plan``), so a toral
+generator, or a toral map after a twist while the point is off the
+twist's disc, is stepped inline on floats, and f's ``apply`` takes every
+other step; ``unplanned`` makes the steps of bare maps, ``orbit_maps``'
+for ``iterate_cocycle``.
 ``orbit_batch`` walks many orbits forward together on arrays, applying a
 whole step from the keys with the family's ``apply_many``; that step also
 runs inverted, and on a column of keys against a row of fibre points
@@ -81,7 +83,10 @@ def _step_plan(f):
 
 
 def unplanned(maps):
-    """The steps (None, None, None, None, None, f) of ``accumulate_cocycle`` for each map f."""
+    """The steps (None, None, None, None, None, f) of ``accumulate_cocycle`` for each map f.
+
+    ``iterate_cocycle`` walks ``orbit_maps``' maps this way.
+    """
     none = itertools.repeat(None)
     return zip(none, none, none, none, none, maps)
 
@@ -228,10 +233,6 @@ class HolderFamily:
         """(map, inverse) at the n positions centred at syms[window], ..."""
         Ks = self.window_keys(syms, n).tolist()
         return [(f, f.inverse()) for f in map(fm.StandardMap, Ks)]
-
-    def key_steps(self, keys):
-        """The step of ``accumulate_cocycle`` for each parameter K in the array keys: StandardMap(K)."""
-        return unplanned(map(fm.StandardMap, keys.tolist()))
 
     def apply_many(self, keys, u, v, inverse=False):
         """One step of every orbit: orbit i applies StandardMap(keys[i]), or its inverse.
@@ -384,7 +385,7 @@ RENORM_EVERY = 16  # steps between renormalizations of a running derivative prod
 def accumulate_cocycle(steps, t):
     """Endpoint, log norm and det defect of a walk from the fiber point t.
 
-    Each step is a tuple (a, b, c, d, disc, f): a family's ``key_steps``
+    Each step is a tuple (a, b, c, d, disc, f): a table's ``key_steps``
     (``_step_plan``), or ``unplanned`` maps.  With no f, or with the point
     off the disc by ``LocalizedTwist.apply``'s own squared-offset test, the
     point takes the step of the matrix (a, b, c, d) inline on floats, with
@@ -446,6 +447,41 @@ def table_cocycle(table, rows):
     # accumulate_cocycle's running maximum, taken over the generators met
     defects = (abs(a * d - b * c - 1.0) for a, b, c, d in map(table.__getitem__, met))
     return log_norm, max(0.0, *defects)
+
+
+def standard_map_cocycle(rows, t):
+    """``accumulate_cocycle`` over the maps StandardMap(K), stepped inline from each K.
+
+    For a Holder family: rows are one orbit's parameters K (from
+    ``orbit_keys``) as arrays, chunk after chunk, at least one K in all.
+    Each step is ``StandardMap.apply``'s arithmetic, then the walk's on
+    the derivative (1 + c, 1.0, c, 1.0) with its multiplications by 1.0
+    left out; those are exact, signed zeros included, and K / 2pi rounds
+    in numpy as in Python.  So the endpoint, log norm and det defect equal
+    ``accumulate_cocycle``'s bit for bit.
+    """
+    u, v = t
+    p, q, r, s = fm.IDENTITY  # running product, row-major
+    log_acc = 0.0
+    det_defect = 0.0
+    sin, cos, two_pi = math.sin, math.cos, fm.TWO_PI
+    k = 0
+    for Ks in rows:
+        for k, (K, K_2pi) in enumerate(zip(Ks.tolist(), (Ks / two_pi).tolist()), k + 1):
+            x = two_pi * u
+            kick = K_2pi * sin(x)
+            c = K * cos(x)
+            u, v = (u + v + kick) % 1.0, (v + kick) % 1.0
+            a = 1.0 + c
+            defect = abs(a - c - 1.0)
+            if defect > det_defect:
+                det_defect = defect
+            p, q, r, s = a * p + r, a * q + s, c * p + r, c * q + s
+            if k % RENORM_EVERY == 0:
+                nb = fm.mat_norm((p, q, r, s))
+                log_acc += math.log(nb)
+                p, q, r, s = p / nb, q / nb, r / nb, s / nb
+    return (u, v), log_acc + math.log(fm.mat_norm((p, q, r, s))), det_defect
 
 
 def iterate_cocycle(sys, x, t, n):

@@ -356,6 +356,18 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_holder_exponent_that_overflows_exits_1(tmp_path, capsys):
+    # it printed "exponent mean=nan stderr=nan", wrote a nan row and exited 0
+    cfg = CAT_CFG.replace("metric_base = 0.5", "metric_base = 0.0625")
+    cfg += "\n[skew]\nfamily = holder\nK0 = 1e25\n"
+    cfg = cfg.replace("seed = 3\n", "seed = 3\nn_orbits = 4\nn_steps = 100\n")
+    rc = main(["exponent", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: orbit ") and "not finite" in err and not out
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path, IDENTITY_CFG)
     out_a = tmp_path / "a"

@@ -12,7 +12,7 @@ import skewlab as sl
 import skewlab.fiber_maps as fm
 import skewlab.lyapunov as lyapunov
 import skewlab.skew as skew
-from skewlab.errors import ConfigurationError
+from skewlab.errors import ConfigurationError, SkewlabError
 from skewlab.lyapunov import (
     DELTA_PINCH,
     GENERIC_DIRECTION,
@@ -185,8 +185,9 @@ EXPONENT_SYSTEMS = {  # name -> (system, walks fiber points)
 @pytest.mark.parametrize("name", list(EXPONENT_SYSTEMS))
 def test_integrated_exponent_matches_point_walk(name, n_steps, monkeypatch):
     # constant derivatives multiply the table's matrices and walk no fiber
-    # point; a derivative that depends on the point walks one per orbit
-    # through accumulate_cocycle, one step per key
+    # point; a derivative that depends on the point walks one per orbit,
+    # one step per key: through accumulate_cocycle for a table, and through
+    # standard_map_cocycle for a Holder family
     make_system, walks = EXPONENT_SYSTEMS[name]
     system = make_system()
     calls = []
@@ -196,10 +197,24 @@ def test_integrated_exponent_matches_point_walk(name, n_steps, monkeypatch):
         calls.append(len(steps))
         return accumulate_cocycle(steps, t)
 
+    def counted_rows(rows, t):
+        rows = list(rows)
+        calls.append(sum(map(len, rows)))
+        return skew.standard_map_cocycle(rows, t)
+
     monkeypatch.setattr(lyapunov, "accumulate_cocycle", counted)
+    monkeypatch.setattr(lyapunov, "standard_map_cocycle", counted_rows)
     est = sl.integrated_exponent(system, 3, n_steps, seed=4)
     assert calls == ([n_steps] * 3 if walks else [])
     assert est == scalar_integrated_exponent(system, 3, n_steps, 4)
+
+
+def test_holder_exponent_whose_product_overflows_raises_naming_the_orbit():
+    # sixteen steps with ||Df|| near |K| = 1e25 overflow the running product
+    # before it is renormalized: the estimate was nan
+    with pytest.raises(SkewlabError, match="orbit 0: .* not finite") as exc:
+        sl.integrated_exponent(holder_system(K0=1e25), 4, 100, seed=3)
+    assert not isinstance(exc.value, ConfigurationError)
 
 
 @pytest.mark.parametrize(

@@ -575,6 +575,30 @@ def test_keyed_cocycle_keeps_the_det_defect_of_an_unplanned_matrix(keys):
 
 
 @pytest.mark.parametrize(
+    "kwargs, signs",  # the signs of the K met: K in [0.7, 5.3] in the second, 0 in the last
+    [({}, {1.0}), (dict(K0=3.0, eps=2.0), {1.0}), (dict(K0=0.0, eps=0.5), {-1.0, 1.0}),
+     (dict(K0=0.0, eps=0.0), {0.0})],
+)
+def test_standard_map_cocycle_matches_accumulate_cocycle_per_orbit(kwargs, signs):
+    """Each orbit's inline standard-map walk against its maps' walk: endpoint, log norm, defect.
+
+    The rows are split at 3, 17 and 4,100, so renormalizations fall inside
+    rows and the step count carries across them.  Every K but 0 leaves a
+    det defect, which the walk must keep.
+    """
+    system = holder_system(**kwargs)
+    for i in range(3):
+        x = sl.sample_sequence(system.space, system.measure, 7, i)
+        t = sl.random_fiber_point(8, i)
+        Ks = np.concatenate([row[0] for row in skew.orbit_keys(system, [x], 4133)])
+        assert set(np.sign(Ks).tolist()) == signs
+        got = skew.standard_map_cocycle(np.split(Ks, [3, 17, 4100]), t)
+        want = skew.accumulate_cocycle(skew.unplanned(map(fm.StandardMap, Ks.tolist())), t)
+        assert repr(got) == repr(want), i
+        assert (want[2] > 0.0) == (signs != {0.0}), i
+
+
+@pytest.mark.parametrize(
     "make_system",
     [_golden_mean_depth2_system, holder_system, twisted_cat_system, cat_system,
      _shared_map_system],

@@ -92,6 +92,43 @@ MUTANTS = [
         "\n        p, q, r, s = a * p + b * r, a * q + b * r,",
         ["tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk"],
     ),
+    Mutant(  # the standard-map walk counting its steps from 1 in each row
+        "stdmap-count-per-row",
+        "src/skewlab/skew.py",
+        "(Ks / two_pi).tolist()), k + 1)",
+        "(Ks / two_pi).tolist()), 1)",
+        ["tests/test_skew.py::test_standard_map_cocycle_matches_accumulate_cocycle_per_orbit"],
+    ),
+    Mutant(  # K / 2pi as K times the rounded 1 / 2pi, off in the last bit for some K
+        "stdmap-reciprocal-kick",
+        "src/skewlab/skew.py",
+        "(Ks / two_pi).tolist()",
+        "(Ks * (1 / two_pi)).tolist()",
+        [
+            "tests/test_skew.py::test_standard_map_cocycle_matches_accumulate_cocycle_per_orbit",
+            "tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk",
+        ],
+    ),
+    Mutant(  # the standard-map walk's det defect, which the family's estimate reports
+        "stdmap-defect-dropped",
+        "src/skewlab/skew.py",
+        "defect = abs(a - c - 1.0)",
+        "defect = 0.0",
+        [
+            "tests/test_skew.py::test_standard_map_cocycle_matches_accumulate_cocycle_per_orbit",
+            "tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk",
+        ],
+    ),
+    Mutant(  # the product's lower row taking the upper row's second entry
+        "stdmap-product-row",
+        "src/skewlab/skew.py",
+        "c * p + r, c * q + s",
+        "c * p + s, c * q + s",
+        [
+            "tests/test_skew.py::test_standard_map_cocycle_matches_accumulate_cocycle_per_orbit",
+            "tests/test_lyapunov.py::test_integrated_exponent_matches_point_walk",
+        ],
+    ),
     Mutant(  # Markov rows at other offsets join a group and read its window
         "markov-group-any-first",
         "src/skewlab/base_shift.py",
