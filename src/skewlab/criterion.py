@@ -4,22 +4,25 @@ The homoclinic holonomy loop composes unstable holonomy, a finite cocycle
 excursion, and stable holonomy back to the periodic fiber.  It is a fiber
 map of that fiber: ``loop.apply_many(u, v)`` gives the images h(t) and the
 linear parts H(t) of a whole point set in one pass, with one walk of each
-holonomy orbit, and ``loop.apply(t)`` is its one-point case.  Twisting asks
-whether the loop's projective action moves the Oseledets pair fully off the
-pair at the return point, on a definite fraction of sampled points; all
-sample points go round the loop together.
+holonomy orbit kept for every later pass, and ``loop.apply(t)`` is its
+one-point case.  Twisting asks whether the loop's projective action moves
+the Oseledets pair fully off the pair at the return point, on a definite
+fraction of sampled points; all go round the loop together, in blocks.
 """
 
+import itertools
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fiber_maps as fm
 from .base_shift import sample_sequence
-from .errors import ConfigurationError, SkewlabError, check_counts, check_positive
-from .holonomy import HolonomyQuery, stable_holonomy_jets
+from .errors import (
+    ConfigurationError, NonConvergenceError, SkewlabError, check_counts, check_positive,
+)
+from .holonomy import HolonomyQuery, holonomy_walk, stable_holonomy_jets
 from .lyapunov import (
     DELTA_PINCH,
     GENERIC_DIRECTION,
@@ -38,6 +41,9 @@ class HolonomyLoop(fm.FiberMap):
     ``apply_many(u, v)`` returns h and H at every point from one unstable
     and one stable holonomy truncation on arrays and one pass along z;
     ``apply(t)`` is its one-point case, and ``h`` and ``H_at`` are its halves.
+    Each query's steps are kept as the first calls walk them, at most
+    n_max of them, so a loop walks each of its four orbits once however
+    often it is applied; one thread at a time may apply it.
     """
 
     sys: object  # SkewSystem
@@ -45,13 +51,21 @@ class HolonomyLoop(fm.FiberMap):
     q_u: HolonomyQuery  # unstable pair (p, z)
     q_s: HolonomyQuery  # stable pair (z.shift(i), p)
     excursion: list  # fiber maps along z for steps 0..i-1
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _jets(self, q, u, v):
+        # a tee keeps every pair that one of its copies has pulled, so the
+        # copy kept here replays them and then walks on
+        kept = self._walks.get(q) or holonomy_walk(self.sys, q)
+        self._walks[q], walk = itertools.tee(kept)
+        return stable_holonomy_jets(self.sys, q, u, v, walk)
 
     def apply_many(self, u, v):
-        u, v, m = stable_holonomy_jets(self.sys, self.q_u, u, v)
+        u, v, m = self._jets(self.q_u, u, v)
         for f in self.excursion:
             u, v, d = f.apply_many(u, v)
             m = fm.mat_mul(d, m)
-        u, v, hs = stable_holonomy_jets(self.sys, self.q_s, u, v)
+        u, v, hs = self._jets(self.q_s, u, v)
         return u, v, fm.mat_mul(hs, m)
 
     def apply(self, t):
@@ -175,6 +189,7 @@ def check_pinching(sys, p, grid=64, n_steps=1000, delta_pinch=DELTA_PINCH):
 
 
 _NEAREST_CELLS = 1 << 17  # point pairs per distance block: 1 MB per float array
+_TWIST_BLOCK = 8  # loop iterations whose returns check_twisting settles together
 
 
 def _nearest(points, u, v, eps):
@@ -210,10 +225,15 @@ def check_twisting(sys, loop, params=TwistingParams()):
     loop linear parts and compared projectively against the frame at the
     return point.  j_t is the smallest return achieving separation (or
     the first return when none does) and min_separation the best over
-    returns -- first returns alone can be degenerate, e.g. exact lattice
-    recurrences of an integer toral generator with zero separation.
+    returns up to j_t -- first returns alone can be degenerate, e.g. exact
+    lattice recurrences of an integer toral generator with zero separation.
     All sample points go round the loop together, through
-    ``loop.apply_many``; a point leaves once it has separated.
+    ``loop.apply_many``, _TWIST_BLOCK iterations at a time: one
+    ``_nearest`` and one ``projective_distance`` call take every return
+    of a block, and a point that has separated leaves at the end of its
+    block.  If the loop raises ``NonConvergenceError`` within a block, the
+    block's earlier iterations are settled and the failed one is tried
+    again with the points left; a second failure propagates.
     """
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
     u, v = fm.grid_points(side)
@@ -240,27 +260,44 @@ def check_twisting(sys, loop, params=TwistingParams()):
     # normalization: the same projective action as the matrix product,
     # but stable when the product becomes numerically rank-one
     tx, ty = ex, ey
-    for j in range(1, params.j_max + 1):
-        if not len(active):
-            break
-        cu, cv, H = loop.apply_many(cu, cv)
-        x, y = fm.mat_vec(H, (tx, ty))
-        norm = fm.elementwise(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
-        tx, ty = x / norm, y / norm
-        hit, k = _nearest(positions, cu, cv, params.eps_K)
+    j = 0  # iterations settled
+    while j < params.j_max and len(active):
+        block = []  # (cu, cv, tx, ty) after each iteration of the block
+        for _ in range(min(_TWIST_BLOCK, params.j_max - j)):
+            try:
+                cu, cv, H = loop.apply_many(cu, cv)
+            except NonConvergenceError:
+                if not block:  # no point here has separated: the error stands
+                    raise
+                break
+            x, y = fm.mat_vec(H, (tx, ty))
+            norm = fm.elementwise(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
+            tx, ty = x / norm, y / norm
+            block.append((cu, cv, tx, ty))
+        # row r * n + i of the stacked block is point i after iteration j + r + 1
+        bu, bv, btx, bty = (np.concatenate(c, axis=-1) for c in zip(*block))
+        sep = np.full(len(bu), -1.0)  # -1 where no return
+        hit, k = _nearest(positions, bu, bv, params.eps_K)
         if len(hit):
-            pt = active[hit]
             # each of the pair against each frame direction at the return,
             # as rows (e_u, e_u), (e_u, e_s), (e_s, e_u), (e_s, e_s) of one call
-            vecs = tuple(np.repeat(w[:, hit], 2, axis=0).ravel() for w in (tx, ty))
+            vecs = tuple(np.repeat(w[:, hit], 2, axis=0).ravel() for w in (btx, bty))
             targets = tuple(np.tile(e[:, k], (2, 1)).ravel() for e in (ex, ey))
-            sep = projective_distance(vecs, targets).reshape(4, -1).min(axis=0)
-            # an active point has min_sep <= epsilon_twist, so a separating return improves it
-            j_t[pt[(j_t[pt] == 0) | (sep > params.epsilon_twist)]] = j
-            min_sep[pt] = np.maximum(min_sep[pt], sep)
+            sep[hit] = projective_distance(vecs, targets).reshape(4, -1).min(axis=0)
+        sep = sep.reshape(len(block), -1)
+        returned, twisted = sep >= 0.0, sep > params.epsilon_twist
+        separated = twisted.any(axis=0)
+        # each point's last row: its first separating return, else the block's end
+        last = np.where(separated, twisted.argmax(axis=0), len(block) - 1)
+        first = (j_t[active] == 0) & returned.any(axis=0)
+        j_t[active[first]] = j + 1 + returned.argmax(axis=0)[first]
+        j_t[active[separated]] = j + 1 + last[separated]
+        upto = np.arange(len(block))[:, None] <= last
+        min_sep[active] = np.maximum(min_sep[active], sep.max(axis=0, initial=0.0, where=upto))
         keep = min_sep[active] <= params.epsilon_twist
         active, cu, cv = active[keep], cu[keep], cv[keep]
         tx, ty = tx[:, keep], ty[:, keep]
+        j += len(block)
     per_point = [
         (j, s) if j else (None, None) for j, s in zip(j_t.tolist(), min_sep.tolist())
     ]

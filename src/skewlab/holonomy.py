@@ -23,6 +23,8 @@ The truncation runs on one point (``_truncate``, for point queries) or on a
 point set (``stable_holonomy_jets``, for the holonomy loop).  Every point of
 a set meets the same maps, so one walk of each orbit serves them all; each
 point keeps its own increments and stops, so both forms agree bit for bit.
+Both take their steps from ``holonomy_walk``; the holonomy loop keeps them
+and hands them to every later truncation of the same query.
 
 Fibre bunching, the condition under which these limits exist, is checked
 on the array pass that ``skew.c1_distance`` uses: every base point's key read
@@ -170,17 +172,22 @@ def _stop_ok(sys, increments, tol):
     return below & (len(increments) >= 2 and increments[-2] < tol)
 
 
-def _truncate(sys, q, t, linear):
-    """One walk of both orbits: ((h(t), diag), (Dh(t), diag) or None)."""
+def holonomy_walk(sys, q):
+    """The truncation's steps (f_x, g_y^-1), from one walk of each orbit."""
     backward = q.direction == "unstable"
     walk_x = orbit_maps(sys, q.x, backward)
     walk_y = orbit_maps(sys, q.y, backward)
+    return ((f_x, g_y) for (f_x, _), (_, g_y) in zip(walk_x, walk_y))
+
+
+def _truncate(sys, q, t, linear):
+    """One walk of both orbits: ((h(t), diag), (Dh(t), diag) or None)."""
     y_inverses = []
     s, px = t, fm.IDENTITY
     prev, prev_m = t, fm.IDENTITY
     increments, m_increments = [], []
     point = jet = None
-    for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
+    for n, (f_x, g_y) in zip(range(1, q.n_max + 1), holonomy_walk(sys, q)):
         s, d = f_x.apply(s)
         y_inverses.append(g_y)
         cur = s
@@ -217,22 +224,21 @@ def _truncate(sys, q, t, linear):
     )
 
 
-def stable_holonomy_jets(sys, q, u, v):
+def stable_holonomy_jets(sys, q, u, v, walk=None):
     """``stable_holonomy_jet`` at every point (u[k], v[k]): arrays h_u, h_v, (a, b, c, d).
 
     One walk of each orbit serves the whole point set, since every point
-    meets the same maps.  Each point keeps its own increments and freezes
-    its image and its matrix at its own stops, as ``_truncate`` does, so
-    every entry equals the one-point truncation bit for bit; frozen points
-    keep their place in the arrays until the last point stops.  Constant
-    derivatives keep the matrix, its increments and its det drift in
-    floats, shared by every point.  Raises
-    ``NonConvergenceError`` when any open point trips the det guard or
-    stays open at n_max, with the diagnostics of the first such point.
+    meets the same maps; ``walk``, when given, stands for that walk: the
+    pairs of ``holonomy_walk(sys, q)``, which a caller can keep and replay.
+    Each point keeps its own increments and freezes its image and its
+    matrix at its own stops, as ``_truncate`` does, so every entry equals
+    the one-point truncation bit for bit; frozen points keep their place
+    in the arrays until the last point stops.  Constant derivatives keep
+    the matrix, its increments and its det drift in floats, shared by
+    every point.  Raises ``NonConvergenceError`` when any open point trips
+    the det guard or stays open at n_max, with the diagnostics of the
+    first such point.
     """
-    backward = q.direction == "unstable"
-    walk_x = orbit_maps(sys, q.x, backward)
-    walk_y = orbit_maps(sys, q.y, backward)
     y_inverses = []
     su, sv = np.array(u, dtype=float), np.array(v, dtype=float)
     h_u, h_v = np.empty(len(su)), np.empty(len(su))
@@ -241,7 +247,8 @@ def stable_holonomy_jets(sys, q, u, v):
     jet_open = point_open.copy()
     px, prev, prev_m = fm.IDENTITY, (su, sv), fm.IDENTITY
     increments, m_increments = [], []
-    for n, (f_x, _), (_, g_y) in zip(range(1, q.n_max + 1), walk_x, walk_y):
+    walk = holonomy_walk(sys, q) if walk is None else walk
+    for n, (f_x, g_y) in zip(range(1, q.n_max + 1), walk):
         su, sv, d = f_x.apply_many(su, sv)
         y_inverses.append(g_y)
         cu, cv = su, sv

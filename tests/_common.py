@@ -105,6 +105,25 @@ def rotation_system():
     return lc_system(rotation_map(), rotation_map())
 
 
+class ScriptedLoop(fm.FiberMap):
+    """A stand-in holonomy loop of periodic point p whose iterations are scripted.
+
+    Iteration j moves every point by steps[j - 1][0] in u and turns every
+    direction by the angle steps[j - 1][1]: a point is back where it began
+    when the shifts so far add up to 0, and the pair it carries has turned
+    by the sum of the angles.  ``calls`` counts the iterations asked for.
+    """
+
+    def __init__(self, p, steps):
+        self.p, self.steps, self.calls = p, steps, 0
+
+    def apply_many(self, u, v):
+        shift, angle = self.steps[self.calls]
+        self.calls += 1
+        c, s = math.cos(angle), math.sin(angle)
+        return (u + shift) % 1.0, v, (c, -s, s, c)
+
+
 def holder_system(metric_base=1.0 / 16.0, eps=0.05, K0=0.5, alpha=1.0):
     space = sl.ShiftSpace(2, metric_base=metric_base)
     family = sl.HolderFamily(K0=K0, eps=eps, alpha=alpha, space=space)

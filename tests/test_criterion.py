@@ -24,6 +24,7 @@ from _common import (
     BATCH_IDS,
     BATCH_SYSTEMS,
     LOG_CAT,
+    ScriptedLoop,
     cat_map,
     cat_system,
     golden_mean_system,
@@ -192,8 +193,16 @@ def test_loop_step_walks_each_orbit_once(monkeypatch):
     loop.apply((0.3, 0.7))
     # one unstable and one stable truncation, each walking x and y once
     assert len(walks) == 4
+    # later applications replay the kept steps, walking on where they need more
+    u, v = fm.grid_points(6)
+    for _ in range(3):
+        u, v, _ = loop.apply_many(u, v)
+    assert len(walks) == 4
+    # a replaced loop keeps no steps of its own and walks afresh
     walks.clear()
-    loop.apply_many(*fm.grid_points(6))
+    other = dataclasses.replace(loop)
+    other.apply_many(u, v)
+    other.apply_many(u, v)
     assert len(walks) == 4
 
 
@@ -592,6 +601,84 @@ def test_check_twisting_distance_blocks_match_one_block(monkeypatch):
     assert not want.inconclusive
     monkeypatch.setattr(criterion, "_NEAREST_CELLS", 100)  # 2 of the 36 points per block
     assert sl.check_twisting(system, loop, FAST_TWIST) == want
+
+
+# on the cat's grid of 36 frames, whose e_u and e_s are orthogonal: back home
+# turned by 0.02, away (a twelfth is half the grid spacing), home turned by
+# 0.07 (separated), home turned by 0.11 (further), then home without turning
+_SCRIPT = [(0.0, 0.02), (1.0 / 12.0, 0.0), (-1.0 / 12.0, 0.05), (0.0, 0.04)] + [(0.0, 0.0)] * 4
+
+
+@pytest.mark.parametrize("block", [1, 8, 100])
+def test_check_twisting_takes_the_best_separation_up_to_the_first_separating_return(
+    monkeypatch, block
+):
+    system = cat_system()
+    p, _, _ = loop_inputs(system)
+    loop = ScriptedLoop(p, _SCRIPT)
+    params = sl.TwistingParams(n_K=36, j_max=len(_SCRIPT), frame_depth=60)
+    monkeypatch.setattr(criterion, "_TWIST_BLOCK", block)
+    report = sl.check_twisting(system, loop, params)
+    assert len(report.per_point) == 36 and not report.inconclusive
+    for j_t, min_sep in report.per_point:
+        # the return at j = 4 separates further, but j_t = 3 is the first that separates
+        assert j_t == 3 and min_sep == pytest.approx(0.07, abs=1e-9)
+    # one point by one, every point would leave after its separating return
+    assert loop.calls == (3 if block == 1 else len(_SCRIPT))
+
+
+class _FailingLoop:
+    """``loop``, but handing it sample point k from iteration fails[k] on
+    raises ``NonConvergenceError`` naming the iteration and the point.
+
+    Points are told apart by the images the last call gave them.
+    """
+
+    def __init__(self, loop, fails):
+        self.loop, self.p, self.fails = loop, loop.p, fails
+        self.j, self.ids, self.raised = 0, None, 0
+
+    def apply_many(self, u, v):
+        j = self.j + 1
+        ids = range(len(u))
+        if self.ids is not None:
+            ids = [self.ids[t] for t in zip(u.tolist(), v.tolist())]
+        bad = [k for k in ids if self.fails.get(k, j + 1) <= j]
+        if bad:
+            self.raised += 1
+            raise NonConvergenceError("scripted failure at j=%d, point %d" % (j, bad[0]))
+        out = self.loop.apply_many(u, v)
+        self.j, self.ids = j, dict(zip(zip(out[0].tolist(), out[1].tolist()), ids))
+        return out
+
+
+def _twisting_inputs():
+    system = twisted_cat_system()
+    p, z, i = loop_inputs(system)
+    loop = sl.build_holonomy_loop(system, p, z, i)
+    return system, loop, sl.check_twisting(system, loop, sl.TwistingParams())
+
+
+def test_check_twisting_settles_a_block_when_a_separated_point_fails():
+    system, loop, want = _twisting_inputs()
+    # every separated point fails from the iteration after its j_t on
+    fails = {
+        k: j + 1 for k, (j, s) in enumerate(want.per_point) if s is not None and s > 0.05
+    }
+    assert any(j % criterion._TWIST_BLOCK != 1 for j in fails.values())  # some inside a block
+    failing = _FailingLoop(loop, fails)
+    assert sl.check_twisting(system, failing, sl.TwistingParams()) == want
+    assert failing.raised
+
+
+@pytest.mark.parametrize("j", [5, 9])  # inside a block, and a block's first iteration
+def test_check_twisting_raises_when_an_active_point_fails(j):
+    system, loop, want = _twisting_inputs()
+    k = next(k for k, (_, s) in enumerate(want.per_point) if s is not None and s <= 0.05)
+    failing = _FailingLoop(loop, {k: j})
+    with pytest.raises(NonConvergenceError, match="^scripted failure at j=%d, point %d$" % (j, k)):
+        sl.check_twisting(system, failing, sl.TwistingParams())
+    assert failing.raised == (2 if j % criterion._TWIST_BLOCK != 1 else 1)
 
 
 def test_perturbation_sweep_matches_scalar_transport(monkeypatch):

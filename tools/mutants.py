@@ -191,16 +191,38 @@ MUTANTS = [
     Mutant(  # j_t set only on a first return, never at a later separating one
         "twisting-first-return-only",
         "src/skewlab/criterion.py",
-        "j_t[pt[(j_t[pt] == 0) | (sep > params.epsilon_twist)]] = j",
-        "j_t[pt[j_t[pt] == 0]] = j",
+        "        j_t[active[separated]] = j + 1 + last[separated]\n",
+        "",
         ["tests/test_criterion.py::test_check_twisting_matches_scalar_transport"],
     ),
-    Mutant(  # min_sep the latest return's separation, not the best one
+    Mutant(  # min_sep the latest block's best separation, not the best one
         "twisting-latest-separation",
         "src/skewlab/criterion.py",
-        "np.maximum(min_sep[pt], sep)",
-        "sep",
+        "np.maximum(min_sep[active], sep.max(axis=0, initial=0.0, where=upto))",
+        "sep.max(axis=0, initial=0.0, where=upto)",
         ["tests/test_criterion.py::test_check_twisting_matches_scalar_transport"],
+    ),
+    Mutant(  # min_sep the best over the whole block, past the first separating return
+        "twisting-block-max",
+        "src/skewlab/criterion.py",
+        "sep.max(axis=0, initial=0.0, where=upto)",
+        "sep.max(axis=0, initial=0.0)",
+        [
+            "tests/test_criterion.py::"
+            "test_check_twisting_takes_the_best_separation_up_to_the_first_separating_return",
+        ],
+    ),
+    Mutant(  # a failure within a block propagates before the block is settled
+        "twisting-no-retry",
+        "src/skewlab/criterion.py",
+        "                if not block:  # no point here has separated: the error stands\n"
+        "                    raise\n"
+        "                break\n",
+        "                raise\n",
+        [
+            "tests/test_criterion.py::"
+            "test_check_twisting_settles_a_block_when_a_separated_point_fails",
+        ],
     ),
     Mutant(  # the probe's score without the last point's defect
         "probe-last-point-dropped",
