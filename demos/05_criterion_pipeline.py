@@ -32,7 +32,7 @@ def run(T):
     z = sl.homoclinic_point(system.space, p, insert_symbol=1, insert_index=1)
     pin = sl.check_pinching(system, p, grid=16, n_steps=300)
     loop = sl.build_holonomy_loop(system, p, z, i=2)
-    tw = sl.check_twisting(system, loop)
+    tw = sl.check_twisting(loop)
     est = sl.integrated_exponent(system, 100, 2000, seed=8)
     probe = sl.su_state_probe(system, p, loop)
     seps = [s for _, s in tw.per_point if s is not None]

@@ -117,10 +117,13 @@ def cmd_holonomy(cfg, out_dir):
     theta = report.worst_margin
     d = q.pair_distance
     scale = d ** system.holder_alpha if d > 0 else 1.0
-    c = max(
-        (v / (theta ** n * scale) for n, v in enumerate(diag.increments[:3]) if v > 0.0),
-        default=0.0,
-    )
+    fit = [(v, theta ** n * scale) for n, v in enumerate(diag.increments[:3]) if v > 0.0]
+    c = max((v / w if w else math.inf for v, w in fit), default=0.0)
+    if not math.isfinite(c):  # bunching_margin**n * d**alpha underflowed
+        raise SkewlabError(
+            "holonomy envelope cannot be fitted: increment / (bunching_margin**n * d**alpha) "
+            "is not finite at some n <= 2 (bunching_margin=%.6g)" % theta
+        )
     rows = [
         [n + 1, inc, c * theta ** n * scale]
         for n, inc in enumerate(diag.increments)
@@ -138,7 +141,7 @@ def cmd_criterion(cfg, out_dir):
     p, z, i = criterion_inputs(cfg, system)
     pin = check_pinching(system, p, **_run_options(cfg, check_pinching))
     loop = build_holonomy_loop(system, p, z, i)
-    tw = check_twisting(system, loop, TwistingParams(**_run_options(cfg, TwistingParams)))
+    tw = check_twisting(loop, TwistingParams(**_run_options(cfg, TwistingParams)))
     write_csv(
         os.path.join(out_dir, "criterion.csv"),
         ["pinching_flag", "pinching_integral", "nuh_fraction", "twisting_flag",

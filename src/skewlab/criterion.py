@@ -146,8 +146,8 @@ class TwistingReport:
 def projective_distance(u, v):
     """Acute angle between the lines spanned by two nonzero vectors.
 
-    u and v are pairs of floats, giving a float, or pairs of arrays,
-    giving the angle at each entry.
+    u and v are pairs of floats, giving a float, or pairs of arrays of
+    one shape, giving the angle at each entry in an array of that shape.
     """
     u0, u1, v0, v1 = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (*u, *v))
     nu = fm.elementwise(math.hypot, u0, u1)
@@ -216,17 +216,19 @@ def _nearest(points, u, v, eps):
     return np.concatenate(hits), np.concatenate(nearest)
 
 
-def check_twisting(sys, loop, params=TwistingParams()):
+def check_twisting(loop, params=TwistingParams()):
     """Transport the Oseledets pair around loop iterates and measure separation.
 
     The twisting definition quantifies the loop power existentially, so
     every return time j <= j_max to the eps_K-neighborhood of the sample
     set is examined; the pair is transported by the product of per-step
     loop linear parts and compared projectively against the frame at the
-    return point.  j_t is the smallest return achieving separation (or
-    the first return when none does) and min_separation the best over
-    returns up to j_t -- first returns alone can be degenerate, e.g. exact
-    lattice recurrences of an integer toral generator with zero separation.
+    return point (frames of ``loop.sys`` at ``loop.p``).  j_t is the
+    smallest return achieving separation and min_separation the best over
+    returns up to j_t; a point that never separates takes its first return
+    and the best over all its returns -- first returns alone can be
+    degenerate, e.g. exact lattice recurrences of an integer toral
+    generator with zero separation.
     All sample points go round the loop together, through
     ``loop.apply_many``, _TWIST_BLOCK iterations at a time: one
     ``_nearest`` and one ``projective_distance`` call take every return
@@ -238,7 +240,7 @@ def check_twisting(sys, loop, params=TwistingParams()):
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
     u, v = fm.grid_points(side)
     frames = oseledets_frames(
-        sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
+        loop.sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
     )
     K = [(t, f) for t, f in zip(zip(u.tolist(), v.tolist()), frames) if f.converged]
     K = K[: params.n_K]
@@ -251,7 +253,7 @@ def check_twisting(sys, loop, params=TwistingParams()):
     # the frame directions as unit vectors (ex, ey), stacked: row 0 holds
     # e_u and row 1 e_s, one column per sample point
     angles = np.array([(f.e_u, f.e_s) for _, f in K]).T
-    ex, ey = (fm.elementwise(fn, angles.ravel()).reshape(2, -1) for fn in (math.cos, math.sin))
+    ex, ey = (fm.elementwise(fn, angles) for fn in (math.cos, math.sin))
     j_t = np.zeros(len(K), dtype=int)  # 0 until the first return
     min_sep = np.zeros(len(K))
     active = np.arange(len(K))
@@ -270,9 +272,7 @@ def check_twisting(sys, loop, params=TwistingParams()):
                 if not block:  # no point here has separated: the error stands
                     raise
                 break
-            x, y = fm.mat_vec(H, (tx, ty))
-            norm = fm.elementwise(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
-            tx, ty = x / norm, y / norm
+            tx, ty = fm.mat_vec_unit(H, (tx, ty))
             block.append((cu, cv, tx, ty))
         # row r * n + i of the stacked block is point i after iteration j + r + 1
         bu, bv, btx, bty = (np.concatenate(c, axis=-1) for c in zip(*block))
@@ -281,9 +281,9 @@ def check_twisting(sys, loop, params=TwistingParams()):
         if len(hit):
             # each of the pair against each frame direction at the return,
             # as rows (e_u, e_u), (e_u, e_s), (e_s, e_u), (e_s, e_s) of one call
-            vecs = tuple(np.repeat(w[:, hit], 2, axis=0).ravel() for w in (btx, bty))
-            targets = tuple(np.tile(e[:, k], (2, 1)).ravel() for e in (ex, ey))
-            sep[hit] = projective_distance(vecs, targets).reshape(4, -1).min(axis=0)
+            vecs = tuple(np.repeat(w[:, hit], 2, axis=0) for w in (btx, bty))
+            targets = tuple(np.tile(e[:, k], (2, 1)) for e in (ex, ey))
+            sep[hit] = projective_distance(vecs, targets).min(axis=0)
         sep = sep.reshape(len(block), -1)
         returned, twisted = sep >= 0.0, sep > params.epsilon_twist
         separated = twisted.any(axis=0)
@@ -362,8 +362,8 @@ def _angle_bins(x, y, bins):
     """
     angle = np.arctan2(y, x)
     pos = np.where(angle < 0.0, angle + math.pi, angle) / math.pi * bins
-    near = np.flatnonzero(abs(pos - np.rint(pos)) <= bins * (_EDGE_MARGIN / math.pi))
-    if len(near):
+    near = np.nonzero(abs(pos - np.rint(pos)) <= bins * (_EDGE_MARGIN / math.pi))
+    if len(near[0]):
         angle = fm.elementwise(math.atan2, y[near], x[near]) % math.pi
         pos[near] = angle / math.pi * bins
     return np.minimum(pos.astype(np.intp), bins - 1)
@@ -399,7 +399,7 @@ def su_state_probe(sys, p, loop, bins=64, n_iter=400, n_points=100, seed=0, burn
     c = (fm.elementwise(math.cos, centres), fm.elementwise(math.sin, centres))
     w0, w1 = fm.mat_vec([e[:, None] for e in H], c)
     pushed = np.zeros((n, bins))
-    to = _angle_bins(w0.ravel(), w1.ravel(), bins).reshape(n, bins)
+    to = _angle_bins(w0, w1, bins)
     np.add.at(pushed, (np.arange(n)[:, None], to), hists[:n])
     return 0.5 * float(np.abs(pushed - hists[n:]).sum(axis=1).max())
 
@@ -452,7 +452,7 @@ def perturbation_sweep(
             row.pinching_flag = pin.positive
             row.pinching_integral = pin.integral
             loop = build_holonomy_loop(g_sys, p, z, i)
-            tw = check_twisting(g_sys, loop, twisting_params)
+            tw = check_twisting(loop, twisting_params)
             row.twisting_flag = tw.twisting
             row.twisting_min_separation_median = tw.min_separation_median
             est = integrated_exponent(

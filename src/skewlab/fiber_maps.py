@@ -115,14 +115,15 @@ def mat_norms(a, b, c, d):
 
 
 def elementwise(fn, *arrays):
-    """A ``math`` function applied one element at a time, as a float array.
+    """A ``math`` function applied element by element, as a float array shaped like arrays[0].
 
     Scalar arguments, such as the entries of a constant derivative, give
     the float ``fn(*arrays)``.
     """
     if not isinstance(arrays[0], np.ndarray):
         return fn(*arrays)
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def mat_sub_norm(m, n):

@@ -224,12 +224,12 @@ def _truncate(sys, q, t, linear):
     )
 
 
-def stable_holonomy_jets(sys, q, u, v, walk=None):
+def stable_holonomy_jets(sys, q, u, v, walk):
     """``stable_holonomy_jet`` at every point (u[k], v[k]): arrays h_u, h_v, (a, b, c, d).
 
     One walk of each orbit serves the whole point set, since every point
-    meets the same maps; ``walk``, when given, stands for that walk: the
-    pairs of ``holonomy_walk(sys, q)``, which a caller can keep and replay.
+    meets the same maps; ``walk`` is that walk: the pairs of
+    ``holonomy_walk(sys, q)``, fresh or kept by the caller and replayed.
     Each point keeps its own increments and freezes its image and its
     matrix at its own stops, as ``_truncate`` does, so every entry equals
     the one-point truncation bit for bit; frozen points keep their place
@@ -247,7 +247,6 @@ def stable_holonomy_jets(sys, q, u, v, walk=None):
     jet_open = point_open.copy()
     px, prev, prev_m = fm.IDENTITY, (su, sv), fm.IDENTITY
     increments, m_increments = [], []
-    walk = holonomy_walk(sys, q) if walk is None else walk
     for n, (f_x, g_y) in zip(range(1, q.n_max + 1), walk):
         su, sv, d = f_x.apply_many(su, sv)
         y_inverses.append(g_y)

@@ -12,7 +12,7 @@ the same at every fiber point: the walk multiplies the matrices
 a fiber point through ``skew.standard_map_cocycle``, which steps the
 standard map inline from each parameter K.  Any other table walks a fiber
 point through ``skew.accumulate_cocycle``, one step per key from the
-family's ``key_steps``: its toral steps are taken inline, and a twist's
+family's ``plans``: its toral steps are taken inline, and a twist's
 ``apply`` runs only on the twist's disc.  The walk is chosen once per
 call.  The return map g of a periodic point runs on arrays: the pinching
 grid and the Oseledets frames step all their fiber points at once through
@@ -68,7 +68,7 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
     Each orbit walks its keys: ``skew.table_cocycle`` with a derivative
     table, else a Lebesgue-sampled fiber point, through
     ``standard_map_cocycle`` for a Holder family and ``accumulate_cocycle``
-    with the family's ``key_steps`` for a table.  An orbit whose log norm
+    with the family's ``plans`` at the keys for a table.  An orbit whose log norm
     is not finite (a product that overflows within RENORM_EVERY steps,
     such as that of a standard map with |K| past about 1e19) raises
     ``SkewlabError``, naming the orbit.
@@ -82,7 +82,7 @@ def integrated_exponent(sys, n_orbits=100, n_steps=1000, seed=0):
             return standard_map_cocycle(rows, random_fiber_point(fiber_seed, i))[1:]
     elif family.derivatives is None:
         def walk(rows, i):
-            steps = itertools.chain.from_iterable(map(family.key_steps, rows))
+            steps = itertools.chain.from_iterable(family.plans[row].tolist() for row in rows)
             return accumulate_cocycle(steps, random_fiber_point(fiber_seed, i))[1:]
     else:
         def walk(rows, i):

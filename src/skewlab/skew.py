@@ -17,7 +17,7 @@ keys: ``table_cocycle`` multiplies a key's derivative matrix per step when
 every generator of a table has a constant derivative;
 ``standard_map_cocycle`` steps a Holder family's standard maps inline from
 their parameters; any other table gives ``accumulate_cocycle`` one step
-per key from its ``key_steps``.  A step is one tuple (a, b, c, d, disc,
+per key from its ``plans``.  A step is one tuple (a, b, c, d, disc,
 f): a table plans each generator once (``_step_plan``), so a toral
 generator, or a toral map after a twist while the point is off the
 twist's disc, is stepped inline on floats, and f's ``apply`` takes every
@@ -145,10 +145,6 @@ class LocallyConstantFamily:
             return list(map(self._pairs.__getitem__, words))
         except KeyError as exc:
             raise ConfigurationError("no generator for word %r" % (exc.args[0],))
-
-    def key_steps(self, keys):
-        """The step of ``accumulate_cocycle`` for each generator index in the array keys."""
-        return self.plans[keys].tolist()
 
     def window_keys(self, syms, n):
         """Generator indices at the n positions whose words start at syms[..., 0], ..."""
@@ -385,8 +381,8 @@ RENORM_EVERY = 16  # steps between renormalizations of a running derivative prod
 def accumulate_cocycle(steps, t):
     """Endpoint, log norm and det defect of a walk from the fiber point t.
 
-    Each step is a tuple (a, b, c, d, disc, f): a table's ``key_steps``
-    (``_step_plan``), or ``unplanned`` maps.  With no f, or with the point
+    Each step is a tuple (a, b, c, d, disc, f): a table's ``plans`` at its
+    keys (``_step_plan``), or ``unplanned`` maps.  With no f, or with the point
     off the disc by ``LocalizedTwist.apply``'s own squared-offset test, the
     point takes the step of the matrix (a, b, c, d) inline on floats, with
     no det defect; otherwise f's ``apply`` takes it.
@@ -529,8 +525,7 @@ def _c1_sups(sys_f, xs, sys_g, ys, grid, n_random, seed):
         fu, fv, df = sys_f.family.apply_many(keys_f, cu, cv)
         gu, gv, dg = sys_g.family.apply_many(keys_g, cu, cv)
         du, dv = fm.torus_delta((fu, fv), (gu, gv))
-        shift = fm.elementwise(math.hypot, du.ravel(), dv.ravel()).reshape(du.shape)
-        gaps = shift + fm.mat_norms(*(p - q for p, q in zip(df, dg)))
+        gaps = fm.elementwise(math.hypot, du, dv) + fm.mat_norms(*(p - q for p, q in zip(df, dg)))
         np.maximum(sups, gaps.max(axis=1), out=sups)
     return sups.tolist()
 

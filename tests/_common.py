@@ -106,7 +106,8 @@ def rotation_system():
 
 
 class ScriptedLoop(fm.FiberMap):
-    """A stand-in holonomy loop of periodic point p whose iterations are scripted.
+    """A stand-in holonomy loop of system sys and periodic point p whose
+    iterations are scripted.
 
     Iteration j moves every point by steps[j - 1][0] in u and turns every
     direction by the angle steps[j - 1][1]: a point is back where it began
@@ -114,8 +115,8 @@ class ScriptedLoop(fm.FiberMap):
     by the sum of the angles.  ``calls`` counts the iterations asked for.
     """
 
-    def __init__(self, p, steps):
-        self.p, self.steps, self.calls = p, steps, 0
+    def __init__(self, sys, p, steps):
+        self.sys, self.p, self.steps, self.calls = sys, p, steps, 0
 
     def apply_many(self, u, v):
         shift, angle = self.steps[self.calls]
@@ -298,12 +299,12 @@ def _scalar_nearest(points, t):
     return k, float(d[k])
 
 
-def scalar_check_twisting(sys, loop, params):
+def scalar_check_twisting(loop, params):
     """``check_twisting`` moving one sample point round the loop at a time."""
     side = max(2, int(math.ceil(math.sqrt(params.n_K))))
     u, v = fm.grid_points(side)
     frames = oseledets_frames(
-        sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
+        loop.sys, loop.p, u, v, depth=params.frame_depth, delta_pinch=params.delta_pinch
     )
     K = [(t, f) for t, f in zip(zip(u.tolist(), v.tolist()), frames) if f.converged]
     K = K[: params.n_K]

@@ -199,7 +199,7 @@ def test_pipeline_pinching_twisting_positive_exponent():
     p, z, i = loop_inputs(system)
     pin = sl.check_pinching(system, p, grid=16, n_steps=300)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    tw = sl.check_twisting(system, loop)
+    tw = sl.check_twisting(loop)
     est = sl.integrated_exponent(system, 200, 5000, seed=8)
     print(
         "pipeline: pinching=%s integral=%.4f (target 0.9624 tol 1e-2) twisting=%s "
@@ -212,7 +212,7 @@ def test_pipeline_pinching_twisting_positive_exponent():
     assert est.mean > 3.0 * est.stderr
     flat = cat_system()
     loop0 = sl.build_holonomy_loop(flat, p, z, i)
-    tw0 = sl.check_twisting(flat, loop0)
+    tw0 = sl.check_twisting(loop0)
     est0 = sl.integrated_exponent(flat, 50, 1000, seed=8)
     print("contrast T=0: twisting=%s L=%.4f" % (tw0.twisting, est0.mean))
     assert not tw0.twisting

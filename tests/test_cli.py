@@ -368,6 +368,28 @@ def test_holder_exponent_that_overflows_exits_1(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_holonomy_whose_envelope_underflows_exits_1(tmp_path, capsys):
+    # at beta 200 the bunching margin's square underflows to 0, and fitting
+    # the envelope ended in a ZeroDivisionError traceback; at beta 132 an
+    # increment over its subnormal divisor overflowed, and the command wrote
+    # inf and nan envelopes and exited 0; at beta 130 the envelope fits
+    cfg = CAT_CFG.replace("metric_base = 0.5", "metric_base = 0.0625")
+    cfg += "\n[skew]\nfamily = holder\nK0 = 0.5\neps = 0.05\n"
+    for beta, want in ((130, 0), (132, 1), (200, 1)):
+        out_dir = tmp_path / str(beta)
+        text = cfg.replace("seed = 3\n", "seed = 3\nbeta = %d\n" % beta)
+        rc = main(["holonomy", "--config", _write(tmp_path, text), "--out", str(out_dir)])
+        assert rc == want
+        out, err = capsys.readouterr()
+        if want:
+            assert err.startswith("error: holonomy envelope cannot be fitted")
+            assert err.count("\n") == 1 and not out
+            assert not out_dir.exists()
+        else:
+            assert out.startswith("holonomy stopped_at=") and not err
+            assert (out_dir / "holonomy.csv").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path, IDENTITY_CFG)
     out_a = tmp_path / "a"

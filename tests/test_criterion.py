@@ -51,6 +51,14 @@ def test_projective_distance_calibration():
         sl.projective_distance((0.0, 0.0), (1.0, 0.0))
 
 
+def test_projective_distance_keeps_the_shape_of_its_arrays():
+    rng = np.random.default_rng(7)
+    u, v = (tuple(rng.normal(size=(4, 6)) for _ in range(2)) for _ in range(2))
+    got = sl.projective_distance(u, v)
+    flat = sl.projective_distance(*(tuple(c.ravel() for c in w) for w in (u, v)))
+    assert got.shape == (4, 6) and got.tobytes() == flat.tobytes()
+
+
 def test_loop_is_generator_composition_for_random_products():
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
@@ -313,7 +321,7 @@ def test_check_twisting_cat_loop_is_not_twisting():
     system = cat_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    report = sl.check_twisting(system, loop, FAST_TWIST)
+    report = sl.check_twisting(loop, FAST_TWIST)
     assert not report.twisting
     assert not report.inconclusive
     assert report.min_separation_median < 1e-6
@@ -324,14 +332,14 @@ def test_check_twisting_requires_pinching():
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
     with pytest.raises(SkewlabError):
-        sl.check_twisting(system, loop, FAST_TWIST)
+        sl.check_twisting(loop, FAST_TWIST)
 
 
 def test_twisting_fraction_monotone_in_epsilon():
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    report = sl.check_twisting(system, loop, FAST_TWIST)
+    report = sl.check_twisting(loop, FAST_TWIST)
     seps = [s for _, s in report.per_point if s is not None]
     assert seps
     for lo, hi in ((0.01, 0.05), (0.05, 0.2)):
@@ -539,6 +547,17 @@ def test_angle_bins_match_the_scalar_rule(case):
     assert criterion._angle_bins(x, y, bins).tolist() == want
 
 
+def test_angle_bins_keep_the_shape_of_their_directions():
+    # half-bin steps round the circle: every bin edge, where numpy's bin is
+    # recomputed, and every centre, in rows as the probe pushes them
+    bins = 64
+    theta = np.arange(4 * bins).reshape(4, bins) * (math.pi / (2 * bins))
+    x, y = np.cos(theta), np.sin(theta)
+    got = criterion._angle_bins(x, y, bins)
+    assert got.shape == (4, bins)
+    assert got.ravel().tolist() == criterion._angle_bins(x.ravel(), y.ravel(), bins).tolist()
+
+
 def _ulps_from(x, n):
     for _ in range(abs(n)):
         x = math.nextafter(x, math.copysign(math.inf, n))
@@ -566,7 +585,7 @@ def test_loop_grid_checks_match_scalar_reference(T):
     loop = sl.build_holonomy_loop(system, p, z, i)
     assert loop.area_defect(grid=5) == _scalar_area_defect(loop, 5)
     params = sl.TwistingParams(n_K=7, j_max=4, frame_depth=40)
-    K = sl.check_twisting(system, loop, params).K_sample
+    K = sl.check_twisting(loop, params).K_sample
     assert K == _scalar_twisting_sample(system, loop, params)
     assert all(type(c) is float for t, _ in K for c in t)
 
@@ -587,8 +606,8 @@ def test_check_twisting_matches_scalar_transport(make_system, params, verdict):
     system = make_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    report = sl.check_twisting(system, loop, params)
-    assert report == scalar_check_twisting(system, loop, params)
+    report = sl.check_twisting(loop, params)
+    assert report == scalar_check_twisting(loop, params)
     assert report.twisting is verdict
     assert report.inconclusive is (params.eps_K < 1e-6)
 
@@ -597,10 +616,10 @@ def test_check_twisting_distance_blocks_match_one_block(monkeypatch):
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    want = sl.check_twisting(system, loop, FAST_TWIST)
+    want = sl.check_twisting(loop, FAST_TWIST)
     assert not want.inconclusive
     monkeypatch.setattr(criterion, "_NEAREST_CELLS", 100)  # 2 of the 36 points per block
-    assert sl.check_twisting(system, loop, FAST_TWIST) == want
+    assert sl.check_twisting(loop, FAST_TWIST) == want
 
 
 # on the cat's grid of 36 frames, whose e_u and e_s are orthogonal: back home
@@ -615,16 +634,34 @@ def test_check_twisting_takes_the_best_separation_up_to_the_first_separating_ret
 ):
     system = cat_system()
     p, _, _ = loop_inputs(system)
-    loop = ScriptedLoop(p, _SCRIPT)
+    loop = ScriptedLoop(system, p, _SCRIPT)
     params = sl.TwistingParams(n_K=36, j_max=len(_SCRIPT), frame_depth=60)
     monkeypatch.setattr(criterion, "_TWIST_BLOCK", block)
-    report = sl.check_twisting(system, loop, params)
+    report = sl.check_twisting(loop, params)
     assert len(report.per_point) == 36 and not report.inconclusive
     for j_t, min_sep in report.per_point:
         # the return at j = 4 separates further, but j_t = 3 is the first that separates
         assert j_t == 3 and min_sep == pytest.approx(0.07, abs=1e-9)
     # one point by one, every point would leave after its separating return
     assert loop.calls == (3 if block == 1 else len(_SCRIPT))
+
+
+# three returns inside one block and none separating: home turned by 0.01,
+# away, home turned by 0.04 (the best), home turned by 0.02
+_UNSEPARATED = [(0.0, 0.01), (1.0 / 12.0, 0.0), (-1.0 / 12.0, 0.03), (0.0, -0.02)]
+
+
+def test_check_twisting_takes_the_best_separation_over_all_returns_when_none_separates():
+    system = cat_system()
+    p, _, _ = loop_inputs(system)
+    loop = ScriptedLoop(system, p, _UNSEPARATED)
+    params = sl.TwistingParams(n_K=36, j_max=len(_UNSEPARATED), frame_depth=60)
+    assert params.j_max <= criterion._TWIST_BLOCK
+    report = sl.check_twisting(loop, params)
+    assert len(report.per_point) == 36 and not report.inconclusive and not report.twisting
+    for j_t, min_sep in report.per_point:
+        # j_t is the first return; min_sep the best of the three, not the first or the last
+        assert j_t == 1 and min_sep == pytest.approx(0.04, abs=1e-9)
 
 
 class _FailingLoop:
@@ -635,7 +672,7 @@ class _FailingLoop:
     """
 
     def __init__(self, loop, fails):
-        self.loop, self.p, self.fails = loop, loop.p, fails
+        self.loop, self.sys, self.p, self.fails = loop, loop.sys, loop.p, fails
         self.j, self.ids, self.raised = 0, None, 0
 
     def apply_many(self, u, v):
@@ -656,28 +693,28 @@ def _twisting_inputs():
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)
     loop = sl.build_holonomy_loop(system, p, z, i)
-    return system, loop, sl.check_twisting(system, loop, sl.TwistingParams())
+    return loop, sl.check_twisting(loop, sl.TwistingParams())
 
 
 def test_check_twisting_settles_a_block_when_a_separated_point_fails():
-    system, loop, want = _twisting_inputs()
+    loop, want = _twisting_inputs()
     # every separated point fails from the iteration after its j_t on
     fails = {
         k: j + 1 for k, (j, s) in enumerate(want.per_point) if s is not None and s > 0.05
     }
     assert any(j % criterion._TWIST_BLOCK != 1 for j in fails.values())  # some inside a block
     failing = _FailingLoop(loop, fails)
-    assert sl.check_twisting(system, failing, sl.TwistingParams()) == want
+    assert sl.check_twisting(failing, sl.TwistingParams()) == want
     assert failing.raised
 
 
 @pytest.mark.parametrize("j", [5, 9])  # inside a block, and a block's first iteration
 def test_check_twisting_raises_when_an_active_point_fails(j):
-    system, loop, want = _twisting_inputs()
+    loop, want = _twisting_inputs()
     k = next(k for k, (_, s) in enumerate(want.per_point) if s is not None and s <= 0.05)
     failing = _FailingLoop(loop, {k: j})
     with pytest.raises(NonConvergenceError, match="^scripted failure at j=%d, point %d$" % (j, k)):
-        sl.check_twisting(system, failing, sl.TwistingParams())
+        sl.check_twisting(failing, sl.TwistingParams())
     assert failing.raised == (2 if j % criterion._TWIST_BLOCK != 1 else 1)
 
 

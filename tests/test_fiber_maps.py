@@ -124,6 +124,16 @@ def test_elementwise_on_scalars_is_the_math_function():
         assert got == fn(*args) and type(got) is float
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (2, 1, 4), (0,), (4, 0), (1,)])
+def test_elementwise_keeps_the_shape_and_the_bits_of_math(shape):
+    rng = np.random.default_rng(5)
+    # a transposed view too: the values go in C order whatever the memory order
+    x, y = rng.normal(size=shape), rng.normal(size=shape[::-1]).T
+    for fn, args in ((math.hypot, (x, y)), (math.atan2, (y, x)), (math.sin, (x,))):
+        want = [fn(*vals) for vals in zip(*(a.ravel().tolist() for a in args))]
+        assert same_bits(fm.elementwise(fn, *args), np.reshape(want, shape))
+
+
 def test_twist_boundary_points_straddle_the_support():
     for tw in (MAP_KINDS[3], EDGE_TWIST):
         moved = [tw.apply(t)[1] is not fm.IDENTITY for t in _boundary_points(tw)]

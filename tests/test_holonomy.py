@@ -14,6 +14,7 @@ import skewlab.skew as skew
 from skewlab.holonomy import (
     BunchingReport,
     ConvergenceDiagnostics,
+    holonomy_walk,
     stable_holonomy_jet,
     stable_holonomy_jets,
 )
@@ -523,7 +524,8 @@ def test_linear_holonomy_stops_on_its_own_increments():
 
 
 def _jets(system, q, pts):
-    hu, hv, m = stable_holonomy_jets(system, q, *(np.array(c) for c in zip(*pts)))
+    uv = (np.array(c) for c in zip(*pts))
+    hu, hv, m = stable_holonomy_jets(system, q, *uv, holonomy_walk(system, q))
     return list(zip(zip(hu.tolist(), hv.tolist()), zip(*(e.tolist() for e in m))))
 
 

@@ -498,7 +498,7 @@ KEYED_SYSTEMS = {  # name -> (system, whether a twisted generator has a step pla
 
 
 def _key_steps(family, rows):
-    return itertools.chain.from_iterable(map(family.key_steps, rows))
+    return itertools.chain.from_iterable(family.plans[row].tolist() for row in rows)
 
 
 @pytest.mark.parametrize("n_steps", [1, 17, 4100])  # 4100 crosses a 4096-step chunk
@@ -506,7 +506,7 @@ def _key_steps(family, rows):
 def test_keyed_cocycle_matches_accumulate_cocycle_per_orbit(name, n_steps, monkeypatch):
     """Each orbit's walk by key against its maps' walk: endpoint, log norm and defect.
 
-    The family's planned steps (``key_steps``) are walked against the
+    The family's planned steps (its ``plans`` at the keys) are walked against the
     generators met along the orbit, ``unplanned``, every step through
     ``apply``.  A planned generator's twist runs ``apply`` only on the steps
     whose point is on its disc; an unplanned one runs it on every step it owns.

@@ -34,9 +34,19 @@ MUTANTS = [
     Mutant(
         "c1-numpy-hypot",
         "src/skewlab/skew.py",
-        "fm.elementwise(math.hypot, du.ravel(), dv.ravel()).reshape(du.shape)",
+        "fm.elementwise(math.hypot, du, dv)",
         "np.hypot(du, dv)",
         ["tests/test_skew.py::test_c1_sups_match_each_one_point_gap_on_holder_pairs"],
+    ),
+    Mutant(  # the values of an array that is not 1-D taken column by column
+        "elementwise-column-major",
+        "src/skewlab/fiber_maps.py",
+        "a.ravel().tolist() for a in arrays",
+        'a.ravel(order="F").tolist() for a in arrays',
+        [
+            "tests/test_fiber_maps.py::test_elementwise_keeps_the_shape_and_the_bits_of_math",
+            "tests/test_criterion.py::test_check_twisting_matches_scalar_transport",
+        ],
     ),
     Mutant(  # every step through apply: the same values, more twist calls
         "keyed-no-plans",
@@ -210,6 +220,16 @@ MUTANTS = [
         [
             "tests/test_criterion.py::"
             "test_check_twisting_takes_the_best_separation_up_to_the_first_separating_return",
+        ],
+    ),
+    Mutant(  # a point that never separates keeps the best up to its first return only
+        "twisting-unseparated-first",
+        "src/skewlab/criterion.py",
+        "len(block) - 1",
+        "returned.argmax(axis=0)",
+        [
+            "tests/test_criterion.py::"
+            "test_check_twisting_takes_the_best_separation_over_all_returns_when_none_separates",
         ],
     ),
     Mutant(  # a failure within a block propagates before the block is settled
