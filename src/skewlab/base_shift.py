@@ -279,6 +279,11 @@ class BaseMeasure:
             [_cumulative(row) for row in ((pi[None, :] * P.T) / pi[:, None]).tolist()],
         )
 
+    @cached_property
+    def _bernoulli_cumulative(self):
+        """``_cumulative`` of the Bernoulli weights, one array for every tape of the measure."""
+        return np.array(_cumulative(self.probs))
+
     @property
     def alphabet_size(self):
         if self.kind == "bernoulli":
@@ -343,7 +348,7 @@ class _BernoulliTape:
 
     def __init__(self, measure, seed, stream_id):
         self.measure = measure
-        self.cum = np.array(_cumulative(measure.probs))
+        self.cum = measure._bernoulli_cumulative
         self.seed = seed
         self.stream_id = stream_id
         self.key = derive_seed(seed, stream_id)

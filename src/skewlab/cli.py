@@ -128,6 +128,13 @@ def cmd_holonomy(cfg, out_dir):
         [n + 1, inc, c * theta ** n * scale]
         for n, inc in enumerate(diag.increments)
     ]
+    # the fitted rows are bounded by construction, up to the rounding of c
+    for n, inc, envelope in rows[3:]:
+        if inc > envelope:
+            raise SkewlabError(
+                "holonomy envelope does not bound the increments: increment %.6g > "
+                "envelope %.6g at n=%d (bunching_margin=%.6g)" % (inc, envelope, n, theta)
+            )
     write_csv(os.path.join(out_dir, "holonomy.csv"), ["n", "increment", "envelope"], rows)
     print(
         "holonomy stopped_at=%d fitted_theta=%.6g bunching_margin=%.6g"

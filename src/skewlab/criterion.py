@@ -323,28 +323,38 @@ def _direction_histograms(sys, u, v, seeds, bins, n_iter, burn_in):
 
     Histogram k follows _PROBE_WORDS sampled base orbits from the fiber
     point (u[k], v[k]); all orbits step together through ``orbit_batch``.
-    Each step after burn_in records every orbit's cell (histogram, bin),
-    and ``np.bincount`` counts the recorded cells whenever they are as many
-    as the cells of all histograms, and after the last step: memory stays
-    the size of the histograms for any n_iter.
+    Each step maps every orbit's direction by the step's derivative and
+    scales it by the power of two that puts its larger entry in [0.5, 1),
+    which is exact: the direction stays a power of two times the
+    unnormalised product, whose libm angle, and so bin, it shares, and
+    no hypot is taken.  Each step after burn_in keeps every orbit's
+    direction; whenever they are as many as the cells of all histograms,
+    and after the last step, one ``_angle_bins`` call bins them and
+    ``np.bincount`` counts their cells (histogram, bin).  Memory stays two
+    floats per kept orbit-step, twice the size of the histograms, for any
+    n_iter.
     """
     xs = [
-        sample_sequence(sys.space, sys.measure, derive_seed(s, 31), w)
-        for s in seeds
+        sample_sequence(sys.space, sys.measure, key, w)
+        for key in [derive_seed(s, 31) for s in seeds]
         for w in range(_PROBE_WORDS)
     ]
     u, v = np.repeat(u, _PROBE_WORDS), np.repeat(v, _PROBE_WORDS)
     e0, e1 = (np.full(len(xs), c) for c in GENERIC_DIRECTION)
     first_cell = np.repeat(np.arange(len(seeds)) * bins, _PROBE_WORDS)
     counts = np.zeros(len(seeds) * bins, dtype=np.intp)
-    cells = []
+    kept = []
     for k, (_, _, d) in enumerate(orbit_batch(sys, xs, u, v, n_iter)):
-        e0, e1 = fm.mat_vec_unit(d, (e0, e1))
+        e0, e1 = fm.mat_vec(d, (e0, e1))
+        ex = np.frexp(np.fmax(abs(e0), abs(e1)))[1]
+        e0, e1 = np.ldexp(e0, -ex), np.ldexp(e1, -ex)
         if k >= burn_in:
-            cells.append(first_cell + _angle_bins(e0, e1, bins))
-            if len(cells) * len(xs) >= counts.size or k == n_iter - 1:
-                counts += np.bincount(np.concatenate(cells), minlength=counts.size)
-                cells = []
+            kept.append((e0, e1))
+            if len(kept) * len(xs) >= counts.size or k == n_iter - 1:
+                x, y = (np.concatenate(c) for c in zip(*kept))
+                cells = np.tile(first_cell, len(kept)) + _angle_bins(x, y, bins)
+                counts += np.bincount(cells, minlength=counts.size)
+                kept = []
     counts = counts.reshape(len(seeds), bins)
     return counts / counts.sum(axis=1, keepdims=True)
 

@@ -16,7 +16,7 @@ The batch rule that keeps them equal: numpy does only + - * /, floor, sqrt
 and comparisons, which round exactly as the scalar float operations do.
 Sin, cos, exp, hypot, atan2 and log go through ``math`` one element at a
 time (``elementwise``), because numpy's versions can differ from libm in
-the last bit.  Two exact fast paths ride on that rule:
+the last bit.  Three exact fast paths ride on that rule:
 
 - Mod 1 on arrays is ``mod1``, x - floor(x), several times faster than
   numpy's float ``%``.  Both round the same exact value once: numpy's
@@ -28,6 +28,13 @@ the last bit.  Two exact fast paths ride on that rule:
   where only a bin of its result is kept and the result lies well inside
   a bin, numpy's value and libm's give the same bin, and only the entries
   near an edge are recomputed through ``math`` (``criterion._angle_bins``).
+- Scaling by a power of two is exact while the result stays normal, and
+  libm's atan2 gave (x, y) and (2**k x, 2**k y) the same angle on every
+  pair tried: a walk that keeps only a direction's angle may scale it by
+  the power of two that puts its larger entry in [0.5, 1)
+  (``np.frexp``/``np.ldexp``) in place of dividing by its hypot, and its
+  angles are those of the unnormalised product
+  (``criterion._direction_histograms``).
 """
 
 import math

@@ -372,22 +372,32 @@ def test_holonomy_whose_envelope_underflows_exits_1(tmp_path, capsys):
     # at beta 200 the bunching margin's square underflows to 0, and fitting
     # the envelope ended in a ZeroDivisionError traceback; at beta 132 an
     # increment over its subnormal divisor overflowed, and the command wrote
-    # inf and nan envelopes and exited 0; at beta 130 the envelope fits
+    # inf and nan envelopes and exited 0; at beta 10 and 130 the envelope
+    # fits but reads 2.1e-17 and 0 at n = 4, under an increment of 1.1e-6,
+    # and the command exited 0; at beta 1 it bounds every increment
     cfg = CAT_CFG.replace("metric_base = 0.5", "metric_base = 0.0625")
     cfg += "\n[skew]\nfamily = holder\nK0 = 0.5\neps = 0.05\n"
-    for beta, want in ((130, 0), (132, 1), (200, 1)):
+    unbounded = "error: holonomy envelope does not bound the increments: increment 1.14754e-06"
+    for beta, want in (
+        (1, ""),
+        (10, unbounded + " > envelope 2.13272e-17 at n=4"),
+        (130, unbounded + " > envelope 0 at n=4"),
+        (132, "error: holonomy envelope cannot be fitted"),
+        (200, "error: holonomy envelope cannot be fitted"),
+    ):
         out_dir = tmp_path / str(beta)
         text = cfg.replace("seed = 3\n", "seed = 3\nbeta = %d\n" % beta)
         rc = main(["holonomy", "--config", _write(tmp_path, text), "--out", str(out_dir)])
-        assert rc == want
+        assert rc == (1 if want else 0)
         out, err = capsys.readouterr()
         if want:
-            assert err.startswith("error: holonomy envelope cannot be fitted")
+            assert err.startswith(want)
             assert err.count("\n") == 1 and not out
             assert not out_dir.exists()
         else:
             assert out.startswith("holonomy stopped_at=") and not err
-            assert (out_dir / "holonomy.csv").exists()
+            rows = _read_csv(out_dir / "holonomy.csv")
+            assert all(float(r["increment"]) <= float(r["envelope"]) for r in rows[3:])
 
 
 def test_rerun_is_byte_identical(tmp_path):

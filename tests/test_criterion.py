@@ -385,9 +385,16 @@ def test_su_state_probe_rejects_bad_values(bad):
 # --- scalar references: one orbit and one fiber point at a time --------------
 
 
-def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
-    """Angle histogram of the projective cocycle along sampled base orbits."""
+def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8, normalise=True):
+    """Angle histogram of the projective cocycle along sampled base orbits,
+    and the largest vector entry met.
+
+    The vector is scaled to unit length by hypot at every step, or, with
+    normalise=False, never: it is then the cocycle's product applied to
+    the first direction.
+    """
     hist = np.zeros(bins)
+    peak = 0.0
     for w in range(n_words):
         x = sl.sample_sequence(sys.space, sys.measure, derive_seed(seed, 31), w)
         v = (0.6471298642911707, 0.7623855618404413)
@@ -395,12 +402,14 @@ def _direction_histogram(sys, t, bins, n_iter, burn_in, seed, n_words=8):
         for k, (f, _) in enumerate(orbit_maps(sys, x, n=n_iter)):
             cur, d = f.apply(cur)
             v = fm.mat_vec(d, v)
-            n = math.hypot(*v)
-            v = (v[0] / n, v[1] / n)
+            if normalise:
+                n = math.hypot(*v)
+                v = (v[0] / n, v[1] / n)
+            peak = max(peak, abs(v[0]), abs(v[1]))
             if k >= burn_in:
                 a = math.atan2(v[1], v[0]) % math.pi
                 hist[min(int(a / math.pi * bins), bins - 1)] += 1.0
-    return hist / hist.sum()
+    return hist / hist.sum(), peak
 
 
 def _scalar_push_histogram(hist, m):
@@ -426,9 +435,9 @@ def _scalar_su_state_probe(sys, loop, bins, n_iter, n_points, seed, burn_in):
     worst = 0.0
     for k in range(side * side):
         t = ((k // side + 0.5) / side, (k % side + 0.5) / side)
-        m_t = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
+        m_t, _ = _direction_histogram(sys, t, bins, n_iter, burn_in, derive_seed(seed, 41, k))
         ht, H = loop.apply(t)
-        m_ht = _direction_histogram(sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k))
+        m_ht, _ = _direction_histogram(sys, ht, bins, n_iter, burn_in, derive_seed(seed, 43, k))
         pushed = _scalar_push_histogram(m_t, H)
         worst = max(worst, 0.5 * float(np.abs(pushed - m_ht).sum()))
     return worst
@@ -476,7 +485,39 @@ def test_su_state_probe_matches_scalar_reference(make_system):
     u, v = (np.array(c) for c in zip(*starts))
     hists = criterion._direction_histograms(system, u, v, seeds, 16, 50, 5)
     for h, t, s in zip(hists, starts, seeds):
-        assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s).tobytes()
+        assert h.tobytes() == _direction_histogram(system, t, 16, 50, 5, s)[0].tobytes()
+    # the probe's directions are powers of two times the products a walk
+    # that never normalises keeps: both walks give the same bins, also
+    # where the product has grown past 1e20 (past 1e49 on the cat systems)
+    hists = criterion._direction_histograms(system, u, v, seeds, 16, 120, 5)
+    peaks = []
+    for h, t, s in zip(hists, starts, seeds):
+        unit, _ = _direction_histogram(system, t, 16, 120, 5, s)
+        product, peak = _direction_histogram(system, t, 16, 120, 5, s, normalise=False)
+        assert h.tobytes() == unit.tobytes() == product.tobytes()
+        peaks.append(peak)
+    if make_system not in (rotation_system, holder_system):
+        assert min(peaks) > 1e20
+
+
+def test_direction_histograms_take_no_hypot_and_bin_each_flush_in_one_call(monkeypatch):
+    """At the benchmark's probe size: 25 points, so 400 orbits x 150 steps,
+    64 bins and burn-in 50.  A flush takes the 3,200 cells of eight recorded
+    steps, so the 100 recorded steps make 13 flushes, the last of 4 steps."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+    counted(fm, "mat_vec_unit")
+    counted(criterion, "_angle_bins")
+    u, v = fm.grid_points(5)
+    seeds = [derive_seed(3, k) for k in range(50)]
+    criterion._direction_histograms(
+        twisted_cat_system(), np.tile(u, 2), np.tile(v, 2), seeds, 64, 150, 50
+    )
+    assert calls == ["_angle_bins"] * 13
 
 
 def test_su_state_probe_draws_every_orbit_of_a_chunk_at_once(monkeypatch):
@@ -517,12 +558,21 @@ def test_su_state_probe_memory_does_not_grow_with_n_iter(monkeypatch):
 
 
 _BELOW_PI = math.nextafter(math.pi, 0.0)
+_POWERS = [s * k for k in (1, 3, 60, 200) for s in (1, -1)]  # joint scalings 2**k
+
+
+def _scaled(direction, k):
+    """direction with both entries times 2**k, or as it is where that is not exact."""
+    scaled = tuple(math.ldexp(c, k) for c in direction)
+    exact = all(math.ldexp(c, -k) == c0 for c, c0 in zip(scaled, direction))
+    return scaled if exact else direction
 
 
 @st.composite
 def _bins_and_directions(draw):
     """A bin count and directions: any vectors, exact bin edges both ways up,
-    the direction one ulp below pi, and the negative axis from both sides."""
+    the direction one ulp below pi, the negative axis from both sides, and
+    any of these with both entries scaled by one power of two."""
     bins = draw(st.integers(1, 300))
     edge = st.builds(
         lambda k, s: (s * math.cos(k * math.pi / bins), s * math.sin(k * math.pi / bins)),
@@ -534,7 +584,8 @@ def _bins_and_directions(draw):
     ])
     finite = st.floats(-4.0, 4.0, allow_nan=False)
     vector = st.tuples(finite, finite)
-    return bins, draw(st.lists(st.one_of(vector, edge, special), min_size=1, max_size=40))
+    scaled = st.builds(_scaled, st.one_of(vector, edge, special), st.sampled_from(_POWERS))
+    return bins, draw(st.lists(st.one_of(vector, edge, special, scaled), min_size=1, max_size=40))
 
 
 @seed(17)
@@ -567,7 +618,8 @@ def _ulps_from(x, n):
 @pytest.mark.parametrize("bins", [1, 3, 64, 1000])
 def test_angle_bins_near_every_edge_match_the_scalar_rule(bins):
     """Directions up to 3 ulps either side of every bin edge, both ways up:
-    where numpy's atan2 can pick another bin than libm's."""
+    where numpy's atan2 can pick another bin than libm's, and where a
+    last-bit change of libm's angle would move the bin."""
     directions = []
     for k in range(bins + 1):
         for n in range(-3, 4):
@@ -576,6 +628,16 @@ def test_angle_bins_near_every_edge_match_the_scalar_rule(bins):
     x, y = (np.array(c) for c in zip(*directions))
     want = [min(int((math.atan2(b, a) % math.pi) / math.pi * bins), bins - 1) for a, b in directions]
     assert criterion._angle_bins(x, y, bins).tolist() == want
+    # the probe scales its directions by powers of two: wherever that is
+    # exact (the subnormal sines next to angle 0 have no exact scaling),
+    # libm's angles and so the bins stay the same
+    exact = np.array([all(_scaled(d, k) != d for k in _POWERS) for d in directions])
+    x, y, want = x[exact], y[exact], np.array(want)[exact].tolist()
+    angles = fm.elementwise(math.atan2, y, x).tobytes()
+    for k in _POWERS:
+        sx, sy = np.ldexp(x, k), np.ldexp(y, k)
+        assert fm.elementwise(math.atan2, sy, sx).tobytes() == angles
+        assert criterion._angle_bins(sx, sy, bins).tolist() == want
 
 
 @pytest.mark.parametrize("T", [0.5, 0.0])

@@ -258,6 +258,27 @@ MUTANTS = [
         "pushed[np.arange(n)[:, None], to] = hists[:n]",
         ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
     ),
+    Mutant(  # directions scaled away from [0.5, 1), so the products overflow
+        "probe-rescale-up",
+        "src/skewlab/criterion.py",
+        "np.ldexp(e0, -ex), np.ldexp(e1, -ex)",
+        "np.ldexp(e0, ex), np.ldexp(e1, ex)",
+        ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
+    ),
+    Mutant(  # a flush that bins only its last kept step
+        "probe-flush-last-step",
+        "src/skewlab/criterion.py",
+        "zip(*kept))\n                cells = np.tile(first_cell, len(kept))",
+        "zip(*kept[-1:]))\n                cells = first_cell",
+        ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
+    ),
+    Mutant(  # the step before the burn-in ends recorded too
+        "probe-burn-in-early",
+        "src/skewlab/criterion.py",
+        "if k >= burn_in:",
+        "if k >= burn_in - 1:",
+        ["tests/test_criterion.py::test_su_state_probe_matches_scalar_reference"],
+    ),
 ]
 
 
