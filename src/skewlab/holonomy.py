@@ -23,8 +23,14 @@ The truncation runs on one point (``_truncate``, for point queries) or on a
 point set (``stable_holonomy_jets``, for the holonomy loop).  Every point of
 a set meets the same maps, so one walk of each orbit serves them all; each
 point keeps its own increments and stops, so both forms agree bit for bit.
-Both take their steps from ``holonomy_walk``; the holonomy loop keeps them
-and hands them to every later truncation of the same query.
+The point set compares each point's squared offset with tol**2, and takes
+math.hypot only within a relative margin of tol**2 that covers the
+rounding, so its stops are those of ``_truncate``'s hypot.  Both take their
+steps from ``holonomy_walk``; the holonomy loop keeps them and hands them
+to every later truncation of the same query.  When every derivative of the
+walk is constant (a toral walk), the linear truncation is the same for
+every point set: the loop keeps its outcome with the steps, and every
+later truncation of the query walks only the points.
 
 Fibre bunching, the condition under which these limits exist, is checked
 on the array pass that ``skew.c1_distance`` uses: every base point's key read
@@ -153,23 +159,47 @@ def _row_sups(deriv):
     return norms.max(axis=1), conorms.min(axis=1)
 
 
-def _stop_ok(sys, increments, tol):
-    """Whether the truncation may stop at the latest increment.
+def _stop_ok(sys, below):
+    """Whether the truncation may stop at its latest step.
 
-    ``increments`` lists one increment per step: floats for one point, or
-    arrays with one entry per point, giving a bool array.  A locally
-    constant family of depth D reads the word at [0, D), so past the first
-    D - 2 steps the maps along x and y agree and the truncations are
-    stationary: a sub-tol increment is final once there are at least
-    max(1, D - 1) of them.  Smooth families can produce a spuriously tiny
-    first increment (e.g. when a symmetry of the fiber point annihilates
-    the leading parameter difference), so two consecutive sub-tol
-    increments are required before trusting the limit.
+    ``below`` lists, one entry per step, whether the step's increment fell
+    below the query tolerance: bools for one point, or bool arrays with one
+    entry per point, giving a bool array.  A locally constant family of
+    depth D reads the word at [0, D), so past the first D - 2 steps the
+    maps along x and y agree and the truncations are stationary: a sub-tol
+    increment is final once there are at least max(1, D - 1) of them.
+    Smooth families can produce a spuriously tiny first increment (e.g.
+    when a symmetry of the fiber point annihilates the leading parameter
+    difference), so two consecutive sub-tol increments are required before
+    trusting the limit.
     """
-    below = increments[-1] < tol
     if sys.is_locally_constant:
-        return below & (len(increments) >= max(1, sys.family.depth - 1))
-    return below & (len(increments) >= 2 and increments[-2] < tol)
+        return below[-1] & (len(below) >= max(1, sys.family.depth - 1))
+    return below[-1] & (len(below) >= 2 and below[-2])
+
+
+_STOP_MARGIN = 1e-9  # relative; far wider than the rounding of a squared offset
+_NORMAL_MIN = np.finfo(float).smallest_normal
+
+
+def _below(du, dv, tol):
+    """Whether math.hypot(du[k], dv[k]) < tol, at every k of the offset arrays.
+
+    The squared offset decides every entry outside a relative margin of
+    tol**2, which covers its rounding (as ``criterion._nearest`` does);
+    math.hypot decides the entries inside it, and every entry when tol**2
+    is subnormal, where the margin no longer covers the rounding.
+    """
+    sq = du * du + dv * dv
+    tol_sq = tol * tol
+    if tol_sq < _NORMAL_MIN:
+        return fm.elementwise(math.hypot, du, dv) < tol
+    below = sq < tol_sq * (1.0 - _STOP_MARGIN)
+    maybe = sq <= tol_sq * (1.0 + _STOP_MARGIN)
+    if np.count_nonzero(maybe) > np.count_nonzero(below):  # some entry within the margin
+        near = np.flatnonzero(maybe & ~below)
+        below[near] = fm.elementwise(math.hypot, du[near], dv[near]) < tol
+    return below
 
 
 def holonomy_walk(sys, q):
@@ -185,7 +215,7 @@ def _truncate(sys, q, t, linear):
     y_inverses = []
     s, px = t, fm.IDENTITY
     prev, prev_m = t, fm.IDENTITY
-    increments, m_increments = [], []
+    increments, m_increments, below, m_below = [], [], [], []
     point = jet = None
     for n, (f_x, g_y) in zip(range(1, q.n_max + 1), holonomy_walk(sys, q)):
         s, d = f_x.apply(s)
@@ -197,6 +227,7 @@ def _truncate(sys, q, t, linear):
                 cur, d = g.apply(cur)
                 m = fm.mat_mul(d, m)
             m_increments.append(fm.mat_sub_norm(m, prev_m))
+            m_below.append(m_increments[-1] < q.tol)
             prev_m = m
             drift = fm.mat_det(m) - 1.0
             if abs(drift) >= q.tol:
@@ -205,15 +236,16 @@ def _truncate(sys, q, t, linear):
                     "det - 1 = %.3g" % (n, drift),
                     ConvergenceDiagnostics(m_increments, n),
                 )
-            if _stop_ok(sys, m_increments, q.tol):
+            if _stop_ok(sys, m_below):
                 jet = m, ConvergenceDiagnostics(m_increments, n)
         else:
             for g in reversed(y_inverses):
                 cur = g.apply(cur)[0]
         if point is None:
             increments.append(fm.torus_distance(cur, prev))
+            below.append(increments[-1] < q.tol)
             prev = cur
-            if _stop_ok(sys, increments, q.tol):
+            if _stop_ok(sys, below):
                 point = cur, ConvergenceDiagnostics(increments, n)
         if point is not None and (jet is not None or not linear):
             return point, jet
@@ -224,64 +256,101 @@ def _truncate(sys, q, t, linear):
     )
 
 
-def stable_holonomy_jets(sys, q, u, v, walk):
-    """``stable_holonomy_jet`` at every point (u[k], v[k]): arrays h_u, h_v, (a, b, c, d).
+def stable_holonomy_jets(sys, q, u, v, walk, kept=None):
+    """``stable_holonomy_jet`` at every point (u[k], v[k]): arrays h_u, h_v and (a, b, c, d).
 
     One walk of each orbit serves the whole point set, since every point
     meets the same maps; ``walk`` is that walk: the pairs of
     ``holonomy_walk(sys, q)``, fresh or kept by the caller and replayed.
-    Each point keeps its own increments and freezes its image and its
-    matrix at its own stops, as ``_truncate`` does, so every entry equals
-    the one-point truncation bit for bit; frozen points keep their place
-    in the arrays until the last point stops.  Constant derivatives keep
-    the matrix, its increments and its det drift in floats, shared by
-    every point.  Raises ``NonConvergenceError`` when any open point trips
-    the det guard or stays open at n_max, with the diagnostics of the
-    first such point.
+    Each point keeps its own offsets and freezes its image and its matrix
+    at its own stops, as ``_truncate`` does, so every entry equals the
+    one-point truncation bit for bit; frozen points keep their place in
+    the arrays until the last point stops.  A point's increment meets tol
+    as a squared offset (``_below``); math.hypot takes it only for the
+    error of a point that stays open.  Raises ``NonConvergenceError`` when
+    any open point trips the det guard or stays open at n_max, with the
+    diagnostics of the first such point.
+
+    When every derivative the linear truncation meets is constant (toral
+    maps and their compositions), the matrix, its increments and its det
+    drift are floats shared by every point, and the truncation stops, or
+    trips the det guard, at the same step for any point set.  The matrix
+    then comes back as four floats, as ``FiberMap.apply_many`` returns a
+    constant derivative, and ``kept``, a list that the caller keeps with
+    the walk, receives (matrix, None), or (matrix, (message, diagnostics))
+    from the det guard.  A call that finds it there runs no linear
+    truncation: it walks only the points, or raises that error afresh.
     """
     y_inverses = []
     su, sv = np.array(u, dtype=float), np.array(v, dtype=float)
     h_u, h_v = np.empty(len(su)), np.empty(len(su))
-    jet = tuple(np.empty(len(su)) for _ in range(4))
     point_open = np.ones(len(su), dtype=bool)
-    jet_open = point_open.copy()
+    if kept:
+        m, error = kept[0]
+        if error is not None and len(su):
+            raise NonConvergenceError(*error)
+        jet, jet_open = m, ~point_open
+    else:
+        jet = tuple(np.empty(len(su)) for _ in range(4))
+        jet_open = point_open.copy()
     px, prev, prev_m = fm.IDENTITY, (su, sv), fm.IDENTITY
-    increments, m_increments = [], []
+    offsets, below, m_increments, m_below = [], [], [], []
     for n, (f_x, g_y) in zip(range(1, q.n_max + 1), walk):
         su, sv, d = f_x.apply_many(su, sv)
         y_inverses.append(g_y)
         cu, cv = su, sv
-        px = m = fm.mat_mul(d, px)
-        for g in reversed(y_inverses):
-            cu, cv, d = g.apply_many(cu, cv)
-            m = fm.mat_mul(d, m)
-        m_increments.append(fm.mat_norms(*(a - b for a, b in zip(m, prev_m))))
-        prev_m = m
-        drift = fm.mat_det(m) - 1.0
-        bad = np.flatnonzero(jet_open & (abs(drift) >= q.tol))
-        if len(bad):
-            k = bad[0]
-            raise NonConvergenceError(
-                "linear holonomy truncation lost precision at n=%d: "
-                "det - 1 = %.3g" % (n, _entry(drift, k)),
-                ConvergenceDiagnostics([_entry(a, k) for a in m_increments], n),
-            )
-        stop = jet_open & _stop_ok(sys, m_increments, q.tol)
-        for out, e in zip(jet, m):
-            np.copyto(out, e, where=stop)
-        jet_open &= ~stop
-        increments.append(fm.elementwise(math.hypot, *fm.torus_delta((cu, cv), prev)))
+        if jet_open.any():
+            px = m = fm.mat_mul(d, px)
+            for g in reversed(y_inverses):
+                cu, cv, d = g.apply_many(cu, cv)
+                m = fm.mat_mul(d, m)
+            m_increments.append(fm.mat_norms(*(a - b for a, b in zip(m, prev_m))))
+            m_below.append(m_increments[-1] < q.tol)
+            prev_m = m
+            drift = fm.mat_det(m) - 1.0
+            constant = not isinstance(drift, np.ndarray)
+            bad = np.flatnonzero(jet_open & (abs(drift) >= q.tol))
+            if len(bad):
+                k = bad[0]
+                error = (
+                    "linear holonomy truncation lost precision at n=%d: "
+                    "det - 1 = %.3g" % (n, _entry(drift, k)),
+                    ConvergenceDiagnostics([_entry(a, k) for a in m_increments], n),
+                )
+                if constant and kept is not None:
+                    kept.append((m, error))
+                raise NonConvergenceError(*error)
+            stop = jet_open & _stop_ok(sys, m_below)
+            if constant and stop.any():
+                jet = m
+                if kept is not None:
+                    kept.append((m, None))
+            else:
+                for out, e in zip(jet, m):
+                    np.copyto(out, e, where=stop)
+            jet_open &= ~stop
+        else:
+            for g in reversed(y_inverses):
+                cu, cv = g.apply_many(cu, cv)[:2]
+        offsets.append(fm.torus_delta((cu, cv), prev))
+        below.append(_below(*offsets[-1], q.tol))
         prev = cu, cv
-        stop = point_open & _stop_ok(sys, increments, q.tol)
-        h_u[stop], h_v[stop] = cu[stop], cv[stop]
+        stop = point_open & _stop_ok(sys, below)
+        if stop.all():  # every point stops here: no scatter
+            h_u, h_v = cu, cv
+        else:
+            h_u[stop], h_v[stop] = cu[stop], cv[stop]
         point_open &= ~stop
         if not (point_open | jet_open).any():
             return h_u, h_v, jet
     k = np.flatnonzero(point_open | jet_open)[0]
-    kind, incs = ("", increments) if point_open[k] else ("linear ", m_increments)
+    if point_open[k]:
+        kind, incs = "", [math.hypot(du[k], dv[k]) for du, dv in offsets]
+    else:
+        kind, incs = "linear ", [_entry(a, k) for a in m_increments]
     raise NonConvergenceError(
         "%sholonomy truncation did not converge within n_max=%d" % (kind, q.n_max),
-        ConvergenceDiagnostics([_entry(a, k) for a in incs], q.n_max),
+        ConvergenceDiagnostics(incs, q.n_max),
     )
 
 

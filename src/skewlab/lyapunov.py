@@ -187,13 +187,24 @@ def _limit_angles(f, f_inv, u, v, depth):
     One backward walk of 2 depth steps serves both k; each push starts at
     the far end of its walk and normalises the vector at every step.  When
     the derivatives are constant the points stop walking, and the vector
-    stays two floats.
+    stays two floats: the walk's constant tail pushes it inline, with
+    ``fm.mat_vec_unit``'s operations on floats, and only the derivatives
+    that depend on the point go through ``fm.mat_vec_unit``.
     """
     derivs = list(_derivatives(f, u, v, 2 * depth, f_inv))
+    varying = next(  # the steps before the derivative turned constant
+        (i for i, d in enumerate(derivs) if not any(isinstance(e, np.ndarray) for e in d)),
+        len(derivs),
+    )
     angles = []
     for k in (depth, 2 * depth):
-        e = GENERIC_DIRECTION
-        for d in reversed(derivs[:k]):
+        x, y = GENERIC_DIRECTION
+        for a, b, c, d in reversed(derivs[varying:k]):
+            x, y = a * x + b * y, c * x + d * y
+            n = math.hypot(x, y)
+            x, y = x / n, y / n
+        e = x, y
+        for d in reversed(derivs[:min(varying, k)]):
             e = fm.mat_vec_unit(d, e)
         angle = fm.elementwise(math.atan2, e[1], e[0]) % math.pi
         angles.append(np.broadcast_to(angle, u.shape))

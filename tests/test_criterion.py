@@ -214,6 +214,97 @@ def test_loop_step_walks_each_orbit_once(monkeypatch):
     assert len(walks) == 4
 
 
+class _ConstantJacobian(fm.FiberMap):
+    """The identity on points with the constant derivative d, posing as the
+    inverse of the map with derivative d_inv."""
+
+    def __init__(self, d, d_inv):
+        self.d, self.d_inv = d, d_inv
+
+    def apply(self, t):
+        return t, self.d
+
+    def apply_many(self, u, v):
+        return u, v, self.d
+
+    def inverse(self):
+        return _ConstantJacobian(self.d_inv, self.d)
+
+
+def _posing_shear_loop():
+    """A loop of constant maps whose two holonomies have different linear parts.
+
+    The shear (1, 1, 0, 1) poses as the inverse of (1, 0, 1, 1), so at tol 5
+    the stable truncation stops at n = 1 on (1, 1, 1, 2) and the unstable
+    one on (2, 1, 1, 1), both of det 1, while every point stays put.
+    """
+    f = _ConstantJacobian((1.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0))
+    system = lc_system(f, f.inverse())
+    loop = sl.build_holonomy_loop(system, *loop_inputs(system))
+    return dataclasses.replace(
+        loop,
+        q_u=dataclasses.replace(loop.q_u, tol=5.0),
+        q_s=dataclasses.replace(loop.q_s, tol=5.0),
+    )
+
+
+def _loop_of(make_system):
+    system = make_system()
+    return sl.build_holonomy_loop(system, *loop_inputs(system))
+
+
+def _fresh_loop_pass(loop, u, v):
+    """``loop.apply_many`` from fresh truncations, as lists, with H spread over the points."""
+    walk = holonomy.holonomy_walk
+    u, v, m = holonomy.stable_holonomy_jets(loop.sys, loop.q_u, u, v, walk(loop.sys, loop.q_u))
+    for f in loop.excursion:
+        u, v, d = f.apply_many(u, v)
+        m = fm.mat_mul(d, m)
+    u, v, hs = holonomy.stable_holonomy_jets(loop.sys, loop.q_s, u, v, walk(loop.sys, loop.q_s))
+    H = fm.mat_mul(hs, m)
+    return [u.tolist(), v.tolist(), [np.broadcast_to(e, u.shape).tolist() for e in H]]
+
+
+@pytest.mark.parametrize(
+    "make_loop",
+    [
+        lambda: _loop_of(twisted_cat_system),
+        lambda: _loop_of(lambda: twisted_cat_system(T=0.0)),
+        lambda: _loop_of(golden_mean_system),
+        _posing_shear_loop,
+    ],
+    ids=["twisted-cat", "cat-T0", "golden-mean", "posing-shears"],
+)
+def test_loop_passes_after_the_first_equal_fresh_truncations(make_loop):
+    # every holonomy walk of these loops is toral: the first pass keeps each
+    # query's linear part, and later passes walk only the points
+    loop = make_loop()
+    u, v = fm.grid_points(6)
+    for j in range(8):
+        want = _fresh_loop_pass(loop, u, v)
+        u, v, H = loop.apply_many(u, v)
+        assert [u.tolist(), v.tolist(), [e.tolist() for e in H]] == want
+        assert [len(linear) for _, linear in loop._kept.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("make_system", [twisted_cat_system, holder_system])
+def test_second_loop_pass_runs_no_linear_truncation_on_a_toral_walk(make_system, monkeypatch):
+    loop = _loop_of(make_system)
+    calls = []
+    for name in ("mat_norm", "mat_norms"):
+        real = getattr(fm, name)
+        monkeypatch.setattr(fm, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    u, v = fm.grid_points(5)
+    u, v, _ = loop.apply_many(u, v)
+    first = len(calls)
+    calls.clear()
+    loop.apply_many(u, v)
+    if make_system is holder_system:  # the point-dependent walk keeps its array path
+        assert calls and first
+    else:  # one linear truncation per query, each stopping at n = 1, then none
+        assert first == 2 and calls == []
+
+
 def test_loop_linear_part_matches_finite_differences():
     system = twisted_cat_system()
     p, z, i = loop_inputs(system)

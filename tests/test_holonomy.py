@@ -523,9 +523,14 @@ def test_linear_holonomy_stops_on_its_own_increments():
         assert m == fm.IDENTITY
 
 
-def _jets(system, q, pts):
-    uv = (np.array(c) for c in zip(*pts))
-    hu, hv, m = stable_holonomy_jets(system, q, *uv, holonomy_walk(system, q))
+def _jets(system, q, pts, kept=None):
+    """``stable_holonomy_jets`` at the points, as a list of (h(t), Dh(t)) pairs.
+
+    A constant matrix comes back as four floats, spread here over the points.
+    """
+    uv = (np.array([t[c] for t in pts], dtype=float) for c in (0, 1))
+    hu, hv, m = stable_holonomy_jets(system, q, *uv, holonomy_walk(system, q), kept)
+    m = (np.broadcast_to(e, hu.shape) for e in m)
     return list(zip(zip(hu.tolist(), hv.tolist()), zip(*(e.tolist() for e in m))))
 
 
@@ -621,3 +626,97 @@ def test_holonomy_jets_name_the_first_open_point(make_system, k, tol, n_max, sto
     assert "within n_max=%d" % n_max in str(one.value)
     assert str(many.value) == str(one.value)
     assert many.value.diagnostics == one.value.diagnostics
+
+
+def _offsets_near(tol, n=400, ulps=4):
+    """Offsets (du, dv) whose length is within a few ulps of tol, on both sides.
+
+    Points on the circle of radius tol, scaled by 1 + k 2^-52 for |k| <= ulps,
+    each also with one coordinate moved one ulp up or down.
+    """
+    angle = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    scale = 1.0 + np.arange(-ulps, ulps + 1)[:, None] * 2.0 ** -52
+    du, dv = (np.ravel(tol * fn(angle) * scale) for fn in (np.cos, np.sin))
+    return (
+        np.concatenate([du, np.nextafter(du, 1.0), np.nextafter(du, -1.0), du]),
+        np.concatenate([dv, dv, dv, np.nextafter(dv, 1.0)]),
+    )
+
+
+# 1.5e-154 squares to just above the smallest normal float, 1e-160 to a subnormal
+@pytest.mark.parametrize("tol", [1e-9, 1e-16, 0.3, 1.5e-154, 1e-160])
+def test_squared_offset_stop_matches_hypot_near_tol(tol):
+    du, dv = _offsets_near(tol)
+    want = np.array([math.hypot(a, b) < tol for a, b in zip(du.tolist(), dv.tolist())])
+    # both sides of tol are there, and the rounded square alone misjudges some
+    assert 0 < want.sum() < len(want)
+    assert ((du * du + dv * dv < tol * tol) != want).any()
+    assert holonomy._below(du, dv, tol).tolist() == want.tolist()
+    # the stop rules on steps of such offsets, against each point's scalar
+    # rule: locally constant at depth 1 and 4, and the Hölder two in a row
+    rng = np.random.default_rng(11)
+    steps = [rng.permutation(len(du))[:300] for _ in range(4)]  # point k's offset: s[k]
+    for system in (twisted_cat_system(), depth4_system(), holder_system()):
+        for n in range(1, len(steps) + 1):
+            got = holonomy._stop_ok(system, [holonomy._below(du[s], dv[s], tol) for s in steps[:n]])
+            one = [holonomy._stop_ok(system, [bool(want[s[k]]) for s in steps[:n]]) for k in range(300)]
+            assert got.tolist() == one
+
+
+def _first_failing(system, q, pts):
+    """The one-point truncation's error at the first of pts whose truncation fails."""
+    for t in pts:
+        try:
+            stable_holonomy_jet(system, q, t)
+        except NonConvergenceError as exc:
+            return exc
+    raise AssertionError("every point converged")
+
+
+def _count_norms(monkeypatch):
+    """A list that records each ``mat_norm`` and ``mat_norms`` call from now on."""
+    calls = []
+    for name in ("mat_norm", "mat_norms"):
+        real = getattr(fm, name)
+        monkeypatch.setattr(fm, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+def test_kept_linear_part_reports_an_open_point_as_one_point(monkeypatch):
+    # at tol 1e-16 and n_max 1 the matrix stops at n = 1, exactly I; dyadic
+    # points come back exactly and stop there too, random ones need 3 or 4 steps
+    system = twisted_cat_system()
+    q = sl.HolonomyQuery("unstable", *unstable_pair(system, 29, 4), tol=1e-16, n_max=1)
+    kept = []
+    dyadic = [(0.5, 0.25), (0.125, 0.75), (0.0, 0.375)]
+    assert _jets(system, q, dyadic, kept=kept) == [(t, fm.IDENTITY) for t in dyadic]
+    assert kept == [(fm.IDENTITY, None)]
+    pts = dyadic + [sl.random_fiber_point(29, j, stream=2) for j in range(5)]
+    one = _first_failing(system, q, pts)
+    calls = _count_norms(monkeypatch)
+    with pytest.raises(NonConvergenceError) as many:
+        _jets(system, q, pts, kept=kept)
+    assert calls == []  # no linear truncation ran
+    assert "within n_max=1" in str(one) and str(many.value) == str(one)
+    assert many.value.diagnostics == one.diagnostics
+
+
+def test_kept_linear_part_raises_the_det_guard_as_one_point(monkeypatch):
+    f = _SelfInverseStretch()
+    system = sl.SkewSystem(
+        sl.ShiftSpace(2), bernoulli2(), sl.LocallyConstantFamily(1, {0: f, 1: f})
+    )
+    q = sl.HolonomyQuery("stable", *stable_pair(system, 29, 8))
+    pts = [sl.random_fiber_point(29, j, stream=2) for j in range(5)]
+    with pytest.raises(NonConvergenceError, match="det - 1 = 3") as one:
+        stable_holonomy_jet(system, q, pts[0])
+    kept, calls = [], None
+    for _ in range(2):  # the first call settles the matrix, the second takes it as kept
+        with pytest.raises(NonConvergenceError) as many:
+            _jets(system, q, pts, kept=kept)
+        assert str(many.value) == str(one.value)
+        assert many.value.diagnostics == one.value.diagnostics
+        assert len(kept) == 1 and not calls
+        calls = _count_norms(monkeypatch)
+    # no point, no error: as the truncation that walks them
+    assert _jets(system, q, [], kept=kept) == _jets(system, q, []) == []

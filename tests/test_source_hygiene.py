@@ -97,6 +97,9 @@ TEST_ONLY_KEEP = {
     "serialize_config",
     # the sampled check of the Holder family's declared certificate
     "holder_estimate",
+    # the public angle between two lines, whose expression check_twisting
+    # shares through criterion._acute_angles with norms it takes once
+    "projective_distance",
 }
 READERS = [p for d in (SRC, ROOT / "bench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
 

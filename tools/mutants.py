@@ -198,6 +198,27 @@ MUTANTS = [
             "tests/test_holonomy.py::test_bunching_margin_bounds_every_pair_of_fibre_points",
         ],
     ),
+    Mutant(  # offsets just past tol taken as below it without math.hypot
+        "stop-margin-sign-flipped",
+        "src/skewlab/holonomy.py",
+        "below = sq < tol_sq * (1.0 - _STOP_MARGIN)",
+        "below = sq < tol_sq * (1.0 + _STOP_MARGIN)",
+        ["tests/test_holonomy.py::test_squared_offset_stop_matches_hypot_near_tol"],
+    ),
+    Mutant(  # offsets within the margin judged by their rounded squares
+        "stop-margin-no-hypot",
+        "src/skewlab/holonomy.py",
+        "below[near] = fm.elementwise(math.hypot, du[near], dv[near]) < tol",
+        "below[near] = sq[near] < tol_sq",
+        ["tests/test_holonomy.py::test_squared_offset_stop_matches_hypot_near_tol"],
+    ),
+    Mutant(  # the stable query handed the unstable query's kept linear part
+        "kept-linear-shared",
+        "src/skewlab/criterion.py",
+        "(holonomy_walk(self.sys, q), [])",
+        "(holonomy_walk(self.sys, q), next(iter(self._kept.values()), (None, []))[1])",
+        ["tests/test_criterion.py::test_loop_passes_after_the_first_equal_fresh_truncations"],
+    ),
     Mutant(  # j_t set only on a first return, never at a later separating one
         "twisting-first-return-only",
         "src/skewlab/criterion.py",
